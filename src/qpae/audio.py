@@ -9,6 +9,7 @@ is exact, so nothing fancy is needed for precision.
 from __future__ import annotations
 
 import csv
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,8 +155,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int) -> np.ndarray:
-    """Triangular filters, (n_mels, n_fft//2 + 1), equally spaced in mel."""
+    """Triangular filters, (n_mels, n_fft//2 + 1), equally spaced in mel.
+
+    Cached per argument triple; every caller shares the one read-only array.
+    """
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     filt = np.zeros((n_mels, bin_freqs.size))
@@ -164,6 +169,7 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int) -> np.ndarray:
         rising = (bin_freqs - lo) / max(mid - lo, 1e-12)
         falling = (hi - bin_freqs) / max(hi - mid, 1e-12)
         filt[m] = np.maximum(0.0, np.minimum(rising, falling))
+    filt.flags.writeable = False
     return filt
 
 
@@ -184,10 +190,8 @@ def power_spectrogram(clip: WavClip, n_fft: int, hop: int) -> np.ndarray:
     x = clip.samples
     if x.size < n_fft:
         x = np.concatenate([x, np.zeros(n_fft - x.size)])
-    n_frames = 1 + (x.size - n_fft) // hop
-    window = hann_window(n_fft)
-    frames = np.stack([x[t * hop:t * hop + n_fft] for t in range(n_frames)])
-    spec = np.fft.rfft(frames * window, axis=1)
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
+    spec = np.fft.rfft(frames * hann_window(n_fft), axis=1)
     return (spec.real ** 2 + spec.imag ** 2).T
 
 

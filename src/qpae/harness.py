@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
+from dataclasses import (asdict, astuple, dataclass, field,
+                         fields as dataclass_fields, replace)
 from pathlib import Path
 
 from . import audio
@@ -155,6 +157,30 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def check_ranges(cfg: ExperimentConfig) -> None:
+    """Reject class ids and sizes the run cannot use, before any work.
+
+    `Workspace.create` and `cmd_synth` call it, so it sees the config after
+    command-line overrides, which can change the forget set once the file
+    is parsed.
+    """
+    k = cfg.dataset.num_classes
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise ConfigError(f"dataset.num_classes must be an integer >= 2, got {k!r}")
+    if any(h < 1 for h in cfg.model_hidden):
+        raise ConfigError(f"model.hidden widths must be >= 1, got {cfg.model_hidden}")
+    requests = {"unlearn.forget_set": cfg.unlearn.forget_set}
+    requests.update((f"sequential_requests[{i}]", req)
+                    for i, req in enumerate(cfg.sequential_requests))
+    for what, classes in requests.items():
+        bad = [c for c in classes
+               if not isinstance(c, numbers.Integral) or not 0 <= c < k]
+        if bad:
+            raise ConfigError(f"{what} holds {bad}, not class ids in [0, {k})")
+    if len(set(cfg.unlearn.forget_set)) >= k:
+        raise ConfigError("unlearn.forget_set must leave at least one class retained")
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     baselines = []
     for b in cfg.baselines:
@@ -218,9 +244,33 @@ def build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
                                n_mels=spec.n_mels, n_frames=spec.n_frames)
 
 
+# The last synthetic (train, eval) pair and its key. Scenarios run back to
+# back share no object, so reuse has to live here; one entry catches every
+# repeat of a run of scenarios on one seed and holds no more than the
+# previous Workspace already keeps alive.
+_last_splits: dict[tuple, tuple[LabeledDataset, LabeledDataset]] = {}
+
+
 def prepare_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    data = build_dataset(cfg)
-    return train_eval_split(data, 0.8, derive_seed(cfg.seed, _SEED_SPLIT))
+    """Seeded 80/20 split of the config's dataset.
+
+    A synthetic dataset is a pure function of its spec and the master seed,
+    so the last pair built is returned again for the same key, with every
+    array read-only. Manifest datasets are always read afresh: their files
+    can change on disk.
+    """
+    key = (astuple(cfg.dataset), cfg.seed)
+    if cfg.dataset.kind == "synthetic" and key in _last_splits:
+        return _last_splits[key]
+    _last_splits.clear()  # before the build, so two datasets are never held
+    splits = train_eval_split(build_dataset(cfg), 0.8,
+                              derive_seed(cfg.seed, _SEED_SPLIT))
+    if cfg.dataset.kind == "synthetic":
+        for part in splits:
+            for array in (part.features, part.labels, part.original_classes):
+                array.flags.writeable = False
+        _last_splits[key] = splits
+    return splits
 
 
 def _train_config(cfg: ExperimentConfig) -> TrainConfig:
@@ -268,6 +318,7 @@ class Workspace:
 
     @classmethod
     def create(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
+        check_ranges(cfg)
         out_dir = Path(out if out is not None else cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         train_data, eval_data = prepare_splits(cfg)
@@ -483,6 +534,7 @@ def cmd_synth(cfg: ExperimentConfig, out: str | Path) -> Path:
     spec = cfg.dataset
     if spec.kind != "synthetic":
         raise ConfigError("synth requires a synthetic dataset spec")
+    check_ranges(cfg)
     rng = Rng(derive_seed(cfg.seed, _SEED_DATA))
     profile = audio.PROFILES[spec.profile]
     clips = [(audio.synth_clip(c, rng, profile), c)
@@ -500,9 +552,12 @@ def cmd_report(out: str | Path) -> tuple[Path, Path]:
              ("fisher", METHOD_LABELS["fisher"]), ("ssd", METHOD_LABELS["ssd"])]
     rows = []
     for stem, label in order:
-        path = out_dir / f"report_{stem}.json"
-        if path.exists():
-            rows.append((label, report_from_json(path.read_text())))
+        # `evaluate` names a report after its checkpoint, unlearned_<id>
+        for path in (out_dir / f"report_{stem}.json",
+                     out_dir / f"report_unlearned_{stem}.json"):
+            if path.exists():
+                rows.append((label, report_from_json(path.read_text())))
+                break
     if not rows:
         raise FileNotFoundError(f"no report_*.json files found in {out_dir}")
     markdown, csv_text = emit_table(rows)

@@ -76,10 +76,20 @@ class Rng:
         return self.next_u64() % bound
 
     def shuffle(self, values: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(values) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            values[i], values[j] = values[j], values[i]
+        """In-place Fisher-Yates shuffle.
+
+        Draws the swap for position i as randbelow(i + 1), i from the top
+        down, all in one fill: the same stream as one scalar draw per swap.
+        """
+        n = len(values)
+        if n < 2:
+            return
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        swaps = (self.fill_u64(n - 1) % bounds).tolist()
+        items = values.tolist()
+        for i, j in zip(range(n - 1, 0, -1), swaps):
+            items[i], items[j] = items[j], items[i]
+        values[:] = items
 
     def permutation(self, n: int) -> np.ndarray:
         idx = np.arange(n)

@@ -149,6 +149,34 @@ class TestLogMel:
         freqs = np.array([100.0, 700.0, 3999.0])
         assert np.allclose(mel_to_hz(hz_to_mel(freqs)), freqs, rtol=1e-12)
 
+    @pytest.mark.parametrize("n, hop", [(100, 128), (256, 128), (257, 128),
+                                        (1000, 128), (6437, 128), (6400, 128),
+                                        (3001, 100), (700, 1)])
+    def test_power_spectrogram_matches_slice_loop(self, n, hop):
+        # reference: one slice per frame, stacked, as the framing was first written
+        clip = WavClip(SR, Rng(n).normal(n, sigma=0.3))
+        n_fft = 256
+        x = clip.samples
+        if x.size < n_fft:
+            x = np.concatenate([x, np.zeros(n_fft - x.size)])
+        n_frames = 1 + (x.size - n_fft) // hop
+        frames = np.stack([x[t * hop:t * hop + n_fft] for t in range(n_frames)])
+        spec = np.fft.rfft(frames * hann_window(n_fft), axis=1)
+        want = (spec.real ** 2 + spec.imag ** 2).T
+        got = power_spectrogram(clip, n_fft, hop)
+        assert got.shape == want.shape == (n_fft // 2 + 1, n_frames)
+        assert np.array_equal(got, want)
+
+    def test_mel_filterbank_is_one_read_only_array_per_triple(self):
+        a = mel_filterbank(SR, 256, 32)
+        assert mel_filterbank(SR, 256, 32) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        b = mel_filterbank(SR, 256, 16)
+        assert b is not a and b.shape == (16, 129)
+        assert mel_filterbank(SR, 512, 32).shape == (32, 257)
+
     def test_validation(self):
         clip = sine_clip(440.0)
         with pytest.raises(ValueError):

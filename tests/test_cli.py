@@ -27,13 +27,16 @@ def test_train_then_unlearn_then_evaluate(cfg_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
     assert (out / "original.qpae").exists()
-    assert main(["unlearn", "--config", str(cfg_path), "--method", "qp"]) == 0
-    assert (out / "unlearned_qp.qpae").exists()
-    assert main(["evaluate", "--config", str(cfg_path),
-                 "--model", str(out / "unlearned_qp.qpae"),
-                 "--original-report", str(out / "report_original.json")]) == 0
+    for method in ("qp", "ng"):
+        assert main(["unlearn", "--config", str(cfg_path), "--method", method]) == 0
+        assert (out / f"unlearned_{method}.qpae").exists()
+        assert main(["evaluate", "--config", str(cfg_path),
+                     "--model", str(out / f"unlearned_{method}.qpae"),
+                     "--original-report", str(out / "report_original.json")]) == 0
     assert main(["report", "--out", str(out)]) == 0
-    assert (out / "table.csv").exists()
+    rows = (out / "table.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "Original", "QPAudioEraser", "Negative Gradient"]
     assert "FA=" in capsys.readouterr().out
 
 
@@ -60,6 +63,33 @@ def test_config_error_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sed": 1}))
     assert main(["train", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("verb, flags, edit", [
+    ("unlearn", ["--method", "qp", "--forget", "10"], {}),
+    ("unlearn", ["--method", "qp", "--forget", "4"], {}),
+    ("train", ["--forget", "-1"], {}),
+    ("train", ["--forget", "0,1,2,3"], {}),
+    ("train", [], {"unlearn": {"forget_set": [0, 1, 2, 3]}}),
+    ("sequential", [], {"scenario": "sequential", "sequential_requests": [[0], [7]]}),
+    ("train", [], {"model": {"hidden": [0]}}),
+    ("train", [], {"model": {"hidden": [16, -3]}}),
+    ("train", ["--forget", "0"], {"dataset": {"num_classes": 1}}),
+    ("synth", ["--forget", "0"], {"dataset": {"num_classes": 1}}),
+    ("train", [], {"unlearn": {"forget_set": ["a"]}}),
+    ("train", [], {"unlearn": {"forget_set": [1.5]}}),
+])
+def test_out_of_range_config_exits_2(cfg_path, tmp_path, capsys, verb, flags, edit):
+    raw = json.loads(cfg_path.read_text())
+    for key, value in edit.items():
+        raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "fresh"
+    out.mkdir()
+    assert main([verb, "--config", str(cfg_path), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_bad_forget_flag_exits_2(cfg_path):

@@ -1,9 +1,12 @@
 import hashlib
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qpae import harness
+from qpae.audio import WavClip, write_wav
 from qpae.baselines import BaselineConfig
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
@@ -239,6 +242,72 @@ class TestSynthCommand:
         small_cfg.dataset = harness.DatasetSpec(kind="manifest", path=str(tmp_path))
         with pytest.raises(ConfigError):
             cmd_synth(small_cfg, tmp_path / "x")
+
+
+class TestSplitReuse:
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """Count the dataset builds prepare_splits makes."""
+        calls = []
+        real = harness.build_dataset
+
+        def counting(cfg):
+            calls.append(cfg.seed)
+            return real(cfg)
+        monkeypatch.setattr(harness, "build_dataset", counting)
+        return calls
+
+    def test_hit_returns_read_only_arrays(self, small_cfg, builds):
+        first = harness.prepare_splits(small_cfg)
+        builds.clear()
+        again = harness.prepare_splits(replace(small_cfg, output_dir="elsewhere"))
+        assert builds == []
+        for part, same in zip(again, first):
+            assert part is same
+            for array in (part.features, part.labels, part.original_classes):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    @pytest.mark.parametrize("change", [
+        {"num_classes": 3}, {"per_class": 21}, {"n_mels": 16}, {"n_frames": 9},
+        {"profile": "overlap"}, {"path": "unused"}, {"seed": 6}])
+    def test_any_spec_field_or_seed_misses(self, small_cfg, builds, change):
+        base = harness.prepare_splits(small_cfg)
+        builds.clear()
+        seed = change.get("seed", small_cfg.seed)
+        fields = {k: v for k, v in change.items() if k != "seed"}
+        cfg = replace(small_cfg, seed=seed,
+                      dataset=replace(small_cfg.dataset, **fields))
+        other = harness.prepare_splits(cfg)
+        assert builds == [seed]
+        assert other[0] is not base[0]
+
+    def test_manifest_is_read_afresh(self, small_cfg, tmp_path, builds):
+        data_dir = cmd_synth(small_cfg, tmp_path / "dataset")
+        cfg = replace(small_cfg, dataset=harness.DatasetSpec(
+            kind="manifest", path=str(data_dir), num_classes=4, n_mels=8, n_frames=8))
+        before, _ = harness.prepare_splits(cfg)
+        assert before.features.flags.writeable
+        for wav in (data_dir / "wavs").iterdir():
+            write_wav(WavClip(8000, np.zeros(6400)), wav)
+        after, _ = harness.prepare_splits(cfg)
+        assert len(builds) == 2
+        assert np.all(after.features == np.log(1e-6))
+        assert not np.array_equal(after.features, before.features)
+
+    def test_cold_and_warm_runs_write_identical_files(self, small_cfg, tmp_path,
+                                                      builds, monkeypatch):
+        monkeypatch.setattr(harness, "_last_splits", {})
+        files = []
+        for run in ("cold", "warm"):
+            ws = harness.run_scenario(replace(small_cfg, output_dir=str(tmp_path / run)))
+            files.append({p.name: p.read_bytes() for pattern in
+                          ("report_*.json", "*.csv", "*.qpae")
+                          for p in ws.out.glob(pattern)})
+        assert len(builds) == 1
+        assert files[0] == files[1]
+        assert "unlearned_qp.qpae" in files[0] and "table.csv" in files[0]
 
 
 class TestScenarioValidation:

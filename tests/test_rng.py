@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,23 @@ def test_shuffle_is_a_permutation():
     Rng(11).shuffle(values)
     assert sorted(values.tolist()) == list(range(257))
     assert values.tolist() != list(range(257))
+
+
+def scalar_shuffle(rng, values):
+    """Reference Fisher-Yates: one scalar draw per swap."""
+    for i in range(len(values) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        values[i], values[j] = values[j], values[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 200, 1600])
+def test_shuffle_matches_scalar_loop(n):
+    fast, slow = Rng(1000 + n), Rng(1000 + n)
+    a, b = np.arange(n), np.arange(n)
+    fast.shuffle(a)
+    scalar_shuffle(slow, b)
+    assert a.tolist() == b.tolist()
+    assert fast.next_u64() == slow.next_u64()
 
 
 def test_spawn_gives_independent_streams():
