@@ -47,19 +47,14 @@ class BaselineConfig:
 
 
 class NegatedCrossEntropyLoss(LossFn):
-    """Cross-entropy with flipped sign: SGD on it *ascends* the CE surface."""
+    """Cross-entropy with flipped sign: SGD on it *ascends* the CE surface.
 
-    def value(self, probs, target, original_class):
-        return float(np.sum(target * np.log(probs + 1e-12)))
+    IEEE negation is exact, so this is bit for bit -CE.
+    """
 
-    def logit_grad(self, probs, target, original_class):
-        return target - probs
-
-    def batch_values(self, probs, targets, classes):
-        return np.sum(targets * np.log(probs + 1e-12), axis=1)
-
-    def batch_logit_grads(self, probs, targets, classes):
-        return targets - probs
+    def batch(self, probs, targets, classes):
+        values, dlogits = CrossEntropyLoss().batch(probs, targets, classes)
+        return -values, -dlogits
 
 
 def _ascend(model: Classifier, data: LabeledDataset, forget_set: set[int],
@@ -112,14 +107,14 @@ def estimate_diag_fisher(model: Classifier, samples: LabeledDataset) -> list[np.
     d2 = delta ** 2
     fisher_rev.append(np.mean(d2, axis=0))                    # final bias
     fisher_rev.append((acts[-1] ** 2).T @ d2 / n)             # final weights
-    da = delta @ model.final_w.T
+    w_above = model.final_w
+    dz = delta
     for i in range(len(model.hidden) - 1, -1, -1):
-        w, _ = model.hidden[i]
-        dz = da * (acts[i + 1] > 0.0)
+        dz = (dz @ w_above.T) * (acts[i + 1] > 0.0)
         dz2 = dz ** 2
         fisher_rev.append(np.mean(dz2, axis=0))               # bias i
         fisher_rev.append((acts[i] ** 2).T @ dz2 / n)         # weights i
-        da = dz @ w.T
+        w_above = model.hidden[i][0]
     return fisher_rev[::-1]
 
 

@@ -76,6 +76,11 @@ def one_hot(class_id: int, num_classes: int) -> np.ndarray:
     return v
 
 
+def train_count(n: int, train_frac: float) -> int:
+    """How many of a class's n samples train_eval_split puts on the train side."""
+    return int(round(n * train_frac))
+
+
 def train_eval_split(data: LabeledDataset, train_frac: float,
                      seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded per-class split so both sides see every class."""
@@ -87,7 +92,7 @@ def train_eval_split(data: LabeledDataset, train_frac: float,
     for c in range(data.num_classes):
         idx = np.where(data.original_classes == c)[0]
         rng.shuffle(idx)
-        cut = int(round(len(idx) * train_frac))
+        cut = train_count(len(idx), train_frac)
         train_idx.extend(idx[:cut])
         eval_idx.extend(idx[cut:])
     return data.subset(np.array(sorted(train_idx), dtype=np.int64)), \

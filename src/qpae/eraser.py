@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledDataset
-from .model import (Classifier, LossFn, TrainConfig, cross_entropy,
-                    predict_classes, predict_probs, train)
+from .model import (Classifier, CrossEntropyLoss, LossFn, TrainConfig,
+                    cross_entropy, forward_batch, predict_probs, train)
 
 
 class InvalidClassError(ValueError):
@@ -153,31 +153,18 @@ class QuantumLoss(LossFn):
     def __init__(self, forget_set: set[int], entropy_lambda: float):
         self.forget_set = frozenset(forget_set)
         self.entropy_lambda = float(entropy_lambda)
+        self._forget_ids = np.array(sorted(self.forget_set), dtype=np.int64)
 
-    def value(self, probs, target, original_class):
-        return quantum_loss(probs, target, original_class,
-                            self.forget_set, self.entropy_lambda)
-
-    def logit_grad(self, probs, target, original_class):
-        return quantum_loss_logit_grad(probs, target, original_class,
-                                       self.forget_set, self.entropy_lambda)
-
-    def _forget_mask(self, classes: np.ndarray) -> np.ndarray:
-        return np.isin(classes, sorted(self.forget_set))
-
-    def batch_values(self, probs, targets, classes):
+    def batch(self, probs, targets, classes):
+        forgotten = np.zeros(probs.shape[1], dtype=bool)
+        forgotten[self._forget_ids] = True
+        forget_rows = forgotten[classes]
         plogp = np.where(probs > 0.0, probs * np.log(np.maximum(probs, 1e-300)), 0.0)
-        ce = -np.sum(targets * np.log(probs + 1e-12), axis=1)
-        neg_ent = self.entropy_lambda * np.sum(plogp, axis=1)
-        return np.where(self._forget_mask(classes), neg_ent, ce)
-
-    def batch_logit_grads(self, probs, targets, classes):
-        plogp = np.where(probs > 0.0, probs * np.log(np.maximum(probs, 1e-300)), 0.0)
-        h = -np.sum(plogp, axis=1, keepdims=True)
-        forget_grad = self.entropy_lambda * (plogp + probs * h)
-        retain_grad = probs - targets
-        mask = self._forget_mask(classes)[:, None]
-        return np.where(mask, forget_grad, retain_grad)
+        sum_plogp = np.sum(plogp, axis=1)
+        ce, retain_grad = CrossEntropyLoss().batch(probs, targets, classes)
+        values = np.where(forget_rows, self.entropy_lambda * sum_plogp, ce)
+        forget_grad = self.entropy_lambda * (plogp + probs * -sum_plogp[:, None])
+        return values, np.where(forget_rows[:, None], forget_grad, retain_grad)
 
 
 def build_mixing_matrix(num_classes: int, forget_set: set[int],
@@ -206,9 +193,23 @@ def apply_mixing(model: Classifier, mixing: np.ndarray) -> Classifier:
     return model
 
 
+def penultimate(model: Classifier, data: LabeledDataset) -> np.ndarray:
+    """Output of the model's last hidden layer on every sample of `data`."""
+    acts, _ = forward_batch(model, data.features)
+    return acts[-1]
+
+
 def accuracy_snapshot(model: Classifier, data: LabeledDataset,
-                      forget_set: frozenset[int]) -> tuple[float, float]:
-    preds = predict_classes(model, data.features)
+                      forget_set: frozenset[int],
+                      hidden: np.ndarray | None = None) -> tuple[float, float]:
+    """Forget and retain accuracy (%) of the model on `data`.
+
+    `hidden` is `penultimate(model, data)`, for callers that score several
+    final layers on one set of hidden layers; it is computed when omitted.
+    """
+    if hidden is None:
+        hidden = penultimate(model, data)
+    preds = np.argmax(hidden @ model.final_w + model.final_b, axis=1)
     correct = preds == data.original_classes
     mask = np.isin(data.original_classes, sorted(forget_set))
     fa = 100.0 * float(np.mean(correct[mask])) if mask.any() else 0.0
@@ -223,15 +224,18 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
     Returns the model and a phase log: one entry per phase with
     forget/retain accuracy measured on `data` after the phase, the
     phase's own wall time in ms, and whether it was skipped by an
-    ablation flag.
+    ablation flag. Only phase 3 changes the hidden layers, so their output
+    on `data` is computed before phase 1 and again after phase 3 runs;
+    the other snapshots score just the final layer on it.
     """
     _check_forget_set(cfg.forget_set, model.num_classes)
     if data.feature_dim != model.feature_dim:
         raise ValueError("dataset feature_dim does not match model")
     log: list[dict] = []
+    hidden = penultimate(model, data)
 
     def record(phase: str, skipped: bool, wall_ms: float) -> None:
-        fa, ra = accuracy_snapshot(model, data, cfg.forget_set)
+        fa, ra = accuracy_snapshot(model, data, cfg.forget_set, hidden)
         log.append({"phase": phase, "forget_accuracy": fa,
                     "retain_accuracy": ra, "wall_ms": wall_ms,
                     "skipped": skipped})
@@ -254,7 +258,10 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
         loss = QuantumLoss(cfg.forget_set, cfg.entropy_lambda)
         t0 = time.perf_counter()
         train(model, relabeled, phase3_cfg, loss)
-        record("optimization", False, 1e3 * (time.perf_counter() - t0))
+        wall_ms = 1e3 * (time.perf_counter() - t0)
+        # SGD updated the hidden arrays in place
+        hidden = penultimate(model, data)
+        record("optimization", False, wall_ms)
 
     if cfg.skip_mixing:
         record("mixing", True, 0.0)
@@ -272,5 +279,5 @@ __all__ = [
     "InvalidClassError", "UnlearnConfig", "interference_transform",
     "suppression_check", "superpose_labels", "quantum_loss",
     "quantum_loss_logit_grad", "QuantumLoss", "build_mixing_matrix",
-    "apply_mixing", "run_qp_audio_eraser", "accuracy_snapshot",
+    "apply_mixing", "run_qp_audio_eraser", "penultimate", "accuracy_snapshot",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import audio
 from .baselines import METHOD_NAMES, BaselineConfig, run_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import LabeledDataset, train_eval_split
+from .data import LabeledDataset, train_count, train_eval_split
 from .eraser import (UnlearnConfig, accuracy_snapshot,
                      run_qp_audio_eraser, superpose_labels)
 from .metrics import (TABLE_COLUMNS, EvaluationReport, compare_reports,
@@ -44,9 +44,22 @@ METHOD_LABELS = {"qp": "QPAudioEraser", "ga": "Gradient Ascent",
 # stage keys for seed derivation
 _SEED_DATA, _SEED_SPLIT, _SEED_INIT, _SEED_TRAIN, _SEED_UNLEARN = 1, 2, 3, 4, 5
 
+TRAIN_FRACTION = 0.8  # of each class's samples; the rest are held out
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_int(value) -> bool:
+    """True for integers, bool excluded (JSON true is not a count or an id)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _int(value, what: str) -> int:
+    if not _is_int(value):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _take(raw: dict, section: str, known: dict) -> dict:
@@ -145,11 +158,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             baselines = [BaselineConfig(**_take(b, f"baselines[{i}]", defaults))
                          for i, b in enumerate(top["baselines"])]
         return ExperimentConfig(
-            seed=int(top["seed"]), output_dir=str(top["output_dir"]),
+            seed=_int(top["seed"], "seed"), output_dir=str(top["output_dir"]),
             scenario=top["scenario"], dataset=dataset,
-            model_hidden=[int(h) for h in model["hidden"]],
+            model_hidden=[_int(h, "model.hidden") for h in model["hidden"]],
             train=train_sec, unlearn=unlearn_sec, baselines=baselines,
-            sequential_requests=[[int(c) for c in req]
+            sequential_requests=[[_int(c, "sequential_requests") for c in req]
                                  for req in top["sequential_requests"]])
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -165,16 +178,20 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     is parsed.
     """
     k = cfg.dataset.num_classes
-    if not isinstance(k, numbers.Integral) or k < 2:
+    if not _is_int(k) or k < 2:
         raise ConfigError(f"dataset.num_classes must be an integer >= 2, got {k!r}")
+    n = cfg.dataset.per_class
+    if cfg.dataset.kind == "synthetic" and not (
+            _is_int(n) and 0 < train_count(n, TRAIN_FRACTION) < n):
+        raise ConfigError(f"dataset.per_class must be an integer that leaves samples "
+                          f"on both sides of the {TRAIN_FRACTION:g} split, got {n!r}")
     if any(h < 1 for h in cfg.model_hidden):
         raise ConfigError(f"model.hidden widths must be >= 1, got {cfg.model_hidden}")
     requests = {"unlearn.forget_set": cfg.unlearn.forget_set}
     requests.update((f"sequential_requests[{i}]", req)
                     for i, req in enumerate(cfg.sequential_requests))
     for what, classes in requests.items():
-        bad = [c for c in classes
-               if not isinstance(c, numbers.Integral) or not 0 <= c < k]
+        bad = [c for c in classes if not _is_int(c) or not 0 <= c < k]
         if bad:
             raise ConfigError(f"{what} holds {bad}, not class ids in [0, {k})")
     if len(set(cfg.unlearn.forget_set)) >= k:
@@ -263,7 +280,7 @@ def prepare_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     if cfg.dataset.kind == "synthetic" and key in _last_splits:
         return _last_splits[key]
     _last_splits.clear()  # before the build, so two datasets are never held
-    splits = train_eval_split(build_dataset(cfg), 0.8,
+    splits = train_eval_split(build_dataset(cfg), TRAIN_FRACTION,
                               derive_seed(cfg.seed, _SEED_SPLIT))
     if cfg.dataset.kind == "synthetic":
         for part in splits:

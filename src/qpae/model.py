@@ -195,60 +195,43 @@ def backward_batch(model: Classifier, acts: list[np.ndarray],
     """Gradients for every parameter block given d(loss)/d(logits).
 
     dlogits must already carry any batch averaging. The returned list is
-    aligned with model.parameters().
+    aligned with model.parameters(); the walk stops at the first layer's
+    weights, so no gradient with respect to the input batch is formed.
     """
     grads_rev: list[np.ndarray] = []
-    h_last = acts[-1]
     grads_rev.append(np.sum(dlogits, axis=0))            # final bias
-    grads_rev.append(h_last.T @ dlogits)                 # final weights
-    da = dlogits @ model.final_w.T
+    grads_rev.append(acts[-1].T @ dlogits)               # final weights
+    w_above = model.final_w
+    dz = dlogits
     for i in range(len(model.hidden) - 1, -1, -1):
-        w, _ = model.hidden[i]
-        dz = da * (acts[i + 1] > 0.0)
+        dz = (dz @ w_above.T) * (acts[i + 1] > 0.0)
         grads_rev.append(np.sum(dz, axis=0))             # bias i
         grads_rev.append(acts[i].T @ dz)                 # weights i
-        da = dz @ w.T
+        w_above = model.hidden[i][0]
     return grads_rev[::-1]
 
 
 class LossFn:
-    """Per-sample loss on softmax outputs, with its gradient in logit space.
+    """A loss on softmax outputs, with its gradient in logit space.
 
-    `original_class` is the class the sample carried before any label
+    `classes` holds the class each sample carried before any label
     rewriting; losses that do not care about it ignore the argument.
-    Subclasses may override the batch methods with vectorized versions.
+    A single sample is a batch of one.
     """
 
-    def value(self, probs: np.ndarray, target: np.ndarray, original_class: int) -> float:
+    def batch(self, probs: np.ndarray, targets: np.ndarray,
+              classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample loss values (n,) and d(loss)/d(logits) (n, K).
+
+        Neither carries batch averaging; terms the two share are
+        computed once.
+        """
         raise NotImplementedError
-
-    def logit_grad(self, probs: np.ndarray, target: np.ndarray,
-                   original_class: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def batch_values(self, probs: np.ndarray, targets: np.ndarray,
-                     classes: np.ndarray) -> np.ndarray:
-        return np.array([self.value(probs[i], targets[i], int(classes[i]))
-                         for i in range(len(probs))])
-
-    def batch_logit_grads(self, probs: np.ndarray, targets: np.ndarray,
-                          classes: np.ndarray) -> np.ndarray:
-        return np.stack([self.logit_grad(probs[i], targets[i], int(classes[i]))
-                         for i in range(len(probs))])
 
 
 class CrossEntropyLoss(LossFn):
-    def value(self, probs, target, original_class):
-        return cross_entropy(probs, target)
-
-    def logit_grad(self, probs, target, original_class):
-        return probs - target
-
-    def batch_values(self, probs, targets, classes):
-        return -np.sum(targets * np.log(probs + LOG_EPS), axis=1)
-
-    def batch_logit_grads(self, probs, targets, classes):
-        return probs - targets
+    def batch(self, probs, targets, classes):
+        return -np.sum(targets * np.log(probs + LOG_EPS), axis=1), probs - targets
 
 
 def train(model: Classifier, data: "LabeledDataset", cfg: TrainConfig,
@@ -276,12 +259,13 @@ def train(model: Classifier, data: "LabeledDataset", cfg: TrainConfig,
             cs = data.original_classes[idx]
             acts, logits = forward_batch(model, xs)
             probs = softmax(logits)
-            total += float(np.sum(loss.batch_values(probs, ts, cs)))
-            dlogits = loss.batch_logit_grads(probs, ts, cs) / len(idx)
-            grads = backward_batch(model, acts, dlogits)
+            values, dlogits = loss.batch(probs, ts, cs)
+            total += float(np.sum(values))
+            grads = backward_batch(model, acts, dlogits / len(idx))
             if cfg.learning_rate != 0.0:
                 for p, g in zip(model.parameters(), grads):
-                    p -= cfg.learning_rate * g
+                    g *= cfg.learning_rate  # grads are fresh arrays; scale in place
+                    p -= g
         log.epoch_losses.append(total / n)
     model.ensure_finite()
     return log
@@ -291,8 +275,7 @@ def sample_gradient(model: Classifier, x: np.ndarray, target: np.ndarray,
                     loss: LossFn, original_class: int) -> list[np.ndarray]:
     """Analytic gradient of the loss for one sample, per parameter block."""
     acts, logits = forward_batch(model, x[None, :])
-    probs = softmax(logits)[0]
-    dlogits = loss.logit_grad(probs, target, original_class)[None, :]
+    _, dlogits = loss.batch(softmax(logits), target[None, :], np.array([original_class]))
     return backward_batch(model, acts, dlogits)
 
 
@@ -311,7 +294,9 @@ def gradient_check(model: Classifier, x: np.ndarray, target: np.ndarray,
 
     def loss_at() -> float:
         _, logits = forward(model, x)
-        return loss.value(softmax(logits), target, original_class)
+        values, _ = loss.batch(softmax(logits)[None, :], target[None, :],
+                               np.array([original_class]))
+        return float(values[0])
 
     analytic = sample_gradient(model, x, target, loss, original_class)
     worst = 0.0

@@ -51,12 +51,17 @@ class TestGradientAscent:
 
     def test_negated_loss_is_minus_cross_entropy(self):
         rng = Rng(2)
-        p = rng.uniform(4) + 1e-3
-        p /= p.sum()
-        t = one_hot(2, 4)
-        neg, ce = NegatedCrossEntropyLoss(), CrossEntropyLoss()
-        assert neg.value(p, t, 2) == pytest.approx(-ce.value(p, t, 2), rel=1e-12)
-        assert np.allclose(neg.logit_grad(p, t, 2), -ce.logit_grad(p, t, 2))
+        probs = rng.uniform(6 * 4).reshape(6, 4) + 1e-3
+        probs /= probs.sum(axis=1, keepdims=True)
+        classes = np.array([2, 0, 3, 1, 2, 2])
+        targets = np.stack([one_hot(int(c), 4) for c in classes])
+        neg_values, neg_grads = NegatedCrossEntropyLoss().batch(probs, targets, classes)
+        ce_values, ce_grads = CrossEntropyLoss().batch(probs, targets, classes)
+        assert np.array_equal(neg_values, -ce_values)
+        assert np.array_equal(neg_grads, -ce_grads)
+        # and equal to the sign-flipped formulas written out
+        assert np.array_equal(neg_values, np.sum(targets * np.log(probs + 1e-12), axis=1))
+        assert np.array_equal(neg_grads, targets - probs)
 
 
 class TestFisherEstimate:

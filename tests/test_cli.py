@@ -78,6 +78,18 @@ def test_config_error_exits_2(tmp_path):
     ("synth", ["--forget", "0"], {"dataset": {"num_classes": 1}}),
     ("train", [], {"unlearn": {"forget_set": ["a"]}}),
     ("train", [], {"unlearn": {"forget_set": [1.5]}}),
+    # the 80/20 split leaves no held-out sample of a class
+    ("train", [], {"dataset": {"per_class": 1}}),
+    ("train", [], {"dataset": {"per_class": 2}}),
+    ("synth", [], {"dataset": {"per_class": 2}}),
+    ("train", [], {"dataset": {"per_class": 0}}),
+    ("train", [], {"dataset": {"per_class": 7.5}}),
+    # non-integers are refused, not truncated
+    ("train", [], {"seed": 7.9}),
+    ("train", [], {"seed": True}),
+    ("train", [], {"model": {"hidden": [1.5]}}),
+    ("train", [], {"model": {"hidden": ["16"]}}),
+    ("sequential", [], {"scenario": "sequential", "sequential_requests": [[1.5]]}),
 ])
 def test_out_of_range_config_exits_2(cfg_path, tmp_path, capsys, verb, flags, edit):
     raw = json.loads(cfg_path.read_text())

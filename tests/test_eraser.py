@@ -11,6 +11,7 @@ from qpae.eraser import (InvalidClassError, QuantumLoss, UnlearnConfig,
                          interference_transform, quantum_loss,
                          quantum_loss_logit_grad, run_qp_audio_eraser,
                          superpose_labels, suppression_check)
+from qpae.harness import ABLATION_VARIANTS
 from qpae.model import Classifier, TrainConfig, forward, predict_probs, softmax
 from qpae.rng import Rng
 
@@ -241,8 +242,7 @@ class TestQuantumLossLogitGrad:
         probs /= probs.sum(axis=1, keepdims=True)
         targets = np.stack([one_hot(int(rng.randbelow(k)), k) for _ in range(8)])
         classes = np.array([int(rng.randbelow(k)) for _ in range(8)])
-        values = loss.batch_values(probs, targets, classes)
-        grads = loss.batch_logit_grads(probs, targets, classes)
+        values, grads = loss.batch(probs, targets, classes)
         for i in range(8):
             assert values[i] == pytest.approx(
                 quantum_loss(probs[i], targets[i], int(classes[i]), {0, 2}, 1.7), abs=1e-9)
@@ -386,3 +386,23 @@ class TestPipeline:
             assert entries[phase]["wall_ms"] * 10.0 <= epoch_ms, (
                 f"{phase} took {entries[phase]['wall_ms']:.3f} ms vs "
                 f"{epoch_ms:.3f} ms per optimization epoch")
+
+    @pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
+    def test_phase_log_equals_snapshot_of_a_copy(self, desk, monkeypatch, variant):
+        # the log scores phases 1, 2 and 4 on hidden activations computed
+        # earlier; a copy taken at each snapshot, scored afresh, must agree
+        from qpae import eraser, harness
+        fresh_snapshot = eraser.accuracy_snapshot
+        copies = []
+
+        def keep_copy(model, data, forget_set, hidden=None):
+            copies.append(model.copy())
+            return fresh_snapshot(model, data, forget_set, hidden)
+
+        monkeypatch.setattr(eraser, "accuracy_snapshot", keep_copy)
+        ucfg = harness._unlearn_config(desk["cfg"], **dict(ABLATION_VARIANTS)[variant])
+        _, log = run_qp_audio_eraser(desk["model"].copy(), desk["train"], ucfg)
+        assert len(copies) == len(log) == 4
+        for copy, entry in zip(copies, log):
+            assert (entry["forget_accuracy"], entry["retain_accuracy"]) == \
+                fresh_snapshot(copy, desk["train"], ucfg.forget_set)

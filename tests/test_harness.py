@@ -8,6 +8,7 @@ import pytest
 from qpae import harness
 from qpae.audio import WavClip, write_wav
 from qpae.baselines import BaselineConfig
+from qpae.data import LabeledDataset, train_eval_split
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
                           emit_table, load_config)
@@ -75,6 +76,22 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("per_class", range(1, 9))
+    def test_per_class_accepted_iff_split_keeps_both_sides(self, per_class):
+        classes = np.repeat(np.arange(3), per_class)
+        data = LabeledDataset(np.zeros((len(classes), 2)), np.eye(3)[classes],
+                              classes, 3)
+        train, held_out = train_eval_split(data, harness.TRAIN_FRACTION, seed=1)
+        both_sides = all(np.any(part.original_classes == c)
+                         for part in (train, held_out) for c in range(3))
+        cfg = default_config(dataset=harness.DatasetSpec(num_classes=3,
+                                                         per_class=per_class))
+        if both_sides:
+            harness.check_ranges(cfg)
+        else:
+            with pytest.raises(ConfigError, match="per_class"):
+                harness.check_ranges(cfg)
 
 
 class TestCommands:

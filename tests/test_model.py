@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpae.baselines import NegatedCrossEntropyLoss
 from qpae.data import LabeledDataset, one_hot
-from qpae.eraser import QuantumLoss
+from qpae.eraser import (QuantumLoss, quantum_loss, quantum_loss_logit_grad,
+                         superpose_labels)
 from qpae.model import (Classifier, CrossEntropyLoss, TrainConfig,
-                        cross_entropy, entropy, forward, forward_batch,
-                        gradient_check, predict_classes, softmax, train)
+                        backward_batch, cross_entropy, entropy, forward,
+                        forward_batch, gradient_check, predict_classes,
+                        softmax, train)
 from qpae.rng import Rng
 
 
@@ -174,6 +177,135 @@ class TestTrain:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+
+# Reference forms of the backward walk, the batch losses and the SGD step,
+# which the program must match bit for bit: the walk also forms the input
+# gradient, each loss computes its values and gradients in separate passes,
+# and the update builds lr * g.
+
+def reference_backward(model, acts, dlogits):
+    """Gradients per parameter block, plus the input gradient the walk
+    used to form and drop."""
+    grads_rev = [np.sum(dlogits, axis=0), acts[-1].T @ dlogits]
+    da = dlogits @ model.final_w.T
+    for i in range(len(model.hidden) - 1, -1, -1):
+        w, _ = model.hidden[i]
+        dz = da * (acts[i + 1] > 0.0)
+        grads_rev += [np.sum(dz, axis=0), acts[i].T @ dz]
+        da = dz @ w.T
+    return grads_rev[::-1], da
+
+
+def reference_ce(probs, targets, classes):
+    return -np.sum(targets * np.log(probs + 1e-12), axis=1), probs - targets
+
+
+def reference_negated_ce(probs, targets, classes):
+    return np.sum(targets * np.log(probs + 1e-12), axis=1), targets - probs
+
+
+def reference_quantum(forget_set, lam):
+    def terms(probs, targets, classes):
+        mask = np.isin(classes, sorted(forget_set))
+        plogp = np.where(probs > 0.0, probs * np.log(np.maximum(probs, 1e-300)), 0.0)
+        ce = -np.sum(targets * np.log(probs + 1e-12), axis=1)
+        values = np.where(mask, lam * np.sum(plogp, axis=1), ce)
+        plogp = np.where(probs > 0.0, probs * np.log(np.maximum(probs, 1e-300)), 0.0)
+        h = -np.sum(plogp, axis=1, keepdims=True)
+        grads = np.where(mask[:, None], lam * (plogp + probs * h), probs - targets)
+        return values, grads
+    return terms
+
+
+def reference_train(model, data, cfg, terms):
+    rng = Rng(cfg.seed)
+    n = data.n_samples
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            acts, logits = forward_batch(model, data.features[idx])
+            values, dlogits = terms(softmax(logits), data.labels[idx],
+                                    data.original_classes[idx])
+            total += float(np.sum(values))
+            grads, _ = reference_backward(model, acts, dlogits / len(idx))
+            for p, g in zip(model.parameters(), grads):
+                p -= cfg.learning_rate * g
+        epoch_losses.append(total / n)
+    return epoch_losses
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBackward:
+    @pytest.mark.parametrize("hidden", [[], [7], [9, 5]])
+    def test_matches_walk_with_input_gradient(self, hidden):
+        rng = Rng(61)
+        m = Classifier.random_init(6, hidden, 4, rng)
+        acts, logits = forward_batch(m, rng.normal(11 * 6).reshape(11, 6))
+        dlogits = (softmax(logits) - np.eye(4)[np.arange(11) % 4]) / 11
+        grads = backward_batch(m, acts, dlogits)
+        expected, input_grad = reference_backward(m, acts, dlogits)
+        assert input_grad.shape == (11, 6)
+        assert len(grads) == len(expected) == len(m.parameters())
+        for g, e, p in zip(grads, expected, m.parameters()):
+            assert g.shape == p.shape and same_bits(g, e)
+
+
+class TestLossBatch:
+    ORACLES = {
+        "cross_entropy": (CrossEntropyLoss(),
+                          lambda p, t, c: cross_entropy(p, t),
+                          lambda p, t, c: p - t),
+        "negated": (NegatedCrossEntropyLoss(),
+                    lambda p, t, c: -cross_entropy(p, t),
+                    lambda p, t, c: t - p),
+        "quantum": (QuantumLoss({1, 3}, 1.7),
+                    lambda p, t, c: quantum_loss(p, t, c, {1, 3}, 1.7),
+                    lambda p, t, c: quantum_loss_logit_grad(p, t, c, {1, 3}, 1.7)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_matches_per_sample_oracles(self, name):
+        loss, value, logit_grad = self.ORACLES[name]
+        rng = Rng(41)
+        k, n = 5, 12
+        probs = rng.uniform(n * k).reshape(n, k) + 1e-4
+        probs /= probs.sum(axis=1, keepdims=True)
+        classes = np.arange(n) % k
+        targets = np.stack([one_hot(int(c), k) for c in classes])
+        targets[classes == 3] = 1.0 / k      # a superposed label
+        values, grads = loss.batch(probs, targets, classes)
+        assert values.shape == (n,) and grads.shape == (n, k)
+        for i in range(n):
+            c = int(classes[i])
+            assert values[i] == value(probs[i], targets[i], c)
+            assert np.array_equal(grads[i], logit_grad(probs[i], targets[i], c))
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("name", ["cross_entropy", "quantum", "negated"])
+    def test_bit_equal_to_reference_step_loop(self, tiny_data, name):
+        if name == "cross_entropy":
+            data, loss, terms = tiny_data, CrossEntropyLoss(), reference_ce
+        elif name == "quantum":
+            data = superpose_labels(tiny_data, {1})
+            loss, terms = QuantumLoss({1}, 1.3), reference_quantum({1}, 1.3)
+        else:
+            data, _ = tiny_data.class_split({2})
+            loss, terms = NegatedCrossEntropyLoss(), reference_negated_ce
+        cfg = TrainConfig(learning_rate=0.07, epochs=3, batch_size=16, seed=19)
+        model = Classifier.random_init(data.feature_dim, [16, 8], 4, Rng(13))
+        oracle = model.copy()
+        log = train(model, data, cfg, loss)
+        assert log.epoch_losses == reference_train(oracle, data, cfg, terms)
+        for p, q in zip(model.parameters(), oracle.parameters()):
+            assert same_bits(p, q)
 
 
 def small_random_model(seed, feature_dim=6, hidden=5, k=4):
