@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,44 +179,69 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def _check_fft(n_fft: int, hop: int) -> None:
+    if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
+        raise ValueError("n_fft must be a power of two")
+    if hop < 1:
+        raise ValueError("hop must be >= 1")
+
+
+def _framed_power(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+    """Hann-windowed |rfft|^2 of each row's frames, (m, frames, n_fft//2 + 1).
+
+    Rows must hold at least n_fft samples. The FFT of a frame does not
+    depend on how many frames or rows share the call.
+    """
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft, axis=1)[:, ::hop]
+    spec = np.fft.rfft(frames * hann_window(n_fft), axis=-1)
+    return spec.real ** 2 + spec.imag ** 2
+
+
 def power_spectrogram(clip: WavClip, n_fft: int, hop: int) -> np.ndarray:
     """Hann-windowed |rfft|^2 per frame, shape (n_fft//2 + 1, frames).
 
     Clips shorter than one frame are zero-padded, never rejected.
     """
-    if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
-        raise ValueError("n_fft must be a power of two")
-    if hop < 1:
-        raise ValueError("hop must be >= 1")
+    _check_fft(n_fft, hop)
     x = clip.samples
     if x.size < n_fft:
         x = np.concatenate([x, np.zeros(n_fft - x.size)])
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
-    spec = np.fft.rfft(frames * hann_window(n_fft), axis=1)
-    return (spec.real ** 2 + spec.imag ** 2).T
+    return _framed_power(x[None, :], n_fft, hop)[0].T
+
+
+def log_mel_batch(x: np.ndarray, sample_rate: int, n_fft: int = DEFAULT_N_FFT,
+                  hop: int = DEFAULT_HOP, n_mels: int = DEFAULT_N_MELS,
+                  target_frames: int = DEFAULT_N_FRAMES) -> np.ndarray:
+    """Log mel-band power of the m equal-length clips in x (m, n).
+
+    Returns shape (m, n_mels, target_frames). Each clip is zero-padded to
+    fill target_frames, then its frames are center-cropped to
+    target_frames. The mel projection is one stacked matmul, a
+    (n_mels, bins) @ (bins, frames) product per clip, so a row is the
+    same whichever batch it is computed in; one product over all clips'
+    frames at once would not be (BLAS sums depend on the column count).
+    """
+    _check_fft(n_fft, hop)
+    if n_mels > n_fft // 2:
+        raise ValueError("n_mels must be <= n_fft / 2")
+    if target_frames < 1:
+        raise ValueError("target_frames must be >= 1")
+    x = np.asarray(x, dtype=np.float64)
+    needed = n_fft + (target_frames - 1) * hop
+    if x.shape[1] < needed:
+        x = np.concatenate([x, np.zeros((x.shape[0], needed - x.shape[1]))], axis=1)
+    power = _framed_power(x, n_fft, hop).transpose(0, 2, 1)
+    mel_power = np.matmul(mel_filterbank(sample_rate, n_fft, n_mels), power)
+    start = (mel_power.shape[2] - target_frames) // 2
+    return np.log(POWER_FLOOR + mel_power[:, :, start:start + target_frames])
 
 
 def log_mel_spectrogram(clip: WavClip, n_fft: int = DEFAULT_N_FFT,
                         hop: int = DEFAULT_HOP, n_mels: int = DEFAULT_N_MELS,
                         target_frames: int = DEFAULT_N_FRAMES) -> SpectrogramFeature:
-    """Log mel-band power, center-cropped / zero-padded to target_frames."""
-    if n_mels > n_fft // 2:
-        raise ValueError("n_mels must be <= n_fft / 2")
-    if target_frames < 1:
-        raise ValueError("target_frames must be >= 1")
-
-    x = clip.samples
-    needed = n_fft + (target_frames - 1) * hop
-    if x.size < needed:
-        x = np.concatenate([x, np.zeros(needed - x.size)])
-        clip = WavClip(clip.sample_rate, x)
-    power = power_spectrogram(clip, n_fft, hop)
-    mel_power = mel_filterbank(clip.sample_rate, n_fft, n_mels) @ power
-    values = np.log(POWER_FLOOR + mel_power)
-
-    n_frames = values.shape[1]
-    start = (n_frames - target_frames) // 2
-    values = values[:, start:start + target_frames]
+    """Log mel-band power of one clip: `log_mel_batch` of a batch of one."""
+    values = log_mel_batch(clip.samples[None, :], clip.sample_rate, n_fft=n_fft,
+                           hop=hop, n_mels=n_mels, target_frames=target_frames)[0]
     return SpectrogramFeature(n_mels=n_mels, n_frames=target_frames, values=values)
 
 
@@ -231,6 +257,10 @@ class SynthProfile:
     sample_rate: int = DEFAULT_SAMPLE_RATE
     harmonic_amps: tuple[float, ...] = (0.5, 0.25, 0.125)
 
+    @property
+    def n_samples(self) -> int:
+        return int(round(self.duration_s * self.sample_rate))
+
     def class_freq(self, class_id: int) -> float:
         return self.base_freq + self.class_spacing * class_id
 
@@ -242,11 +272,25 @@ OVERLAP_PROFILE = SynthProfile(class_spacing=50.0, freq_jitter=0.05)
 PROFILES = {"default": SynthProfile(), "overlap": OVERLAP_PROFILE}
 
 
+def synth_draws(profile: SynthProfile | None = None) -> int:
+    """How far one `synth_clip` call advances its Rng's stream.
+
+    One draw for the frequency jitter, then, if the profile adds noise,
+    2 * ceil(n / 2) for the Box-Muller pairs of its n samples. Clip j of
+    a stream therefore starts at draw j * synth_draws(profile).
+    """
+    p = profile or SynthProfile()
+    return 1 + (2 * ((p.n_samples + 1) // 2) if p.noise_sigma > 0.0 else 0)
+
+
 def synth_clip(class_id: int, rng: Rng, profile: SynthProfile | None = None) -> WavClip:
-    """One seeded harmonic tone for the class, with jitter and noise."""
+    """One seeded harmonic tone for the class, with jitter and noise.
+
+    Takes exactly `synth_draws(profile)` draws from rng.
+    """
     p = profile or SynthProfile()
     f0 = p.class_freq(class_id) * (1.0 + rng.uniform(low=-p.freq_jitter, high=p.freq_jitter))
-    n = int(round(p.duration_s * p.sample_rate))
+    n = p.n_samples
     t = np.arange(n) / p.sample_rate
     x = np.zeros(n)
     for k, amp in enumerate(p.harmonic_amps, start=1):
@@ -258,28 +302,54 @@ def synth_clip(class_id: int, rng: Rng, profile: SynthProfile | None = None) -> 
     return WavClip(p.sample_rate, np.clip(x, -1.0, 1.0))
 
 
+SYNTH_CHUNK = 8  # consecutive clips per unit of work in synth_dataset
+
+
+def _worker_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def synth_dataset(num_classes: int, per_class: int, seed: int,
                   n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
                   n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP,
                   profile: SynthProfile | None = None) -> LabeledDataset:
-    """Deterministic synthetic dataset: per_class tones for each class."""
+    """Deterministic synthetic dataset: per_class tones for each class.
+
+    Clip j (class j // per_class) takes its draws from one Rng(seed)
+    stream, starting at j * synth_draws(profile). Chunks of SYNTH_CHUNK
+    clips are built on a thread pool, one worker per available CPU: numpy
+    releases the GIL in the sine, noise and FFT work. Each chunk seeks its
+    own Rng to its first clip and writes its feature rows in place, so the
+    features do not depend on the worker count.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
     if per_class < 1:
         raise ValueError("need at least 1 sample per class")
-    rng = Rng(seed)
-    feats = []
-    classes = []
-    for c in range(num_classes):
-        for _ in range(per_class):
-            clip = synth_clip(c, rng, profile)
-            feat = log_mel_spectrogram(clip, n_fft=n_fft, hop=hop,
-                                       n_mels=n_mels, target_frames=n_frames)
-            feats.append(feat.flatten())
-            classes.append(c)
-    labels = np.stack([one_hot(c, num_classes) for c in classes])
-    return LabeledDataset(np.stack(feats), labels,
-                          np.array(classes, dtype=np.int64), num_classes)
+    p = profile or SynthProfile()
+    draws = synth_draws(p)
+    classes = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    features = np.empty((classes.size, n_mels * n_frames))
+
+    def build(first: int) -> None:
+        rng = Rng(seed)
+        rng.skip(first * draws)
+        chunk = classes[first:first + SYNTH_CHUNK]
+        clips = np.stack([synth_clip(int(c), rng, p).samples for c in chunk])
+        features[first:first + chunk.size] = log_mel_batch(
+            clips, p.sample_rate, n_fft=n_fft, hop=hop, n_mels=n_mels,
+            target_frames=n_frames).reshape(chunk.size, -1)
+
+    starts = range(0, classes.size, SYNTH_CHUNK)
+    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(starts))) as pool:
+        list(pool.map(build, starts))  # list() re-raises a worker's exception
+    labels = np.eye(num_classes)[classes]
+    return LabeledDataset(features, labels, classes, num_classes)
 
 
 class ManifestError(ValueError):

@@ -13,6 +13,7 @@ import logging
 import math
 import numbers
 import time
+from collections import Counter
 from dataclasses import (asdict, astuple, dataclass, field,
                          fields as dataclass_fields, replace)
 from pathlib import Path
@@ -45,6 +46,9 @@ METHOD_LABELS = {"qp": "QPAudioEraser", "ga": "Gradient Ascent",
 _SEED_DATA, _SEED_SPLIT, _SEED_INIT, _SEED_TRAIN, _SEED_UNLEARN = 1, 2, 3, 4, 5
 
 TRAIN_FRACTION = 0.8  # of each class's samples; the rest are held out
+
+# config.json sections that must match for a run to reuse original.qpae
+PROVENANCE_KEYS = ("seed", "dataset", "model", "train")
 
 
 class ConfigError(ValueError):
@@ -170,6 +174,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _splits_both_sides(n: int) -> bool:
+    """True if a class of n samples keeps some on each side of the split."""
+    return 0 < train_count(n, TRAIN_FRACTION) < n
+
+
 def check_ranges(cfg: ExperimentConfig) -> None:
     """Reject class ids and sizes the run cannot use, before any work.
 
@@ -181,8 +190,7 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     if not _is_int(k) or k < 2:
         raise ConfigError(f"dataset.num_classes must be an integer >= 2, got {k!r}")
     n = cfg.dataset.per_class
-    if cfg.dataset.kind == "synthetic" and not (
-            _is_int(n) and 0 < train_count(n, TRAIN_FRACTION) < n):
+    if cfg.dataset.kind == "synthetic" and not (_is_int(n) and _splits_both_sides(n)):
         raise ConfigError(f"dataset.per_class must be an integer that leaves samples "
                           f"on both sides of the {TRAIN_FRACTION:g} split, got {n!r}")
     if any(h < 1 for h in cfg.model_hidden):
@@ -280,8 +288,16 @@ def prepare_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     if cfg.dataset.kind == "synthetic" and key in _last_splits:
         return _last_splits[key]
     _last_splits.clear()  # before the build, so two datasets are never held
-    splits = train_eval_split(build_dataset(cfg), TRAIN_FRACTION,
-                              derive_seed(cfg.seed, _SEED_SPLIT))
+    data = build_dataset(cfg)
+    if cfg.dataset.kind == "manifest":
+        # check_ranges' per_class rule, for counts known only once read
+        counts = Counter(data.original_classes.tolist())
+        short = {c: counts[c] for c in range(data.num_classes)
+                 if not _splits_both_sides(counts[c])}
+        if short:
+            raise ConfigError(f"manifest classes hold too few clips for the "
+                              f"{TRAIN_FRACTION:g} split (class: clips) {short}")
+    splits = train_eval_split(data, TRAIN_FRACTION, derive_seed(cfg.seed, _SEED_SPLIT))
     if cfg.dataset.kind == "synthetic":
         for part in splits:
             for array in (part.features, part.labels, part.original_classes):
@@ -336,9 +352,9 @@ class Workspace:
     @classmethod
     def create(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
         check_ranges(cfg)
+        train_data, eval_data = prepare_splits(cfg)
         out_dir = Path(out if out is not None else cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        train_data, eval_data = prepare_splits(cfg)
         return cls(cfg=cfg, out=out_dir, train_data=train_data, eval_data=eval_data)
 
     @property
@@ -347,6 +363,39 @@ class Workspace:
 
     def original_path(self) -> Path:
         return self.out / "original.qpae"
+
+    def check_provenance(self) -> None:
+        """Refuse an `original.qpae` that `cmd_train` wrote under another config.
+
+        `cmd_train` writes config.json beside the checkpoint. Its seed,
+        dataset, model and train sections must equal this run's; the forget
+        set and the baselines may differ, since one trained model serves
+        many forget requests.
+        """
+        path = self.out / "config.json"
+        try:
+            recorded = json.loads(path.read_text())
+        except FileNotFoundError as exc:
+            raise ConfigError(f"no {path}: train into this output directory "
+                              "first") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(recorded, dict):
+            raise ConfigError(f"{path} does not hold a config object")
+        # compared as save_config writes it: tuples become lists in JSON
+        current = json.loads(json.dumps(config_to_dict(self.cfg)))
+        for key in PROVENANCE_KEYS:
+            if recorded.get(key) != current[key]:
+                raise ConfigError(
+                    f"the original model in {self.out} was trained with another "
+                    f"{key} ({recorded.get(key)!r}; this run: {current[key]!r})")
+
+    def check_fits(self, model: Classifier) -> None:
+        data = self.eval_data
+        if (model.feature_dim, model.num_classes) != (data.feature_dim, data.num_classes):
+            raise ConfigError(
+                f"model takes {model.feature_dim} features into {model.num_classes} "
+                f"classes; the dataset has {data.feature_dim} and {data.num_classes}")
 
     def report_path(self, name: str) -> Path:
         return self.out / f"report_{name}.json"
@@ -380,6 +429,8 @@ def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
         raise ConfigError(f"unknown method {method_id!r}; expected one of "
                           f"{sorted(METHOD_IDS)}")
     model = load_checkpoint(ws.original_path())
+    ws.check_provenance()
+    ws.check_fits(model)
     forget = ws.forget_set
     if method_id == "qp":
         model, phase_log = run_qp_audio_eraser(model, ws.train_data,
@@ -404,6 +455,8 @@ def cmd_evaluate(ws: Workspace, model_path: str | Path,
                  name: str | None = None) -> EvaluationReport:
     """Evaluate a checkpoint on the held-out split; write JSON + CSV row."""
     model = load_checkpoint(model_path)
+    ws.check_provenance()
+    ws.check_fits(model)
     original_fa = original_report.fa if original_report is not None else None
     report = evaluate(model, ws.eval_data, ws.forget_set, original_fa=original_fa)
     stem = name if name is not None else Path(model_path).stem

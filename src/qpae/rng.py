@@ -46,6 +46,12 @@ class Rng:
         self._count += n
         return _mix64_array(np.uint64(self._seed) + idx * np.uint64(_GOLDEN))
 
+    def skip(self, n: int) -> None:
+        """Advance the stream by n draws without computing them; O(1)."""
+        if n < 0:
+            raise ValueError("cannot skip a negative number of draws")
+        self._count += int(n)
+
     def uniform(self, n: int | None = None, low: float = 0.0, high: float = 1.0):
         """Uniform floats in [low, high) with 53-bit resolution."""
         if n is None:

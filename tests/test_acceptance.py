@@ -33,14 +33,16 @@ def crit(num: int, ok: bool, detail: str) -> None:
 
 
 def make_workspace(desk, tmp_path, cfg=None) -> Workspace:
-    """Workspace over the shared desk splits with the original checkpoint
-    and report already in place."""
+    """Workspace over the shared desk splits with the original checkpoint,
+    the config it was trained with and its report already in place, as
+    `cmd_train` leaves them."""
     cfg = cfg if cfg is not None else desk["cfg"]
     out = tmp_path / "out"
     out.mkdir(parents=True, exist_ok=True)
     ws = Workspace(cfg=cfg, out=out, train_data=desk["train"],
                    eval_data=desk["eval"])
     shutil.copyfile(desk["checkpoint"], ws.original_path())
+    harness.save_config(desk["cfg"], out / "config.json")
     original = evaluate(desk["model"], desk["eval"], ws.forget_set)
     ws.write_report("original", original)
     return ws

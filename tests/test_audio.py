@@ -1,15 +1,17 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from qpae.audio import (ManifestError, MissingChunkError, NotWavError,
-                        SynthProfile, TruncatedWavError, UnsupportedCodecError,
-                        WavClip, hann_window, hz_to_mel, load_manifest,
+from qpae.audio import (OVERLAP_PROFILE, SYNTH_CHUNK, ManifestError,
+                        MissingChunkError, NotWavError, SynthProfile,
+                        TruncatedWavError, UnsupportedCodecError, WavClip,
+                        hann_window, hz_to_mel, load_manifest, log_mel_batch,
                         log_mel_spectrogram, mel_filterbank, mel_to_hz,
                         power_spectrogram, read_wav, synth_clip, synth_dataset,
-                        write_manifest, write_wav)
-from qpae.data import train_eval_split
+                        synth_draws, write_manifest, write_wav)
+from qpae.data import one_hot, train_eval_split
 from qpae.model import Classifier, CrossEntropyLoss, TrainConfig, predict_classes, train
 from qpae.rng import Rng
 
@@ -218,6 +220,145 @@ class TestSynth:
         for c in range(8):
             clip = synth_clip(c, rng)
             assert np.max(np.abs(clip.samples)) <= 1.0
+
+
+def reference_log_mel(clip, n_fft=256, hop=128, n_mels=32, target_frames=32):
+    """Log-mel of one clip as first written: pad, frame, one 2-D mel product,
+    log, then crop."""
+    x = clip.samples
+    needed = n_fft + (target_frames - 1) * hop
+    if x.size < needed:
+        x = np.concatenate([x, np.zeros(needed - x.size)])
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
+    spec = np.fft.rfft(frames * hann_window(n_fft), axis=1)
+    power = (spec.real ** 2 + spec.imag ** 2).T
+    values = np.log(1e-6 + mel_filterbank(clip.sample_rate, n_fft, n_mels) @ power)
+    start = (values.shape[1] - target_frames) // 2
+    return values[:, start:start + target_frames]
+
+
+def serial_synth_dataset(num_classes, per_class, seed, n_mels, n_frames, profile=None):
+    """synth_dataset as a serial loop: one shared Rng, clip after clip."""
+    rng = Rng(seed)
+    feats, classes = [], []
+    for c in range(num_classes):
+        for _ in range(per_class):
+            clip = synth_clip(c, rng, profile)
+            feats.append(log_mel_spectrogram(clip, n_mels=n_mels,
+                                             target_frames=n_frames).flatten())
+            classes.append(c)
+    labels = np.stack([one_hot(c, num_classes) for c in classes])
+    return np.stack(feats), labels, np.array(classes, dtype=np.int64)
+
+
+class TestBatchedFrontEnd:
+    @pytest.mark.parametrize("n, target_frames", [
+        (6400, 32), (6400, 49), (6400, 1), (4096, 8), (10, 4), (10, 1), (300, 32)])
+    def test_log_mel_spectrogram_matches_reference(self, n, target_frames):
+        clip = WavClip(SR, Rng(n).normal(n, sigma=0.3))
+        got = log_mel_spectrogram(clip, target_frames=target_frames).values
+        assert np.array_equal(got, reference_log_mel(clip, target_frames=target_frames))
+
+    @pytest.mark.parametrize("m, n", [(1, 6400), (8, 6400), (13, 6400), (50, 6400),
+                                      (5, 10), (9, 3000)])
+    def test_each_batch_row_equals_its_single_clip(self, m, n):
+        x = Rng(m * n).normal(m * n, sigma=0.2).reshape(m, n)
+        batch = log_mel_batch(x, SR, n_mels=16, target_frames=8)
+        assert batch.shape == (m, 16, 8)
+        for row, samples in zip(batch, x):
+            single = log_mel_spectrogram(WavClip(SR, samples), n_mels=16, target_frames=8)
+            assert np.array_equal(row, single.values)
+
+    def test_batch_validation(self):
+        x = np.zeros((2, 6400))
+        with pytest.raises(ValueError):
+            log_mel_batch(x, SR, n_fft=300)
+        with pytest.raises(ValueError):
+            log_mel_batch(x, SR, n_mels=200)
+        with pytest.raises(ValueError):
+            log_mel_batch(x, SR, target_frames=0)
+
+    @pytest.mark.parametrize("profile", [
+        None, OVERLAP_PROFILE, SynthProfile(noise_sigma=0.0),
+        SynthProfile(duration_s=0.000625)])  # 5 samples: an odd noise count
+    def test_synth_clip_takes_the_documented_draws(self, profile):
+        used, skipped = Rng(21), Rng(21)
+        synth_clip(3, used, profile)
+        skipped.skip(synth_draws(profile))
+        assert used.next_u64() == skipped.next_u64()
+
+    def test_draw_counts(self):
+        assert synth_draws() == 1 + 6400
+        assert synth_draws(SynthProfile(noise_sigma=0.0)) == 1
+        assert synth_draws(SynthProfile(duration_s=0.000625)) == 1 + 6
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The max_workers of every thread pool synth_dataset starts."""
+    import concurrent.futures
+    sizes = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    class Recording(real):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+class TestThreadedSynth:
+    @pytest.mark.parametrize("k, per_class, n_mels, n_frames, profile", [
+        (10, 20, 32, 32, None),                            # the default profile
+        (5, 13, 16, 8, OVERLAP_PROFILE),                   # 65 clips: 8 chunks + 1
+        (3, 7, 16, 8, SynthProfile(noise_sigma=0.0)),
+        (2, 3, 8, 8, None),                                # under one chunk
+        (3, 4, 8, 8, SynthProfile(duration_s=0.01)),       # padded short clips
+    ])
+    def test_equals_serial_loop(self, k, per_class, n_mels, n_frames, profile):
+        data = synth_dataset(k, per_class, seed=k * 100 + per_class, n_mels=n_mels,
+                             n_frames=n_frames, profile=profile)
+        feats, labels, classes = serial_synth_dataset(
+            k, per_class, k * 100 + per_class, n_mels, n_frames, profile)
+        assert np.array_equal(data.features, feats)
+        assert np.array_equal(data.labels, labels)
+        assert np.array_equal(data.original_classes, classes)
+
+    @pytest.mark.parametrize("cpus, want", [({0}, 1), (set(range(5)), 5)])
+    def test_worker_count_follows_affinity(self, monkeypatch, pool_sizes, cpus, want):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus, raising=False)
+        data = synth_dataset(4, 11, seed=3, n_mels=8, n_frames=8)
+        assert pool_sizes == [want]
+        feats, _, _ = serial_synth_dataset(4, 11, 3, 8, 8)
+        assert np.array_equal(data.features, feats)
+
+    def test_many_workers_switching_often(self, monkeypatch):
+        # more workers than cores, a cold filterbank cache and a thread
+        # switch every microsecond: the rows must still land in place
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        mel_filterbank.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            data = synth_dataset(5, 13, seed=8, n_mels=16, n_frames=8)
+        finally:
+            sys.setswitchinterval(interval)
+        feats, _, _ = serial_synth_dataset(5, 13, 8, 16, 8)
+        assert np.array_equal(data.features, feats)
+
+    def test_no_more_workers_than_chunks(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        synth_dataset(2, SYNTH_CHUNK, seed=3, n_mels=8, n_frames=8)
+        assert pool_sizes == [2]
+
+    def test_cpu_count_without_affinity(self, monkeypatch, pool_sizes):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        synth_dataset(4, 11, seed=3, n_mels=8, n_frames=8)
+        assert pool_sizes == [3]
 
 
 class TestManifest:

@@ -170,3 +170,91 @@ def test_sequential_and_ablation_verbs(tmp_path):
     harness.save_config(cfg2, cfg_path2)
     assert main(["ablation", "--config", str(cfg_path2)]) == 0
     assert (tmp_path / "abl" / "ablation_table.csv").exists()
+
+
+def _edit(cfg_path, tmp_path, name, **sections):
+    """A copy of the config at cfg_path with some sections replaced."""
+    raw = json.loads(cfg_path.read_text())
+    for key, value in sections.items():
+        raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
+@pytest.mark.parametrize("flags, edit", [
+    (["--seed", "8"], {}),
+    ([], {"dataset": {"n_mels": 16}}),
+    ([], {"train": {"epochs": 11}}),
+    ([], {"model": {"hidden": [8]}}),
+])
+def test_stale_original_is_refused(cfg_path, tmp_path, capsys, verb, flags, edit):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    other = _edit(cfg_path, tmp_path, "other.json", **edit)
+    extra = (["--method", "qp"] if verb == "unlearn"
+             else ["--model", str(out / "original.qpae")])
+    before = sorted(p.name for p in out.iterdir())
+    assert main([verb, "--config", str(other), *flags, *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "trained with another" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
+def test_original_without_its_config_is_refused(cfg_path, tmp_path, capsys, verb):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    (out / "config.json").unlink()
+    extra = (["--method", "qp"] if verb == "unlearn"
+             else ["--model", str(out / "original.qpae")])
+    assert main([verb, "--config", str(cfg_path), *extra]) == 2
+    assert "config.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
+@pytest.mark.parametrize("edit", [{"dataset": {"n_mels": 16}},
+                                  {"dataset": {"num_classes": 5}}])
+def test_model_that_does_not_fit_the_dataset_is_refused(cfg_path, tmp_path, capsys,
+                                                        verb, edit):
+    # a checkpoint trained elsewhere, copied over the one config.json describes
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    other = _edit(cfg_path, tmp_path, "other.json", **edit)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(other), "--out", str(elsewhere)]) == 0
+    (out / "original.qpae").write_bytes((elsewhere / "original.qpae").read_bytes())
+    extra = (["--method", "qp"] if verb == "unlearn"
+             else ["--model", str(out / "original.qpae")])
+    assert main([verb, "--config", str(cfg_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "the dataset has" in err
+
+
+def test_forget_set_and_baselines_may_differ_from_training(cfg_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    other = _edit(cfg_path, tmp_path, "other.json", unlearn={"forget_set": [2, 3]},
+                  baselines=[{"method": "gradient_ascent", "ascent_epochs": 1}])
+    assert main(["unlearn", "--config", str(other), "--method", "ga"]) == 0
+    assert main(["evaluate", "--config", str(other),
+                 "--model", str(out / "unlearned_ga.qpae")]) == 0
+
+
+def test_manifest_with_too_few_clips_per_class_exits_2(cfg_path, tmp_path, capsys):
+    dataset = tmp_path / "dataset"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(dataset)]) == 0
+    lines = (dataset / "labels.csv").read_text().splitlines()
+    kept = {}
+    for line in lines[1:]:
+        kept.setdefault(line.split(",")[1], []).append(line)
+    (dataset / "labels.csv").write_text(
+        "\n".join([lines[0]] + [row for rows in kept.values() for row in rows[:2]]) + "\n")
+    manifest = _edit(cfg_path, tmp_path, "manifest.json",
+                     dataset={"kind": "manifest", "path": str(dataset)})
+    out = tmp_path / "fresh"
+    assert main(["train", "--config", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "too few clips" in err and "Traceback" not in err
+    assert not out.exists()

@@ -89,3 +89,18 @@ def test_derive_seed_stable():
     assert derive_seed(7, 1) == derive_seed(7, 1)
     assert derive_seed(7, 1) != derive_seed(7, 2)
     assert 0 <= derive_seed(7, 1) < 2**64
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=5000))
+@settings(max_examples=50)
+def test_skip_equals_discarded_draws(seed, n):
+    skipped, drawn = Rng(seed), Rng(seed)
+    skipped.skip(n)
+    drawn.fill_u64(n)
+    assert skipped.fill_u64(7).tolist() == drawn.fill_u64(7).tolist()
+    assert skipped.next_u64() == drawn.next_u64()
+
+
+def test_skip_rejects_negative_counts():
+    with pytest.raises(ValueError):
+        Rng(1).skip(-1)
