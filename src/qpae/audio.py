@@ -197,18 +197,6 @@ def _framed_power(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     return spec.real ** 2 + spec.imag ** 2
 
 
-def power_spectrogram(clip: WavClip, n_fft: int, hop: int) -> np.ndarray:
-    """Hann-windowed |rfft|^2 per frame, shape (n_fft//2 + 1, frames).
-
-    Clips shorter than one frame are zero-padded, never rejected.
-    """
-    _check_fft(n_fft, hop)
-    x = clip.samples
-    if x.size < n_fft:
-        x = np.concatenate([x, np.zeros(n_fft - x.size)])
-    return _framed_power(x[None, :], n_fft, hop)[0].T
-
-
 def log_mel_batch(x: np.ndarray, sample_rate: int, n_fft: int = DEFAULT_N_FFT,
                   hop: int = DEFAULT_HOP, n_mels: int = DEFAULT_N_MELS,
                   target_frames: int = DEFAULT_N_FRAMES) -> np.ndarray:

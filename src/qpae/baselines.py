@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .model import (Classifier, CrossEntropyLoss, LossFn, TrainConfig,
-                    forward_batch, softmax, train)
+                    backprop, forward_batch, softmax, train)
 from .rng import Rng, derive_seed
 
 FISHER_EPS = 1e-8
@@ -45,6 +45,13 @@ class BaselineConfig:
         if self.ssd_threshold <= 0:
             raise ValueError("ssd_threshold must be positive")
 
+    def train_config(self, phase: str) -> TrainConfig:
+        """SGD settings of the "ascent" or the "finetune" pass."""
+        epochs, stage = {"ascent": (self.ascent_epochs, 0xA5CE),
+                         "finetune": (self.finetune_epochs, 0xF17E)}[phase]
+        return TrainConfig(learning_rate=self.learning_rate, epochs=epochs,
+                           batch_size=self.batch_size, seed=derive_seed(self.seed, stage))
+
 
 class NegatedCrossEntropyLoss(LossFn):
     """Cross-entropy with flipped sign: SGD on it *ascends* the CE surface.
@@ -62,11 +69,7 @@ def _ascend(model: Classifier, data: LabeledDataset, forget_set: set[int],
     forget_data, _ = data.class_split(forget_set)
     if forget_data.n_samples == 0:
         return model
-    ascent_cfg = TrainConfig(learning_rate=cfg.learning_rate,
-                             epochs=cfg.ascent_epochs,
-                             batch_size=cfg.batch_size,
-                             seed=derive_seed(cfg.seed, 0xA5CE))
-    train(model, forget_data, ascent_cfg, NegatedCrossEntropyLoss())
+    train(model, forget_data, cfg.train_config("ascent"), NegatedCrossEntropyLoss())
     return model
 
 
@@ -76,11 +79,7 @@ def gradient_ascent_unlearn(model: Classifier, data: LabeledDataset,
     _ascend(model, data, forget_set, cfg)
     _, retain_data = data.class_split(forget_set)
     if retain_data.n_samples and cfg.finetune_epochs:
-        finetune_cfg = TrainConfig(learning_rate=cfg.learning_rate,
-                                   epochs=cfg.finetune_epochs,
-                                   batch_size=cfg.batch_size,
-                                   seed=derive_seed(cfg.seed, 0xF17E))
-        train(model, retain_data, finetune_cfg, CrossEntropyLoss())
+        train(model, retain_data, cfg.train_config("finetune"), CrossEntropyLoss())
     return model
 
 
@@ -104,17 +103,9 @@ def estimate_diag_fisher(model: Classifier, samples: LabeledDataset) -> list[np.
     acts, logits = forward_batch(model, samples.features)
     delta = softmax(logits) - samples.labels        # per-sample logit grads
     fisher_rev: list[np.ndarray] = []
-    d2 = delta ** 2
-    fisher_rev.append(np.mean(d2, axis=0))                    # final bias
-    fisher_rev.append((acts[-1] ** 2).T @ d2 / n)             # final weights
-    w_above = model.final_w
-    dz = delta
-    for i in range(len(model.hidden) - 1, -1, -1):
-        dz = (dz @ w_above.T) * (acts[i + 1] > 0.0)
+    for a, dz in backprop(model, acts, delta):
         dz2 = dz ** 2
-        fisher_rev.append(np.mean(dz2, axis=0))               # bias i
-        fisher_rev.append((acts[i] ** 2).T @ dz2 / n)         # weights i
-        w_above = model.hidden[i][0]
+        fisher_rev += [np.mean(dz2, axis=0), (a ** 2).T @ dz2 / n]
     return fisher_rev[::-1]
 
 

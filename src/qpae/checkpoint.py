@@ -4,7 +4,7 @@ Layout (little-endian):
 
     magic   4 bytes  "QPAE" (51 50 41 45)
     version u16      currently 1
-    layers  u16      hidden layers + 1; the final layer is written last
+    layers  u16      len(Classifier.layers); the final layer is written last
     per layer:
         rows u32, cols u32, rows*cols f32 row-major weights,
         bias_len u32, bias_len f32 bias
@@ -61,8 +61,8 @@ def save_checkpoint(model: Classifier, path: str | Path) -> None:
         if np.max(np.abs(p)) > f32_max:
             raise NumericError("parameter exceeds float32 range; refusing to "
                                "write an overflowing checkpoint")
-    parts = [MAGIC, struct.pack("<HH", VERSION, len(model.hidden) + 1)]
-    for w, b in list(model.hidden) + [(model.final_w, model.final_b)]:
+    parts = [MAGIC, struct.pack("<HH", VERSION, len(model.layers))]
+    for w, b in model.layers:
         parts.append(struct.pack("<II", w.shape[0], w.shape[1]))
         parts.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
         parts.append(struct.pack("<I", b.shape[0]))
@@ -129,7 +129,7 @@ def load_checkpoint(path: str | Path) -> Classifier:
         raise ChecksumError("CRC32 mismatch")
 
     try:
-        model = Classifier(layers[:-1], layers[-1][0], layers[-1][1])
+        model = Classifier(layers)
     except ValueError as exc:
         raise DimensionError(str(exc)) from exc
     model.ensure_finite()  # NumericError on inf/NaN payloads

@@ -53,9 +53,6 @@ class LabeledDataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def forget_count(self, forget_set: set[int]) -> int:
-        return int(np.sum(np.isin(self.original_classes, sorted(forget_set))))
-
     def copy(self) -> "LabeledDataset":
         return LabeledDataset(self.features.copy(), self.labels.copy(),
                               self.original_classes.copy(), self.num_classes)

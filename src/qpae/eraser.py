@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .model import (Classifier, CrossEntropyLoss, LossFn, TrainConfig,
-                    cross_entropy, forward_batch, predict_probs, train)
+                    cross_entropy, forward_batch, train)
 
 
 class InvalidClassError(ValueError):
@@ -87,18 +87,6 @@ def interference_transform(model: Classifier, forget_set: set[int],
         model.final_w[:, j] *= w_factor
         model.final_b[j] *= b_factor
     return model
-
-
-def suppression_check(model_before: Classifier, model_after: Classifier,
-                      forget_samples: LabeledDataset) -> float:
-    """Mean drop in the softmax probability of each sample's own class."""
-    if forget_samples.n_samples == 0:
-        raise ValueError("need at least one forget sample")
-    idx = np.arange(forget_samples.n_samples)
-    own = forget_samples.original_classes
-    p_before = predict_probs(model_before, forget_samples.features)[idx, own]
-    p_after = predict_probs(model_after, forget_samples.features)[idx, own]
-    return float(np.mean(p_before - p_after))
 
 
 def superpose_labels(data: LabeledDataset, forget_set: set[int]) -> LabeledDataset:
@@ -183,13 +171,13 @@ def build_mixing_matrix(num_classes: int, forget_set: set[int],
 
 
 def apply_mixing(model: Classifier, mixing: np.ndarray) -> Classifier:
-    """Phase 4: final_weights <- final_weights @ M. Bias is left alone; the
-    forgotten bias was already inverted in phase 1.
+    """Phase 4: final_weights <- final_weights @ M, written in place. Bias is
+    left alone; the forgotten bias was already inverted in phase 1.
     """
     k = model.num_classes
     if mixing.shape != (k, k):
         raise ValueError(f"mixing matrix must be ({k}, {k}), got {mixing.shape}")
-    model.final_w = model.final_w @ mixing
+    model.final_w[...] = model.final_w @ mixing
     return model
 
 
@@ -277,7 +265,7 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
 
 __all__ = [
     "InvalidClassError", "UnlearnConfig", "interference_transform",
-    "suppression_check", "superpose_labels", "quantum_loss",
+    "superpose_labels", "quantum_loss",
     "quantum_loss_logit_grad", "QuantumLoss", "build_mixing_matrix",
     "apply_mixing", "run_qp_audio_eraser", "penultimate", "accuracy_snapshot",
 ]

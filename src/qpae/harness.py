@@ -156,6 +156,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                                              asdict(UnlearnSection())))
         if top["baselines"] is None:
             baselines = [BaselineConfig(method=m) for m in METHOD_NAMES]
+        elif not isinstance(top["baselines"], list):
+            raise ConfigError(f"baselines must be a list, got {top['baselines']!r}")
         else:
             defaults = asdict(BaselineConfig())
             defaults.pop("seed")  # run-time seeds always derive from the master seed
@@ -174,13 +176,32 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+# what a section field must hold, keyed by the type of its default value
+_FIELD_KINDS = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", lambda v: isinstance(v, numbers.Real)
+            and not isinstance(v, bool) and math.isfinite(v)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+def _check_field_types(what: str, section) -> None:
+    """Counts and sizes must be integers, rates numbers, flags booleans."""
+    for f in dataclass_fields(section):
+        kind = _FIELD_KINDS.get(type(f.default))
+        value = getattr(section, f.name)
+        if kind and not kind[1](value):
+            raise ConfigError(f"{what}.{f.name} must be {kind[0]}, got {value!r}")
+
+
 def _splits_both_sides(n: int) -> bool:
     """True if a class of n samples keeps some on each side of the split."""
     return 0 < train_count(n, TRAIN_FRACTION) < n
 
 
 def check_ranges(cfg: ExperimentConfig) -> None:
-    """Reject class ids and sizes the run cannot use, before any work.
+    """Reject class ids, sizes and section values the run cannot use,
+    before any work.
 
     `Workspace.create` and `cmd_synth` call it, so it sees the config after
     command-line overrides, which can change the forget set once the file
@@ -199,11 +220,36 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     requests.update((f"sequential_requests[{i}]", req)
                     for i, req in enumerate(cfg.sequential_requests))
     for what, classes in requests.items():
+        if not isinstance(classes, (list, tuple)):
+            raise ConfigError(f"{what} must be a list of class ids, got {classes!r}")
         bad = [c for c in classes if not _is_int(c) or not 0 <= c < k]
         if bad:
             raise ConfigError(f"{what} holds {bad}, not class ids in [0, {k})")
     if len(set(cfg.unlearn.forget_set)) >= k:
         raise ConfigError("unlearn.forget_set must leave at least one class retained")
+    max_mels = audio.DEFAULT_N_FFT // 2
+    if not (_is_int(cfg.dataset.n_mels) and 1 <= cfg.dataset.n_mels <= max_mels):
+        raise ConfigError(f"dataset.n_mels must be an integer in [1, {max_mels}], "
+                          f"got {cfg.dataset.n_mels!r}")
+    if not (_is_int(cfg.dataset.n_frames) and cfg.dataset.n_frames >= 1):
+        raise ConfigError(f"dataset.n_frames must be an integer >= 1, "
+                          f"got {cfg.dataset.n_frames!r}")
+    _check_field_types("train", cfg.train)
+    _check_field_types("unlearn", cfg.unlearn)
+    for i, b in enumerate(cfg.baselines):
+        _check_field_types(f"baselines[{i}]", b)
+    # the run-time configs each command builds hold the remaining range rules
+    what = "train"
+    try:
+        _train_config(cfg)
+        what = "unlearn"
+        _unlearn_config(cfg)
+        for i, b in enumerate(cfg.baselines):
+            what = f"baselines[{i}]"
+            b.train_config("ascent")
+            b.train_config("finetune")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -483,11 +529,11 @@ def emit_table(rows: list[tuple[str, EvaluationReport]]) -> tuple[str, str]:
     return "\n".join(md_lines) + "\n", "\n".join(csv_lines) + "\n"
 
 
-def write_table(ws: Workspace, rows: list[tuple[str, EvaluationReport]],
+def write_table(out: Path, rows: list[tuple[str, EvaluationReport]],
                 stem: str = "table") -> tuple[Path, Path]:
     markdown, csv_text = emit_table(rows)
-    md_path = ws.out / f"{stem}.md"
-    csv_path = ws.out / f"{stem}.csv"
+    md_path = out / f"{stem}.md"
+    csv_path = out / f"{stem}.csv"
     md_path.write_text(markdown)
     csv_path.write_text(csv_text)
     return md_path, csv_path
@@ -506,7 +552,7 @@ def run_standard_scenario(ws: Workspace) -> dict[str, EvaluationReport]:
                               name=mid)
         reports[mid] = report
         rows.append((METHOD_LABELS[mid], report))
-    write_table(ws, rows)
+    write_table(ws.out, rows)
     return reports
 
 
@@ -523,7 +569,7 @@ def cmd_sequential(ws: Workspace) -> list[dict]:
         raise ConfigError("sequential scenario requires non-empty sequential_requests")
     _, _ = cmd_train(ws)
     original = load_checkpoint(ws.original_path())
-    model = load_checkpoint(ws.original_path())
+    model = original.copy()
     current = ws.train_data.copy()
     forgotten: set[int] = set()
     series: list[dict] = []
@@ -550,7 +596,7 @@ def cmd_sequential(ws: Workspace) -> list[dict]:
                        "fa": report.fa, "ra": report.ra, "per": report.per,
                        "retained_classes": ws.eval_data.num_classes - len(forgotten)})
     (ws.out / "sequential_series.json").write_text(json.dumps(series, indent=2) + "\n")
-    write_table(ws, rows, stem="sequential_table")
+    write_table(ws.out, rows, stem="sequential_table")
     return series
 
 
@@ -569,8 +615,9 @@ def cmd_ablation(ws: Workspace) -> dict[str, EvaluationReport]:
     _, original_report = cmd_train(ws)
     reports: dict[str, EvaluationReport] = {"original": original_report}
     rows = [("Original", original_report)]
+    original = load_checkpoint(ws.original_path())
     for name, tweaks in ABLATION_VARIANTS:
-        model = load_checkpoint(ws.original_path())
+        model = original.copy()
         run_qp_audio_eraser(model, ws.train_data,
                             _unlearn_config(ws.cfg, **tweaks))
         save_checkpoint(model, ws.out / f"unlearned_ablation_{name}.qpae")
@@ -579,7 +626,7 @@ def cmd_ablation(ws: Workspace) -> dict[str, EvaluationReport]:
         ws.write_report(f"ablation_{name}", report)
         reports[name] = report
         rows.append((name, report))
-    write_table(ws, rows, stem="ablation_table")
+    write_table(ws.out, rows, stem="ablation_table")
     return reports
 
 
@@ -630,9 +677,4 @@ def cmd_report(out: str | Path) -> tuple[Path, Path]:
                 break
     if not rows:
         raise FileNotFoundError(f"no report_*.json files found in {out_dir}")
-    markdown, csv_text = emit_table(rows)
-    md_path = out_dir / "table.md"
-    csv_path = out_dir / "table.csv"
-    md_path.write_text(markdown)
-    csv_path.write_text(csv_text)
-    return md_path, csv_path
+    return write_table(out_dir, rows)

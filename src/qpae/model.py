@@ -8,6 +8,7 @@ so the representation is kept deliberately transparent.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -38,13 +39,6 @@ def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
     return float(-np.sum(target * np.log(pred + LOG_EPS)))
 
 
-def entropy(pred: np.ndarray) -> float:
-    """Shannon entropy in nats, with 0 * log 0 := 0."""
-    p = np.asarray(pred, dtype=np.float64)
-    nz = p > 0.0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.05
@@ -70,40 +64,46 @@ class TrainLog:
 
 
 class Classifier:
-    """ReLU MLP with a final linear layer holding one column per class."""
+    """ReLU MLP stored as one list of (W, b) layers, input side first.
 
-    def __init__(self, hidden: list[tuple[np.ndarray, np.ndarray]],
-                 final_w: np.ndarray, final_b: np.ndarray):
-        self.hidden = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-                       for w, b in hidden]
-        self.final_w = np.asarray(final_w, dtype=np.float64)
-        self.final_b = np.asarray(final_b, dtype=np.float64)
+    Every layer but the last applies ReLU; the last is linear and holds one
+    column per class. Forward, SGD, the Fisher estimate and the checkpoint
+    codec all walk this one list.
+    """
+
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
+        self.layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                       for w, b in layers]
         self.validate()
 
     @property
+    def final_w(self) -> np.ndarray:
+        return self.layers[-1][0]
+
+    @property
+    def final_b(self) -> np.ndarray:
+        return self.layers[-1][1]
+
+    @property
     def feature_dim(self) -> int:
-        if self.hidden:
-            return self.hidden[0][0].shape[0]
-        return self.final_w.shape[0]
+        return self.layers[0][0].shape[0]
 
     @property
     def num_classes(self) -> int:
         return self.final_w.shape[1]
 
     def validate(self) -> None:
+        if not self.layers:
+            raise ValueError("need at least one layer")
         width = None
-        for w, b in self.hidden:
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
-                raise ValueError("hidden layer shape mismatch")
+        for i, (w, b) in enumerate(self.layers):
+            if w.ndim != 2 or b.ndim != 1:
+                raise ValueError(f"layer {i} must be a matrix and a bias vector")
             if width is not None and w.shape[0] != width:
-                raise ValueError("hidden layer width mismatch")
+                raise ValueError(f"layer {i} input width {w.shape[0]} != {width}")
+            if w.shape[1] != b.shape[0]:
+                raise ValueError(f"layer {i} bias length must equal its width")
             width = w.shape[1]
-        if self.final_w.ndim != 2 or self.final_b.ndim != 1:
-            raise ValueError("final layer must be a matrix and a bias vector")
-        if width is not None and self.final_w.shape[0] != width:
-            raise ValueError("final layer input width mismatch")
-        if self.final_w.shape[1] != self.final_b.shape[0]:
-            raise ValueError("final bias length must equal class count")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
 
@@ -113,65 +113,42 @@ class Classifier:
                 raise NumericError("non-finite model parameter detected")
 
     def parameters(self) -> list[np.ndarray]:
-        """Mutable views of every parameter block, hidden layers first."""
-        out: list[np.ndarray] = []
-        for w, b in self.hidden:
-            out.extend([w, b])
-        out.extend([self.final_w, self.final_b])
-        return out
+        """Mutable views of every parameter block: W0, b0, W1, b1, ..."""
+        return [p for layer in self.layers for p in layer]
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
     def copy(self) -> "Classifier":
-        return Classifier([(w.copy(), b.copy()) for w, b in self.hidden],
-                          self.final_w.copy(), self.final_b.copy())
-
-    def equals_bits(self, other: "Classifier") -> bool:
-        mine, theirs = self.parameters(), other.parameters()
-        if len(mine) != len(theirs):
-            return False
-        return all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(mine, theirs))
+        return Classifier([(w.copy(), b.copy()) for w, b in self.layers])
 
     @classmethod
     def random_init(cls, feature_dim: int, hidden_sizes: list[int],
                     num_classes: int, rng: Rng) -> "Classifier":
         """He-normal hidden layers, 1/sqrt(fan_in) final layer, zero biases."""
-        hidden = []
+        widths = list(hidden_sizes) + [num_classes]
+        layers = []
         fan_in = feature_dim
-        for width in hidden_sizes:
-            w = rng.normal(fan_in * width, sigma=np.sqrt(2.0 / fan_in)).reshape(fan_in, width)
-            hidden.append((w, np.zeros(width)))
+        for i, width in enumerate(widths):
+            gain = 2.0 if i < len(hidden_sizes) else 1.0
+            w = rng.normal(fan_in * width, sigma=np.sqrt(gain / fan_in)).reshape(fan_in, width)
+            layers.append((w, np.zeros(width)))
             fan_in = width
-        final_w = rng.normal(fan_in * num_classes,
-                             sigma=np.sqrt(1.0 / fan_in)).reshape(fan_in, num_classes)
-        return cls(hidden, final_w, np.zeros(num_classes))
-
-
-def forward(model: Classifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample forward pass -> (last hidden representation, logits)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.feature_dim,):
-        raise ValueError(f"expected input of shape ({model.feature_dim},), got {x.shape}")
-    h = x
-    for w, b in model.hidden:
-        h = np.maximum(0.0, h @ w + b)
-    logits = h @ model.final_w + model.final_b
-    return h, logits
+        return cls(layers)
 
 
 def forward_batch(model: Classifier, xs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Batched forward pass keeping all activations for backprop.
 
-    Returns (activations, logits) where activations[0] is the input batch
-    and activations[i] the output of hidden layer i.
+    Returns (activations, logits) where activations[i] is the input of
+    layer i: the input batch, then the output of each hidden layer.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.feature_dim:
         raise ValueError(f"expected (n, {model.feature_dim}) batch, got {xs.shape}")
     acts = [xs]
     h = xs
-    for w, b in model.hidden:
+    for w, b in model.layers[:-1]:
         h = np.maximum(0.0, h @ w + b)
         acts.append(h)
     logits = h @ model.final_w + model.final_b
@@ -190,24 +167,32 @@ def predict_classes(model: Classifier, xs: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
+def backprop(model: Classifier, acts: list[np.ndarray],
+             dlogits: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk the layers top-down, yielding (a, dz) for each: the layer's
+    input and d(loss)/dz at its affine output z = a @ W + b.
+
+    The first pair is the final layer's, with dz = `dlogits`; the walk
+    stops after the first layer, so no gradient with respect to the input
+    batch is formed.
+    """
+    dz = dlogits
+    for i in range(len(model.layers) - 1, -1, -1):
+        yield acts[i], dz
+        if i:
+            dz = (dz @ model.layers[i][0].T) * (acts[i] > 0.0)
+
+
 def backward_batch(model: Classifier, acts: list[np.ndarray],
                    dlogits: np.ndarray) -> list[np.ndarray]:
     """Gradients for every parameter block given d(loss)/d(logits).
 
     dlogits must already carry any batch averaging. The returned list is
-    aligned with model.parameters(); the walk stops at the first layer's
-    weights, so no gradient with respect to the input batch is formed.
+    aligned with model.parameters().
     """
     grads_rev: list[np.ndarray] = []
-    grads_rev.append(np.sum(dlogits, axis=0))            # final bias
-    grads_rev.append(acts[-1].T @ dlogits)               # final weights
-    w_above = model.final_w
-    dz = dlogits
-    for i in range(len(model.hidden) - 1, -1, -1):
-        dz = (dz @ w_above.T) * (acts[i + 1] > 0.0)
-        grads_rev.append(np.sum(dz, axis=0))             # bias i
-        grads_rev.append(acts[i].T @ dz)                 # weights i
-        w_above = model.hidden[i][0]
+    for a, dz in backprop(model, acts, dlogits):
+        grads_rev += [np.sum(dz, axis=0), a.T @ dz]
     return grads_rev[::-1]
 
 
@@ -293,8 +278,8 @@ def gradient_check(model: Classifier, x: np.ndarray, target: np.ndarray,
         original_class = int(np.argmax(target))
 
     def loss_at() -> float:
-        _, logits = forward(model, x)
-        values, _ = loss.batch(softmax(logits)[None, :], target[None, :],
+        _, logits = forward_batch(model, x[None, :])
+        values, _ = loss.batch(softmax(logits), target[None, :],
                                np.array([original_class]))
         return float(values[0])
 

@@ -21,9 +21,10 @@ from qpae.eraser import (build_mixing_matrix, interference_transform,
                          quantum_loss_logit_grad)
 from qpae.harness import Workspace
 from qpae.metrics import erb_score, evaluate
-from qpae.model import Classifier, forward, softmax
+from qpae.model import Classifier, forward_batch, softmax
 from qpae.rng import Rng
 
+from helpers import equals_bits
 from test_metrics import brute_force_recount, prediction_set
 
 
@@ -96,9 +97,9 @@ def test_criterion_02_single_class_desk_run(desk, single_run):
     rep = single_run["reports"]["qp"]
     eval_data = desk["eval"]
     preds_ok = original.n_eval == eval_data.n_samples
-    test_acc = (original.fa * eval_data.forget_count({0})
-                + original.ra * (eval_data.n_samples - eval_data.forget_count({0}))) \
-        / eval_data.n_samples
+    n_forget = int(np.sum(eval_data.original_classes == 0))
+    test_acc = (original.fa * n_forget
+                + original.ra * (eval_data.n_samples - n_forget)) / eval_data.n_samples
     ok = (preds_ok and test_acc >= 95.0
           and rep.fa == 0.0 and rep.per == 100.0 and rep.il < 1.0
           and rep.ra >= original.ra - 5.0
@@ -183,7 +184,7 @@ def test_criterion_05_phase1_exactness():
         untouched = (np.array_equal(m.final_w[:, retained], before.final_w[:, retained])
                      and np.array_equal(m.final_b[retained], before.final_b[retained])
                      and all(np.array_equal(w, w0) and np.array_equal(b, b0)
-                             for (w, b), (w0, b0) in zip(m.hidden, before.hidden))
+                             for (w, b), (w0, b0) in zip(m.layers[:-1], before.layers[:-1]))
                      and m.final_b[f] == -before.final_b[f])
         ok = ok and within and untouched
         if not (within and untouched):
@@ -206,9 +207,9 @@ def test_criterion_06_mixing_identity():
         mix = build_mixing_matrix(k, {f}, alpha)
         matrices_ok = matrices_ok and np.array_equal(mix, mix.T) \
             and np.all(np.diag(mix) == 1.0)
-        model = Classifier([], w.copy(), np.zeros(k))
-        model.final_w = model.final_w @ mix
-        _, mixed = forward(model, h)
+        model = Classifier([(w.copy(), np.zeros(k))])
+        model.final_w[...] = model.final_w @ mix
+        mixed = forward_batch(model, h[None, :])[1][0]
         base = w.T @ h
         for j in range(k):
             if j == f:
@@ -306,7 +307,7 @@ def test_criterion_11_checkpoint_round_trip(desk, tmp_path):
     loaded = load_checkpoint(p1)
     save_checkpoint(loaded, p2)
     bytes_stable = p1.read_bytes() == p2.read_bytes()
-    round_trip_exact = load_checkpoint(p2).equals_bits(loaded)
+    round_trip_exact = equals_bits(load_checkpoint(p2), loaded)
 
     blob = bytearray(p1.read_bytes())
     blob[len(blob) // 2] ^= 0x01  # single-byte corruption in the payload

@@ -7,15 +7,25 @@ import pytest
 from qpae.audio import (OVERLAP_PROFILE, SYNTH_CHUNK, ManifestError,
                         MissingChunkError, NotWavError, SynthProfile,
                         TruncatedWavError, UnsupportedCodecError, WavClip,
-                        hann_window, hz_to_mel, load_manifest, log_mel_batch,
-                        log_mel_spectrogram, mel_filterbank, mel_to_hz,
-                        power_spectrogram, read_wav, synth_clip, synth_dataset,
+                        _framed_power, hann_window, hz_to_mel, load_manifest,
+                        log_mel_batch, log_mel_spectrogram, mel_filterbank,
+                        mel_to_hz, read_wav, synth_clip, synth_dataset,
                         synth_draws, write_manifest, write_wav)
 from qpae.data import one_hot, train_eval_split
 from qpae.model import Classifier, CrossEntropyLoss, TrainConfig, predict_classes, train
 from qpae.rng import Rng
 
 SR = 8000
+
+
+def power_spectrogram(clip, n_fft, hop):
+    """The framing `log_mel_batch` uses, for one clip: Hann-windowed
+    |rfft|^2 per frame, shape (n_fft//2 + 1, frames), a short clip
+    zero-padded to one frame."""
+    x = clip.samples
+    if x.size < n_fft:
+        x = np.concatenate([x, np.zeros(n_fft - x.size)])
+    return _framed_power(x[None, :], n_fft, hop)[0].T
 
 
 def pcm16_wav_bytes(samples, sample_rate=SR, channels=1):

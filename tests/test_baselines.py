@@ -6,8 +6,29 @@ from qpae.baselines import (BaselineConfig, NegatedCrossEntropyLoss,
                             gradient_ascent_unlearn, negative_gradient_unlearn,
                             run_baseline, synaptic_dampening)
 from qpae.data import LabeledDataset, one_hot
-from qpae.model import (Classifier, CrossEntropyLoss, sample_gradient)
+from qpae.model import (Classifier, CrossEntropyLoss, forward_batch,
+                        sample_gradient, softmax)
 from qpae.rng import Rng
+
+from helpers import equals_bits
+
+
+def reference_fisher(model, samples):
+    """The Fisher estimate as first written: its own walk, final layer
+    first, then each hidden layer."""
+    n = samples.n_samples
+    acts, logits = forward_batch(model, samples.features)
+    delta = softmax(logits) - samples.labels
+    d2 = delta ** 2
+    fisher_rev = [np.mean(d2, axis=0), (acts[-1] ** 2).T @ d2 / n]
+    w_above = model.final_w
+    dz = delta
+    for i in range(len(model.layers) - 2, -1, -1):
+        dz = (dz @ w_above.T) * (acts[i + 1] > 0.0)
+        dz2 = dz ** 2
+        fisher_rev += [np.mean(dz2, axis=0), (acts[i] ** 2).T @ dz2 / n]
+        w_above = model.layers[i][0]
+    return fisher_rev[::-1]
 
 
 class TestConfig:
@@ -28,7 +49,7 @@ class TestGradientAscent:
         cfg = BaselineConfig(method="gradient_ascent", ascent_epochs=0,
                              finetune_epochs=0, seed=1)
         gradient_ascent_unlearn(tiny_model, tiny_data, {0}, cfg)
-        assert tiny_model.equals_bits(before)
+        assert equals_bits(tiny_model, before)
 
     def test_forget_class_with_no_samples_skips_ascent(self, tiny_model, tiny_data):
         # class 3 removed from the data; ascent has nothing to climb
@@ -38,7 +59,7 @@ class TestGradientAscent:
         cfg = BaselineConfig(method="gradient_ascent", ascent_epochs=5,
                              finetune_epochs=0, seed=1)
         gradient_ascent_unlearn(tiny_model, data, {3}, cfg)
-        assert tiny_model.equals_bits(before)
+        assert equals_bits(tiny_model, before)
 
     def test_negative_gradient_equals_ga_without_finetune(self, tiny_model, tiny_data):
         cfg = BaselineConfig(method="gradient_ascent", ascent_epochs=2,
@@ -47,7 +68,7 @@ class TestGradientAscent:
         b = tiny_model.copy()
         gradient_ascent_unlearn(a, tiny_data, {1}, cfg)
         negative_gradient_unlearn(b, tiny_data, {1}, cfg)
-        assert a.equals_bits(b)
+        assert equals_bits(a, b)
 
     def test_negated_loss_is_minus_cross_entropy(self):
         rng = Rng(2)
@@ -65,6 +86,15 @@ class TestGradientAscent:
 
 
 class TestFisherEstimate:
+    @pytest.mark.parametrize("hidden", [[], [7], [9, 5]])
+    def test_bit_equal_to_reference_walk(self, tiny_data, hidden):
+        m = Classifier.random_init(tiny_data.feature_dim, hidden, 4, Rng(17))
+        got = estimate_diag_fisher(m, tiny_data)
+        want = reference_fisher(m, tiny_data)
+        assert len(got) == len(want) == len(m.parameters())
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
     def test_matches_per_sample_loop(self, tiny_model, tiny_data):
         # independent recount: square the per-sample analytic gradients
         sub = tiny_data.subset(np.arange(25))
@@ -95,7 +125,7 @@ class TestFisherEstimate:
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.stack([one_hot(0, 2), one_hot(1, 2)])
         data = LabeledDataset(feats, labels, np.array([0, 1]), 2)
-        m = Classifier([], np.array([[60.0, -60.0], [-60.0, 60.0]]), np.zeros(2))
+        m = Classifier([(np.array([[60.0, -60.0], [-60.0, 60.0]]), np.zeros(2))])
         for block in estimate_diag_fisher(m, data):
             assert np.all(block <= 1e-20)
 
@@ -109,15 +139,15 @@ class TestFisherForgetting:
         before = tiny_model.copy()
         cfg = BaselineConfig(method="fisher_forgetting", fisher_noise_scale=0.0, seed=3)
         fisher_forgetting(tiny_model, tiny_data, {0}, cfg)
-        assert tiny_model.equals_bits(before)
+        assert equals_bits(tiny_model, before)
 
     def test_same_seed_identical(self, tiny_model, tiny_data):
         cfg = BaselineConfig(method="fisher_forgetting", fisher_noise_scale=1e-3, seed=4)
         a, b = tiny_model.copy(), tiny_model.copy()
         fisher_forgetting(a, tiny_data, {1}, cfg)
         fisher_forgetting(b, tiny_data, {1}, cfg)
-        assert a.equals_bits(b)
-        assert not a.equals_bits(tiny_model)
+        assert equals_bits(a, b)
+        assert not equals_bits(a, tiny_model)
 
     def test_finite_and_shape_preserving(self, tiny_model, tiny_data):
         shapes = [p.shape for p in tiny_model.parameters()]
@@ -132,7 +162,7 @@ class TestSynapticDampening:
         before = tiny_model.copy()
         cfg = BaselineConfig(method="synaptic_dampening", ssd_threshold=1e12, seed=5)
         synaptic_dampening(tiny_model, tiny_data, {0}, cfg)
-        assert tiny_model.equals_bits(before)
+        assert equals_bits(tiny_model, before)
 
     def test_never_amplifies(self, tiny_model, tiny_data):
         before = tiny_model.copy()
@@ -147,7 +177,7 @@ class TestSynapticDampening:
         a, b = tiny_model.copy(), tiny_model.copy()
         synaptic_dampening(a, tiny_data, {1}, cfg)
         synaptic_dampening(b, tiny_data, {1}, cfg)
-        assert a.equals_bits(b)
+        assert equals_bits(a, b)
 
 
 def test_ascent_methods_deterministic_under_fixed_seed(tiny_model, tiny_data):
@@ -157,8 +187,8 @@ def test_ascent_methods_deterministic_under_fixed_seed(tiny_model, tiny_data):
         a, b = tiny_model.copy(), tiny_model.copy()
         run_baseline(a, tiny_data, {1}, cfg)
         run_baseline(b, tiny_data, {1}, cfg)
-        assert a.equals_bits(b)
-        assert not a.equals_bits(tiny_model)
+        assert equals_bits(a, b)
+        assert not equals_bits(a, tiny_model)
 
 
 def test_dispatch_covers_all_methods(tiny_model, tiny_data):

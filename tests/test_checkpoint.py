@@ -10,15 +10,14 @@ from qpae.checkpoint import (MAGIC, BadMagicError, BadVersionError,
 from qpae.model import Classifier, NumericError
 from qpae.rng import Rng
 
+from helpers import equals_bits
 
-def f32_model(seed=5):
+
+def f32_model(seed=5, hidden=(5,)):
     """Model whose parameters are exactly float32-representable."""
-    m = Classifier.random_init(6, [5], 3, Rng(seed))
-    return Classifier(
-        [(w.astype(np.float32).astype(np.float64),
-          b.astype(np.float32).astype(np.float64)) for w, b in m.hidden],
-        m.final_w.astype(np.float32).astype(np.float64),
-        m.final_b.astype(np.float32).astype(np.float64))
+    m = Classifier.random_init(6, list(hidden), 3, Rng(seed))
+    return Classifier([(w.astype(np.float32).astype(np.float64),
+                        b.astype(np.float32).astype(np.float64)) for w, b in m.layers])
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -26,7 +25,18 @@ def test_round_trip_bitwise(tmp_path):
     p = tmp_path / "m.qpae"
     save_checkpoint(m, p)
     loaded = load_checkpoint(p)
-    assert loaded.equals_bits(m)
+    assert equals_bits(loaded, m)
+
+
+@pytest.mark.parametrize("hidden", [(), (7, 4)])
+def test_round_trip_bitwise_at_other_depths(tmp_path, hidden):
+    m = f32_model(hidden=hidden)
+    p = tmp_path / "m.qpae"
+    save_checkpoint(m, p)
+    loaded = load_checkpoint(p)
+    assert [w.shape for w, _ in loaded.layers] == [w.shape for w, _ in m.layers]
+    assert equals_bits(loaded, m)
+    assert struct.unpack("<H", p.read_bytes()[6:8])[0] == len(hidden) + 1
 
 
 def test_save_load_save_is_byte_stable(tmp_path):
@@ -37,7 +47,7 @@ def test_save_load_save_is_byte_stable(tmp_path):
     once = load_checkpoint(p1)
     save_checkpoint(once, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert load_checkpoint(p2).equals_bits(once)
+    assert equals_bits(load_checkpoint(p2), once)
 
 
 def test_layout_starts_with_magic_and_version(tmp_path):

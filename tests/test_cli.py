@@ -176,7 +176,8 @@ def _edit(cfg_path, tmp_path, name, **sections):
     """A copy of the config at cfg_path with some sections replaced."""
     raw = json.loads(cfg_path.read_text())
     for key, value in sections.items():
-        raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+        merge = isinstance(value, dict) and isinstance(raw[key], dict)
+        raw[key] = {**raw[key], **value} if merge else value
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
@@ -258,3 +259,51 @@ def test_manifest_with_too_few_clips_per_class_exits_2(cfg_path, tmp_path, capsy
     err = capsys.readouterr().err
     assert "config error" in err and "too few clips" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _baseline(**fields):
+    return [{"method": "negative_gradient", "ascent_epochs": 1,
+             "learning_rate": 0.02, **fields}]
+
+
+@pytest.mark.parametrize("verb, edit", [
+    ("train", {"train": {"batch_size": 0}}),
+    ("train", {"train": {"learning_rate": "x"}}),
+    ("train", {"train": {"epochs": 1.5}}),
+    ("train", {"train": {"shuffle": 1}}),
+    ("train", {"dataset": {"n_mels": 0}}),
+    ("train", {"dataset": {"n_mels": 100000}}),
+    ("train", {"dataset": {"n_frames": 0}}),
+    ("train", {"baselines": {}}),
+    ("train", {"unlearn": {"forget_set": 3}}),
+    ("train", {"train": {"learning_rate": float("nan")}}),
+    ("unlearn", {"unlearn": {"alpha": 2.0}}),
+    ("unlearn", {"unlearn": {"entropy_lambda": 0}}),
+    ("unlearn", {"unlearn": {"epochs": -1}}),
+    ("unlearn", {"unlearn": {"epochs": 1.5}}),
+    ("unlearn", {"unlearn": {"batch_size": 0}}),
+    ("unlearn", {"unlearn": {"learning_rate": -1}}),
+    ("unlearn", {"unlearn": {"learning_rate": "x"}}),
+    ("unlearn", {"unlearn": {"phi": "pi"}}),
+    ("unlearn", {"unlearn": {"phi": float("inf")}}),
+    ("unlearn", {"unlearn": {"skip_mixing": 0}}),
+    ("unlearn", {"baselines": _baseline(learning_rate="x")}),
+    ("unlearn", {"baselines": _baseline(learning_rate=-1)}),
+    ("unlearn", {"baselines": _baseline(batch_size=0)}),
+    ("unlearn", {"baselines": _baseline(ascent_epochs=1.5)}),
+])
+def test_bad_section_value_exits_2(cfg_path, tmp_path, capsys, verb, edit):
+    """Refused before any file is written: `train` creates no --out, and
+    `unlearn` adds nothing to the directory `train` filled."""
+    out = tmp_path / "out"
+    if verb == "unlearn":
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+    before = sorted(p.name for p in out.iterdir()) if out.exists() else None
+    bad = _edit(cfg_path, tmp_path, "bad.json", **edit)
+    method = "ng" if "baselines" in edit else "qp"
+    extra = ["--method", method] if verb == "unlearn" else []
+    assert main([verb, "--config", str(bad), "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before

@@ -10,10 +10,13 @@ from qpae.eraser import (InvalidClassError, QuantumLoss, UnlearnConfig,
                          apply_mixing, build_mixing_matrix,
                          interference_transform, quantum_loss,
                          quantum_loss_logit_grad, run_qp_audio_eraser,
-                         superpose_labels, suppression_check)
+                         superpose_labels)
 from qpae.harness import ABLATION_VARIANTS
-from qpae.model import Classifier, TrainConfig, forward, predict_probs, softmax
+from qpae.model import (Classifier, TrainConfig, forward_batch, predict_probs,
+                        softmax)
 from qpae.rng import Rng
+
+from helpers import equals_bits
 
 distributions = st.lists(st.floats(min_value=1e-6, max_value=1.0),
                          min_size=2, max_size=12).map(
@@ -21,7 +24,16 @@ distributions = st.lists(st.floats(min_value=1e-6, max_value=1.0),
 
 
 def linear_model(w, b):
-    return Classifier([], np.asarray(w, dtype=float), np.asarray(b, dtype=float))
+    return Classifier([(np.asarray(w, dtype=float), np.asarray(b, dtype=float))])
+
+
+def suppression_check(model_before, model_after, forget_samples):
+    """Mean drop in the softmax probability of each sample's own class."""
+    idx = np.arange(forget_samples.n_samples)
+    own = forget_samples.original_classes
+    p_before = predict_probs(model_before, forget_samples.features)[idx, own]
+    p_after = predict_probs(model_after, forget_samples.features)[idx, own]
+    return float(np.mean(p_before - p_after))
 
 
 class TestInterferenceTransform:
@@ -47,7 +59,7 @@ class TestInterferenceTransform:
             retained = [j for j in range(4) if j not in forget]
             assert np.array_equal(m.final_w[:, retained], before.final_w[:, retained])
             assert np.array_equal(m.final_b[retained], before.final_b[retained])
-            for (w, b), (w0, b0) in zip(m.hidden, before.hidden):
+            for (w, b), (w0, b0) in zip(m.layers[:-1], before.layers[:-1]):
                 assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
     def test_phi_pi_is_negated_over_sqrt2_within_2ulp(self):
@@ -277,14 +289,22 @@ class TestMixing:
         model = linear_model([[1.0, 2.0, 3.0]], [0.0, 0.0, 0.0])
         apply_mixing(model, build_mixing_matrix(3, {0}, 0.5))
         assert model.final_w[0].tolist() == [3.5, 2.5, 3.5]
-        _, logits = forward(model, np.array([1.0]))
-        assert logits.tolist() == [3.5, 2.5, 3.5]
+        _, logits = forward_batch(model, np.array([[1.0]]))
+        assert logits[0].tolist() == [3.5, 2.5, 3.5]
+
+    def test_mixing_writes_the_held_weight_array(self):
+        model = Classifier.random_init(4, [3], 3, Rng(8))
+        held = model.parameters()
+        expected = model.final_w @ build_mixing_matrix(3, {1}, 0.4)
+        apply_mixing(model, build_mixing_matrix(3, {1}, 0.4))
+        assert held[-2] is model.final_w is model.layers[-1][0]
+        assert np.array_equal(held[-2], expected)
 
     def test_identity_matrix_is_noop(self):
         model = linear_model([[1.0, 2.0], [0.5, -0.5]], [0.1, 0.2])
         before = model.copy()
         apply_mixing(model, np.eye(2))
-        assert model.equals_bits(before)
+        assert equals_bits(model, before)
 
     def test_closed_form_identities_random(self):
         # oracle: Eq-style closed forms computed element by element
@@ -297,7 +317,7 @@ class TestMixing:
             alpha = 0.2 + 0.6 * rng.uniform()
             model = linear_model(w.copy(), np.zeros(k))
             apply_mixing(model, build_mixing_matrix(k, {f}, alpha))
-            _, mixed = forward(model, h)
+            mixed = forward_batch(model, h[None, :])[1][0]
             base = w.T @ h
             for j in range(k):
                 if j == f:
@@ -336,7 +356,7 @@ class TestPipeline:
                             skip_uncertainty_max=True, skip_mixing=True,
                             train=TrainConfig(seed=1))
         model, log = run_qp_audio_eraser(tiny_model, tiny_data, cfg)
-        assert model.equals_bits(before)
+        assert equals_bits(model, before)
         assert [e["skipped"] for e in log] == [True, False, True, True]
 
     def test_tiny_run_erases_class(self, tiny_model, tiny_data):

@@ -17,7 +17,7 @@ def prediction_set(logits, classes, k):
     data = LabeledDataset(logits,
                           np.stack([one_hot(c, k) for c in classes]),
                           np.array(classes, dtype=np.int64), k)
-    model = Classifier([], np.eye(k), np.zeros(k))
+    model = Classifier([(np.eye(k), np.zeros(k))])
     return model, data
 
 

@@ -10,39 +10,67 @@ from qpae.data import LabeledDataset, one_hot
 from qpae.eraser import (QuantumLoss, quantum_loss, quantum_loss_logit_grad,
                          superpose_labels)
 from qpae.model import (Classifier, CrossEntropyLoss, TrainConfig,
-                        backward_batch, cross_entropy, entropy, forward,
-                        forward_batch, gradient_check, predict_classes,
-                        softmax, train)
+                        backward_batch, cross_entropy, forward_batch,
+                        gradient_check, predict_classes, softmax, train)
 from qpae.rng import Rng
+
+from helpers import equals_bits
 
 
 def linear_model(w, b):
-    return Classifier([], np.asarray(w, dtype=float), np.asarray(b, dtype=float))
+    return Classifier([(np.asarray(w, dtype=float), np.asarray(b, dtype=float))])
+
+
+class TestClassifier:
+    @pytest.mark.parametrize("layers", [
+        [],                                                     # no layer
+        [(np.zeros((3, 4)), np.zeros(4)), (np.zeros((5, 2)), np.zeros(2))],  # width break
+        [(np.zeros((3, 4)), np.zeros(4)), (np.zeros((4, 2)), np.zeros(3))],  # bias length
+        [(np.zeros((3, 2)), np.zeros(3))],                      # bias length, final layer
+        [(np.zeros((3, 4)), np.zeros(4)), (np.zeros((4, 1)), np.zeros(1))],  # one class
+        [(np.zeros(3), np.zeros(3))],                           # not a matrix
+    ])
+    def test_rejects_malformed_layer_lists(self, layers):
+        with pytest.raises(ValueError):
+            Classifier(layers)
+
+    def test_final_layer_is_the_last_list_entry(self):
+        m = Classifier.random_init(5, [7, 6], 3, Rng(2))
+        assert [w.shape for w, _ in m.layers] == [(5, 7), (7, 6), (6, 3)]
+        assert m.final_w is m.layers[-1][0] and m.final_b is m.layers[-1][1]
+        assert (m.feature_dim, m.num_classes) == (5, 3)
+        with pytest.raises(AttributeError):
+            m.final_w = np.zeros((6, 3))
+
+
+def single_forward(model, x):
+    """Logits of one sample, as a batch of one."""
+    return forward_batch(model, np.asarray(x, dtype=float)[None, :])[1][0]
 
 
 class TestForward:
     def test_identity_weights(self):
         m = linear_model([[1, 0], [0, 1]], [0, 0])
-        _, logits = forward(m, np.array([3.0, -1.0]))
-        assert logits.tolist() == [3.0, -1.0]
+        assert single_forward(m, [3.0, -1.0]).tolist() == [3.0, -1.0]
 
     def test_single_column_affine(self):
         # z = w.h + b with w=2, h=0.5, b=1
         m = linear_model([[2.0, 0.0]], [1.0, 0.0])
-        _, logits = forward(m, np.array([0.5]))
-        assert logits[0] == 2.0 * 0.5 + 1.0
+        assert single_forward(m, [0.5])[0] == 2.0 * 0.5 + 1.0
 
     def test_zero_hidden_layer_gives_bias_logits(self):
-        m = Classifier([(np.zeros((3, 4)), np.zeros(4))],
-                       np.ones((4, 2)), np.array([0.5, -0.25]))
-        hidden, logits = forward(m, np.array([1.0, 2.0, 3.0]))
-        assert np.all(hidden == 0.0)
-        assert logits.tolist() == [0.5, -0.25]
+        m = Classifier([(np.zeros((3, 4)), np.zeros(4)),
+                        (np.ones((4, 2)), np.array([0.5, -0.25]))])
+        acts, logits = forward_batch(m, np.array([[1.0, 2.0, 3.0]]))
+        assert np.all(acts[-1] == 0.0)
+        assert logits[0].tolist() == [0.5, -0.25]
 
     def test_shape_mismatch_raises(self):
         m = linear_model([[1.0, 0.0]], [0.0, 0.0])
         with pytest.raises(ValueError):
-            forward(m, np.array([1.0, 2.0]))
+            forward_batch(m, np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError):
+            forward_batch(m, np.array([1.0]))
 
     def test_batch_matches_single(self):
         rng = Rng(3)
@@ -50,8 +78,7 @@ class TestForward:
         xs = rng.normal(4 * 5).reshape(4, 5)
         _, batch_logits = forward_batch(m, xs)
         for i in range(4):
-            _, single = forward(m, xs[i])
-            assert np.allclose(batch_logits[i], single, atol=1e-12)
+            assert np.allclose(batch_logits[i], single_forward(m, xs[i]), atol=1e-12)
 
 
 class TestSoftmax:
@@ -77,6 +104,12 @@ class TestSoftmax:
             assert abs(p.sum() - 1.0) <= 1e-9
             shifted = softmax(z + rng.uniform(low=-100.0, high=100.0))
             assert np.max(np.abs(p - shifted)) <= 1e-9
+
+
+def entropy(pred):
+    """Shannon entropy in nats, read off quantum_loss's forget branch, which
+    is -lambda * H(p)."""
+    return -quantum_loss(pred, pred, 0, {0}, 1.0)
 
 
 class TestEntropyAndCrossEntropy:
@@ -128,14 +161,14 @@ class TestTrain:
         m = Classifier.random_init(tiny_data.feature_dim, [8], 4, Rng(1))
         before = m.copy()
         train(m, tiny_data, TrainConfig(epochs=0, seed=2), CrossEntropyLoss())
-        assert m.equals_bits(before)
+        assert equals_bits(m, before)
 
     def test_zero_learning_rate_is_identity(self, tiny_data):
         m = Classifier.random_init(tiny_data.feature_dim, [8], 4, Rng(1))
         before = m.copy()
         train(m, tiny_data, TrainConfig(learning_rate=0.0, epochs=5, seed=2),
               CrossEntropyLoss())
-        assert m.equals_bits(before)
+        assert equals_bits(m, before)
 
     def test_separable_set_reaches_100_percent(self):
         # oracle: a convergent linear classifier on a separable set must
@@ -153,7 +186,7 @@ class TestTrain:
         m = Classifier.random_init(3, [], 2, Rng(4))
         before = m.copy()
         log = train(m, data, TrainConfig(epochs=3, seed=1), CrossEntropyLoss())
-        assert log.warnings and m.equals_bits(before) and log.epoch_losses == []
+        assert log.warnings and equals_bits(m, before) and log.epoch_losses == []
 
     def test_same_seed_bit_identical(self, tiny_data):
         results = []
@@ -162,7 +195,7 @@ class TestTrain:
             train(m, tiny_data, TrainConfig(learning_rate=0.05, epochs=4, seed=77),
                   CrossEntropyLoss())
             results.append(m)
-        assert results[0].equals_bits(results[1])
+        assert equals_bits(results[0], results[1])
 
     def test_loss_decreases(self, tiny_data):
         m = Classifier.random_init(tiny_data.feature_dim, [8], 4, Rng(1))
@@ -189,8 +222,8 @@ def reference_backward(model, acts, dlogits):
     used to form and drop."""
     grads_rev = [np.sum(dlogits, axis=0), acts[-1].T @ dlogits]
     da = dlogits @ model.final_w.T
-    for i in range(len(model.hidden) - 1, -1, -1):
-        w, _ = model.hidden[i]
+    for i in range(len(model.layers) - 2, -1, -1):
+        w, _ = model.layers[i]
         dz = da * (acts[i + 1] > 0.0)
         grads_rev += [np.sum(dz, axis=0), acts[i].T @ dz]
         da = dz @ w.T
