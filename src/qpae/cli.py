@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Verbs: train, unlearn, evaluate, sequential, ablation, synth, report.
-Exit codes: 0 success, 2 config error, 3 IO error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 IO or parse error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from . import harness
 from .audio import ManifestError, WavParseError
 from .checkpoint import CheckpointError
 from .harness import ConfigError, Workspace
-from .metrics import format_metric, report_from_json
+from .metrics import ReportError, format_metric, report_from_json
 from .model import NumericError
 
 EXIT_OK = 0
@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, CheckpointError, WavParseError, ManifestError) as exc:
+    except (OSError, CheckpointError, WavParseError, ManifestError, ReportError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
 

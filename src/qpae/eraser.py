@@ -15,7 +15,6 @@ vocabulary is naming, not hardware.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .data import LabeledDataset
 from .model import (Classifier, CrossEntropyLoss, LossFn, TrainConfig,
                     cross_entropy, forward_batch, train)
+from .timing import stage
 
 
 class InvalidClassError(ValueError):
@@ -222,42 +222,41 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
     log: list[dict] = []
     hidden = penultimate(model, data)
 
-    def record(phase: str, skipped: bool, wall_ms: float) -> None:
+    def record(phase: str, span: dict | None) -> None:
+        """Score `data` after a phase; a phase without a span was skipped."""
         fa, ra = accuracy_snapshot(model, data, cfg.forget_set, hidden)
-        log.append({"phase": phase, "forget_accuracy": fa,
-                    "retain_accuracy": ra, "wall_ms": wall_ms,
-                    "skipped": skipped})
+        log.append({"phase": phase, "forget_accuracy": fa, "retain_accuracy": ra,
+                    "wall_ms": span["wall_ms"] if span else 0.0, "skipped": span is None})
 
     if cfg.skip_weight_transform:
-        record("interference", True, 0.0)
+        record("interference", None)
     else:
-        t0 = time.perf_counter()
-        interference_transform(model, cfg.forget_set, cfg.phi)
-        record("interference", False, 1e3 * (time.perf_counter() - t0))
+        with stage() as span:
+            interference_transform(model, cfg.forget_set, cfg.phi)
+        record("interference", span)
 
-    t0 = time.perf_counter()
-    relabeled = superpose_labels(data, cfg.forget_set)
-    record("superposition", False, 1e3 * (time.perf_counter() - t0))
+    with stage() as span:
+        relabeled = superpose_labels(data, cfg.forget_set)
+    record("superposition", span)
 
     if cfg.skip_uncertainty_max:
-        record("optimization", True, 0.0)
+        record("optimization", None)
     else:
         phase3_cfg = replace(cfg.train, epochs=cfg.epochs)
         loss = QuantumLoss(cfg.forget_set, cfg.entropy_lambda)
-        t0 = time.perf_counter()
-        train(model, relabeled, phase3_cfg, loss)
-        wall_ms = 1e3 * (time.perf_counter() - t0)
+        with stage() as span:
+            train(model, relabeled, phase3_cfg, loss)
         # SGD updated the hidden arrays in place
         hidden = penultimate(model, data)
-        record("optimization", False, wall_ms)
+        record("optimization", span)
 
     if cfg.skip_mixing:
-        record("mixing", True, 0.0)
+        record("mixing", None)
     else:
-        t0 = time.perf_counter()
-        mixing = build_mixing_matrix(model.num_classes, cfg.forget_set, cfg.alpha)
-        apply_mixing(model, mixing)
-        record("mixing", False, 1e3 * (time.perf_counter() - t0))
+        with stage() as span:
+            mixing = build_mixing_matrix(model.num_classes, cfg.forget_set, cfg.alpha)
+            apply_mixing(model, mixing)
+        record("mixing", span)
 
     model.ensure_finite()
     return model, log

@@ -12,10 +12,9 @@ import json
 import logging
 import math
 import numbers
-import time
 from collections import Counter
 from dataclasses import (asdict, astuple, dataclass, field,
-                         fields as dataclass_fields, replace)
+                         fields as dataclass_fields, is_dataclass, replace)
 from pathlib import Path
 
 from . import audio
@@ -29,6 +28,7 @@ from .metrics import (TABLE_COLUMNS, EvaluationReport, compare_reports,
                       report_to_json)
 from .model import Classifier, CrossEntropyLoss, TrainConfig, train
 from .rng import Rng, derive_seed
+from .timing import stage
 
 log = logging.getLogger("qpae")
 
@@ -60,22 +60,22 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _int(value, what: str) -> int:
-    if not _is_int(value):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def _is_list_of(holds):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(holds, v))
 
 
-def _take(raw: dict, section: str, known: dict) -> dict:
-    """Shallow-validate a JSON object against known keys with defaults."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{section} must be an object")
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
-    merged = dict(known)
-    merged.update(raw)
-    return merged
+# what a config field must hold, keyed by its annotation
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
+              and not isinstance(v, bool) and math.isfinite(v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "list[int]": ("a list of integers", _is_list_of(_is_int)),
+    "list[list[int]]": ("a list of integer lists", _is_list_of(_is_list_of(_is_int))),
+    "list[BaselineConfig]": ("a list", lambda v: isinstance(v, list)),
+}
 
 
 @dataclass
@@ -98,11 +98,8 @@ class DatasetSpec:
 
 
 @dataclass
-class TrainSection:
-    learning_rate: float = 0.005
-    epochs: int = 3
-    batch_size: int = 32
-    shuffle: bool = True
+class ModelSection:
+    hidden: list[int] = field(default_factory=lambda: [64])  # ReLU layer widths
 
 
 @dataclass
@@ -121,12 +118,15 @@ class UnlearnSection:
 
 @dataclass
 class ExperimentConfig:
+    """The config's schema: every JSON object in it is one section dataclass."""
+
     seed: int = 7
     output_dir: str = "out"
     scenario: str = "single"
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    model_hidden: list[int] = field(default_factory=lambda: [64])
-    train: TrainSection = field(default_factory=TrainSection)
+    model: ModelSection = field(default_factory=ModelSection)
+    train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(learning_rate=0.005, epochs=3))
     unlearn: UnlearnSection = field(default_factory=UnlearnSection)
     baselines: list[BaselineConfig] = field(
         default_factory=lambda: [BaselineConfig(method=m) for m in METHOD_NAMES])
@@ -135,63 +135,48 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.scenario == "sequential" and not self.sequential_requests:
-            raise ConfigError("sequential scenario requires non-empty sequential_requests")
-        if not self.unlearn.forget_set:
-            raise ConfigError("unlearn.forget_set must be non-empty")
+
+
+def _merge(prefix: str, base, raw):
+    """`base` with the JSON object `raw` laid over it, field by field; a
+    section merges onto the section in `base`. Every value must hold its
+    field's annotation."""
+    what = prefix[:-1] or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be an object, got {raw!r}")
+    # only the master seed is a key; the sections' seeds derive from it
+    fields = {f.name: f for f in dataclass_fields(base)
+              if not prefix or f.name != "seed"}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown keys in {what}: {sorted(unknown)}")
+    values = {}
+    for key, value in raw.items():
+        annotation = fields[key].type
+        if is_dataclass(getattr(base, key)):
+            values[key] = _merge(f"{prefix}{key}.", getattr(base, key), value)
+            continue
+        kind, holds = _FIELD_KINDS[annotation]
+        if not holds(value):
+            raise ConfigError(f"{prefix}{key} must be {kind}, got {value!r}")
+        if annotation == "list[BaselineConfig]":
+            value = [_merge(f"{key}[{i}].", BaselineConfig(), b)
+                     for i, b in enumerate(value)]
+        values[key] = value
+    try:
+        return replace(base, **values)
+    except ValueError as exc:  # a section's own range rules
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    top = _take(raw, "config", {
-        "seed": 7, "output_dir": "out", "scenario": "single", "dataset": {},
-        "model": {}, "train": {}, "unlearn": {}, "baselines": None,
-        "sequential_requests": []})
-    try:
-        dataset = DatasetSpec(**_take(top["dataset"], "dataset", {
-            k: v for k, v in asdict(DatasetSpec()).items()}))
-        model = _take(top["model"], "model", {"hidden": [64]})
-        train_sec = TrainSection(**_take(top["train"], "train",
-                                         asdict(TrainSection())))
-        unlearn_sec = UnlearnSection(**_take(top["unlearn"], "unlearn",
-                                             asdict(UnlearnSection())))
-        if top["baselines"] is None:
-            baselines = [BaselineConfig(method=m) for m in METHOD_NAMES]
-        elif not isinstance(top["baselines"], list):
-            raise ConfigError(f"baselines must be a list, got {top['baselines']!r}")
-        else:
-            defaults = asdict(BaselineConfig())
-            defaults.pop("seed")  # run-time seeds always derive from the master seed
-            baselines = [BaselineConfig(**_take(b, f"baselines[{i}]", defaults))
-                         for i, b in enumerate(top["baselines"])]
-        return ExperimentConfig(
-            seed=_int(top["seed"], "seed"), output_dir=str(top["output_dir"]),
-            scenario=top["scenario"], dataset=dataset,
-            model_hidden=[_int(h, "model.hidden") for h in model["hidden"]],
-            train=train_sec, unlearn=unlearn_sec, baselines=baselines,
-            sequential_requests=[[_int(c, "sequential_requests") for c in req]
-                                 for req in top["sequential_requests"]])
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-
-# what a section field must hold, keyed by the type of its default value
-_FIELD_KINDS = {
-    int: ("an integer", _is_int),
-    float: ("a finite number", lambda v: isinstance(v, numbers.Real)
-            and not isinstance(v, bool) and math.isfinite(v)),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-}
-
-
-def _check_field_types(what: str, section) -> None:
-    """Counts and sizes must be integers, rates numbers, flags booleans."""
-    for f in dataclass_fields(section):
-        kind = _FIELD_KINDS.get(type(f.default))
-        value = getattr(section, f.name)
-        if kind and not kind[1](value):
-            raise ConfigError(f"{what}.{f.name} must be {kind[0]}, got {value!r}")
+    """The defaults of `ExperimentConfig()` with a JSON config laid over them."""
+    cfg = _merge("", ExperimentConfig(), raw)
+    if cfg.scenario == "sequential" and not cfg.sequential_requests:
+        raise ConfigError("sequential scenario requires non-empty sequential_requests")
+    return cfg
 
 
 def _splits_both_sides(n: int) -> bool:
@@ -200,71 +185,58 @@ def _splits_both_sides(n: int) -> bool:
 
 
 def check_ranges(cfg: ExperimentConfig) -> None:
-    """Reject class ids, sizes and section values the run cannot use,
-    before any work.
+    """Reject values of the wrong type, class ids, sizes and section values
+    the run cannot use, before any work.
 
     `Workspace.create` and `cmd_synth` call it, so it sees the config after
     command-line overrides, which can change the forget set once the file
     is parsed.
     """
+    # every field against its annotation, by the walk that parses a file
+    _merge("", ExperimentConfig(), config_to_dict(cfg))
     k = cfg.dataset.num_classes
-    if not _is_int(k) or k < 2:
-        raise ConfigError(f"dataset.num_classes must be an integer >= 2, got {k!r}")
+    if k < 2:
+        raise ConfigError(f"dataset.num_classes must be >= 2, got {k}")
     n = cfg.dataset.per_class
-    if cfg.dataset.kind == "synthetic" and not (_is_int(n) and _splits_both_sides(n)):
-        raise ConfigError(f"dataset.per_class must be an integer that leaves samples "
-                          f"on both sides of the {TRAIN_FRACTION:g} split, got {n!r}")
-    if any(h < 1 for h in cfg.model_hidden):
-        raise ConfigError(f"model.hidden widths must be >= 1, got {cfg.model_hidden}")
+    if cfg.dataset.kind == "synthetic" and not _splits_both_sides(n):
+        raise ConfigError(f"dataset.per_class must leave samples on both sides "
+                          f"of the {TRAIN_FRACTION:g} split, got {n}")
+    if any(h < 1 for h in cfg.model.hidden):
+        raise ConfigError(f"model.hidden widths must be >= 1, got {cfg.model.hidden}")
     requests = {"unlearn.forget_set": cfg.unlearn.forget_set}
     requests.update((f"sequential_requests[{i}]", req)
                     for i, req in enumerate(cfg.sequential_requests))
     for what, classes in requests.items():
-        if not isinstance(classes, (list, tuple)):
-            raise ConfigError(f"{what} must be a list of class ids, got {classes!r}")
-        bad = [c for c in classes if not _is_int(c) or not 0 <= c < k]
+        if not classes:
+            raise ConfigError(f"{what} must name at least one class")
+        bad = [c for c in classes if not 0 <= c < k]
         if bad:
             raise ConfigError(f"{what} holds {bad}, not class ids in [0, {k})")
     if len(set(cfg.unlearn.forget_set)) >= k:
         raise ConfigError("unlearn.forget_set must leave at least one class retained")
     max_mels = audio.DEFAULT_N_FFT // 2
-    if not (_is_int(cfg.dataset.n_mels) and 1 <= cfg.dataset.n_mels <= max_mels):
-        raise ConfigError(f"dataset.n_mels must be an integer in [1, {max_mels}], "
-                          f"got {cfg.dataset.n_mels!r}")
-    if not (_is_int(cfg.dataset.n_frames) and cfg.dataset.n_frames >= 1):
-        raise ConfigError(f"dataset.n_frames must be an integer >= 1, "
-                          f"got {cfg.dataset.n_frames!r}")
-    _check_field_types("train", cfg.train)
-    _check_field_types("unlearn", cfg.unlearn)
-    for i, b in enumerate(cfg.baselines):
-        _check_field_types(f"baselines[{i}]", b)
+    if not 1 <= cfg.dataset.n_mels <= max_mels:
+        raise ConfigError(f"dataset.n_mels must be in [1, {max_mels}], "
+                          f"got {cfg.dataset.n_mels}")
+    if cfg.dataset.n_frames < 1:
+        raise ConfigError(f"dataset.n_frames must be >= 1, got {cfg.dataset.n_frames}")
     # the run-time configs each command builds hold the remaining range rules
-    what = "train"
+    what = "unlearn"
     try:
-        _train_config(cfg)
-        what = "unlearn"
         _unlearn_config(cfg)
         for i, b in enumerate(cfg.baselines):
             what = f"baselines[{i}]"
             b.train_config("ascent")
             b.train_config("finetune")
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    baselines = []
-    for b in cfg.baselines:
-        d = asdict(b)
-        d.pop("seed")
-        baselines.append(d)
-    return {
-        "seed": cfg.seed, "output_dir": cfg.output_dir, "scenario": cfg.scenario,
-        "dataset": asdict(cfg.dataset), "model": {"hidden": list(cfg.model_hidden)},
-        "train": asdict(cfg.train), "unlearn": asdict(cfg.unlearn),
-        "baselines": baselines,
-        "sequential_requests": [list(r) for r in cfg.sequential_requests],
-    }
+    raw = asdict(cfg)
+    for section in (raw["train"], *raw["baselines"]):
+        del section["seed"]  # derived from the master seed
+    return raw
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -353,10 +325,7 @@ def prepare_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 
 def _train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(learning_rate=cfg.train.learning_rate,
-                       epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
-                       seed=derive_seed(cfg.seed, _SEED_TRAIN),
-                       shuffle=cfg.train.shuffle)
+    return replace(cfg.train, seed=derive_seed(cfg.seed, _SEED_TRAIN))
 
 
 def _unlearn_config(cfg: ExperimentConfig, forget_set: set[int] | None = None,
@@ -458,7 +427,7 @@ class Workspace:
 def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
     """Train from a seeded init; write the checkpoint and original report."""
     cfg = ws.cfg
-    model = Classifier.random_init(ws.train_data.feature_dim, cfg.model_hidden,
+    model = Classifier.random_init(ws.train_data.feature_dim, cfg.model.hidden,
                                    ws.train_data.num_classes,
                                    Rng(derive_seed(cfg.seed, _SEED_INIT)))
     train(model, ws.train_data, _train_config(cfg), CrossEntropyLoss())
@@ -483,12 +452,11 @@ def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
                                                _unlearn_config(ws.cfg))
     else:
         bcfg = _baseline_config(ws.cfg, METHOD_IDS[method_id])
-        t0 = time.perf_counter()
-        run_baseline(model, ws.train_data, forget, bcfg)
-        wall_ms = 1e3 * (time.perf_counter() - t0)
+        with stage() as span:
+            run_baseline(model, ws.train_data, forget, bcfg)
         fa, ra = accuracy_snapshot(model, ws.train_data, frozenset(forget))
         phase_log = [{"phase": METHOD_IDS[method_id], "forget_accuracy": fa,
-                      "retain_accuracy": ra, "wall_ms": wall_ms, "skipped": False}]
+                      "retain_accuracy": ra, "wall_ms": span["wall_ms"], "skipped": False}]
     path = ws.out / f"unlearned_{method_id}.qpae"
     save_checkpoint(model, path)
     (ws.out / f"phase_log_{method_id}.json").write_text(

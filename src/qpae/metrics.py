@@ -173,12 +173,20 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(payload, indent=2)
 
 
+class ReportError(ValueError):
+    """Text that does not hold a report as `report_to_json` writes it."""
+
+
 def report_from_json(text: str) -> EvaluationReport:
-    raw = json.loads(text)
-    return EvaluationReport(
-        fa=raw["fa"], ra=raw["ra"], il=raw["il"], per=raw["per"],
-        far=raw["far"], frr=raw["frr"], erb=raw["erb"],
-        per_class=raw["per_class"],
-        confusion=np.array(raw["confusion"], dtype=np.int64),
-        n_eval=raw["n_eval"], forget_set=list(raw["forget_set"]),
-        flags=list(raw.get("flags", [])))
+    try:
+        raw = json.loads(text)
+        return EvaluationReport(
+            fa=raw["fa"], ra=raw["ra"], il=raw["il"], per=raw["per"],
+            far=raw["far"], frr=raw["frr"], erb=raw["erb"],
+            per_class=raw["per_class"],
+            confusion=np.array(raw["confusion"], dtype=np.int64),
+            n_eval=raw["n_eval"], forget_set=list(raw["forget_set"]),
+            flags=list(raw.get("flags", [])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReportError(f"not an evaluation report "
+                          f"({type(exc).__name__}: {exc})") from exc

@@ -46,7 +46,7 @@ def desk(tmp_path_factory):
     model, checkpoint path, and the original evaluation report."""
     cfg = harness.default_config("single")
     train_data, eval_data = harness.prepare_splits(cfg)
-    model = Classifier.random_init(train_data.feature_dim, cfg.model_hidden,
+    model = Classifier.random_init(train_data.feature_dim, cfg.model.hidden,
                                    train_data.num_classes,
                                    Rng(derive_seed(cfg.seed, 3)))
     train(model, train_data, harness._train_config(cfg), CrossEntropyLoss())

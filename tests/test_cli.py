@@ -6,6 +6,7 @@ from qpae import harness
 from qpae.baselines import BaselineConfig
 from qpae.cli import main
 from qpae.harness import DatasetSpec, default_config
+from qpae.model import TrainConfig
 
 
 @pytest.fixture()
@@ -14,8 +15,8 @@ def cfg_path(tmp_path):
         "single", seed=5, output_dir=str(tmp_path / "out"),
         dataset=DatasetSpec(kind="synthetic", num_classes=4, per_class=15,
                             n_mels=8, n_frames=8),
-        model_hidden=[16],
-        train=harness.TrainSection(learning_rate=0.05, epochs=10),
+        model=harness.ModelSection([16]),
+        train=TrainConfig(learning_rate=0.05, epochs=10),
         baselines=[BaselineConfig(method="negative_gradient", ascent_epochs=1,
                                   learning_rate=0.02)])
     path = tmp_path / "cfg.json"
@@ -90,6 +91,8 @@ def test_config_error_exits_2(tmp_path):
     ("train", [], {"model": {"hidden": [1.5]}}),
     ("train", [], {"model": {"hidden": ["16"]}}),
     ("sequential", [], {"scenario": "sequential", "sequential_requests": [[1.5]]}),
+    # an empty request would train first and fail only at that step
+    ("sequential", [], {"scenario": "sequential", "sequential_requests": [[0], []]}),
 ])
 def test_out_of_range_config_exits_2(cfg_path, tmp_path, capsys, verb, flags, edit):
     raw = json.loads(cfg_path.read_text())
@@ -152,8 +155,8 @@ def test_sequential_and_ablation_verbs(tmp_path):
         "sequential", seed=5, output_dir=str(tmp_path / "seq"),
         dataset=DatasetSpec(kind="synthetic", num_classes=4, per_class=15,
                             n_mels=8, n_frames=8),
-        model_hidden=[16], sequential_requests=[[0], [1]],
-        train=harness.TrainSection(learning_rate=0.05, epochs=10))
+        model=harness.ModelSection([16]), sequential_requests=[[0], [1]],
+        train=TrainConfig(learning_rate=0.05, epochs=10))
     cfg_path = tmp_path / "seq.json"
     harness.save_config(cfg, cfg_path)
     assert main(["sequential", "--config", str(cfg_path)]) == 0
@@ -163,8 +166,8 @@ def test_sequential_and_ablation_verbs(tmp_path):
         "ablation", seed=5, output_dir=str(tmp_path / "abl"),
         dataset=DatasetSpec(kind="synthetic", num_classes=4, per_class=15,
                             n_mels=8, n_frames=8),
-        model_hidden=[16],
-        train=harness.TrainSection(learning_rate=0.05, epochs=10))
+        model=harness.ModelSection([16]),
+        train=TrainConfig(learning_rate=0.05, epochs=10))
     cfg2.unlearn.epochs = 1
     cfg_path2 = tmp_path / "abl.json"
     harness.save_config(cfg2, cfg_path2)
@@ -291,6 +294,10 @@ def _baseline(**fields):
     ("unlearn", {"baselines": _baseline(learning_rate=-1)}),
     ("unlearn", {"baselines": _baseline(batch_size=0)}),
     ("unlearn", {"baselines": _baseline(ascent_epochs=1.5)}),
+    # strings are not coerced: a number or null is no path
+    ("train", {"dataset": {"kind": "manifest", "path": 5}}),
+    ("train", {"output_dir": None}),
+    ("train", {"output_dir": 5}),
 ])
 def test_bad_section_value_exits_2(cfg_path, tmp_path, capsys, verb, edit):
     """Refused before any file is written: `train` creates no --out, and
@@ -307,3 +314,27 @@ def test_bad_section_value_exits_2(cfg_path, tmp_path, capsys, verb, edit):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
+
+
+def _missing_ra(report_text):
+    raw = json.loads(report_text)
+    del raw["ra"]
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("spoil", [lambda text: "{nope", _missing_ra,
+                                   lambda text: "[1, 2]"],
+                         ids=["not_json", "missing_key", "not_an_object"])
+def test_report_that_is_no_report_exits_3(cfg_path, tmp_path, capsys, spoil):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    original = out / "report_original.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text(spoil(original.read_text()))
+    assert main(["evaluate", "--config", str(cfg_path), "--model",
+                 str(out / "original.qpae"), "--original-report", str(bad)]) == 3
+    original.write_text(bad.read_text())
+    assert main(["report", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("io error: not an evaluation report") == 2
+    assert "Traceback" not in err

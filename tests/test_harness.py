@@ -1,6 +1,7 @@
 import hashlib
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields as dataclass_fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
                           emit_table, load_config)
 from qpae.metrics import report_from_json
+from qpae.model import TrainConfig
 
 
 @pytest.fixture()
@@ -24,19 +26,72 @@ def small_cfg(tmp_path):
         output_dir=str(tmp_path / "out"),
         dataset=harness.DatasetSpec(kind="synthetic", num_classes=4,
                                     per_class=20, n_mels=8, n_frames=8),
-        model_hidden=[16],
-        train=harness.TrainSection(learning_rate=0.05, epochs=10),
+        model=harness.ModelSection([16]),
+        train=TrainConfig(learning_rate=0.05, epochs=10),
         baselines=[BaselineConfig(method="negative_gradient", ascent_epochs=1,
                                   learning_rate=0.02)],
     )
 
 
+# a JSON value of the wrong kind for each annotation a config field has
+WRONG_KIND = {"int": 1.5, "float": "x", "bool": 1, "str": 5, "str | None": 5,
+              "list[int]": [1.5], "list[list[int]]": [[1.5]],
+              "list[BaselineConfig]": {}}
+
+
+def _config_fields():
+    """One case per config field: the top level, each section and one
+    baseline. Section seeds are no config keys."""
+    cfg = default_config("sequential")
+    cases = []
+    for f in dataclass_fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            cases += [(f"{f.name}.{g.name}", (f.name, g.name), g.type)
+                      for g in dataclass_fields(value) if g.name != "seed"]
+        else:
+            cases.append((f.name, (f.name,), f.type))
+    cases += [(f"baselines[0].{g.name}", ("baselines", 0, g.name), g.type)
+              for g in dataclass_fields(cfg.baselines[0]) if g.name != "seed"]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
 class TestConfig:
-    def test_round_trip(self):
-        cfg = default_config("sequential")
+    @pytest.mark.parametrize("cfg", [
+        *(default_config(s) for s in harness.SCENARIOS),
+        default_config(model=harness.ModelSection([32, 16]))],
+        ids=[*harness.SCENARIOS, "hidden_32_16"])
+    def test_round_trip(self, cfg):
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg
         assert config_to_dict(again) == config_to_dict(cfg)
+
+    @pytest.mark.parametrize("name, path, annotation", _config_fields())
+    def test_every_field_refuses_a_wrong_kind(self, name, path, annotation):
+        # a field whose annotation the walk does not know would go unchecked
+        assert annotation in harness._FIELD_KINDS
+        wrong = WRONG_KIND[annotation]
+        raw = config_to_dict(default_config("sequential"))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = wrong
+        with pytest.raises(ConfigError):
+            harness.check_ranges(config_from_dict(raw))
+        # the walk alone, on a config built in code rather than parsed
+        cfg = default_config("sequential")
+        node = cfg
+        for key in path[:-1]:
+            node = node[key] if isinstance(key, int) else getattr(node, key)
+        setattr(node, path[-1], wrong)
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be")):
+            harness.check_ranges(cfg)
+
+    def test_section_seed_is_no_key(self):
+        with pytest.raises(ConfigError, match="unknown keys in train"):
+            config_from_dict({"train": {"seed": 3}})
+        with pytest.raises(ConfigError, match=re.escape("unknown keys in baselines[0]")):
+            config_from_dict({"baselines": [{"seed": 3}]})
 
     def test_round_trip_through_file(self, tmp_path):
         cfg = default_config("multi")
@@ -250,7 +305,7 @@ class TestSynthCommand:
             "single", seed=5, output_dir=str(tmp_path / "out2"),
             dataset=harness.DatasetSpec(kind="manifest", path=str(out),
                                         num_classes=4, n_mels=8, n_frames=8),
-            model_hidden=[16])
+            model=harness.ModelSection([16]))
         data = harness.build_dataset(manifest_cfg)
         assert data.n_samples == 4 * 20
         assert data.num_classes == 4

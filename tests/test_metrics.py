@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpae.data import LabeledDataset, one_hot
-from qpae.metrics import (compare_reports, erb_score, evaluate,
+from qpae.metrics import (ReportError, compare_reports, erb_score, evaluate,
                           format_metric, report_csv_row, report_from_json,
                           report_to_json)
 from qpae.model import Classifier, softmax
@@ -250,6 +250,11 @@ class TestSerialization:
         assert back.fa == rep.fa and back.per == rep.per and back.flags == rep.flags
         assert np.array_equal(back.confusion, rep.confusion)
         assert back.per_class == rep.per_class
+
+    @pytest.mark.parametrize("text", ["{nope", '{"fa": 0.0}', "[1, 2]", "5"])
+    def test_text_that_is_no_report_raises_report_error(self, text):
+        with pytest.raises(ReportError, match="not an evaluation report"):
+            report_from_json(text)
 
     def test_fixed_json_field_names(self):
         import json
