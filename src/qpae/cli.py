@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Verbs: train, unlearn, evaluate, sequential, ablation, synth, report.
+Verbs: run, train, unlearn, evaluate, sequential, ablation, synth, report.
 Exit codes: 0 success, 2 config error, 3 IO or parse error, 4 numeric failure.
 """
 
@@ -23,9 +23,10 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required,
-                        help="experiment config JSON")
+def _add_common(parser: argparse.ArgumentParser, config_required: bool = True,
+                config_group=None) -> None:
+    (config_group or parser).add_argument("--config", required=config_required,
+                                          help="experiment config JSON")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's master seed")
     parser.add_argument("--out", default=None, help="override the output directory")
@@ -44,7 +45,8 @@ def _parse_forget(text: str) -> list[int]:
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
-    cfg = harness.load_config(args.config) if args.config else harness.default_config()
+    cfg = (harness.load_config(args.config) if args.config
+           else harness.default_config(getattr(args, "scenario", None) or "single"))
     if args.seed is not None:
         cfg.seed = args.seed
     if getattr(args, "forget", None):
@@ -59,6 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qpae",
         description="Class unlearning lab for small audio classifiers")
     sub = parser.add_subparsers(dest="verb", required=True)
+
+    p = sub.add_parser("run", help="run a scenario end to end and print its table")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", choices=harness.SCENARIOS, default=None,
+                        help="run this scenario's default config (default: single)")
+    _add_common(p, config_required=False, config_group=source)
 
     p = sub.add_parser("train", help="train the original model and report it")
     _add_common(p)
@@ -102,7 +110,20 @@ def _run(args) -> int:
         print(f"wrote manifest dataset to {path}")
         return EXIT_OK
 
-    ws = Workspace.create(cfg, args.out)
+    if args.verb == "run":
+        ws = harness.run_scenario(cfg)
+        stem = {"sequential": "sequential_table",
+                "ablation": "ablation_table"}.get(cfg.scenario, "table")
+        print((ws.out / f"{stem}.md").read_text(), end="")
+        print(f"artifacts in {ws.out}")
+        return EXIT_OK
+
+    if args.verb in ("unlearn", "evaluate"):
+        # the inputs are read and checked before the dataset is built;
+        # --out is the directory `train` filled, so it is not made here
+        ws = Workspace.open(cfg, args.out)
+    else:
+        ws = Workspace.create(cfg, args.out)
     if args.verb == "train":
         path, report = harness.cmd_train(ws)
         print(f"checkpoint: {path}")

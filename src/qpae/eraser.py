@@ -15,7 +15,7 @@ vocabulary is naming, not hardware.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,25 +31,26 @@ class InvalidClassError(ValueError):
 
 @dataclass
 class UnlearnConfig:
-    """Pipeline hyperparameters.
+    """Pipeline hyperparameters; the config's `unlearn` section.
 
-    `epochs` is the phase-3 epoch count E; the embedded TrainConfig
-    contributes the optimizer settings (its own epoch field is ignored).
-    The three skip flags ablate individual phases.
+    `epochs`, `learning_rate` and `batch_size` are phase 3's SGD settings.
+    The three skip flags ablate individual phases. `seed` is no config
+    key: the harness derives it from the master seed.
     """
 
-    forget_set: frozenset[int]
+    forget_set: list[int] = field(default_factory=lambda: [0])
     phi: float = math.pi
     entropy_lambda: float = 1.0
     alpha: float = 0.3
     epochs: int = 5
-    train: TrainConfig = field(default_factory=TrainConfig)
+    learning_rate: float = 0.15
+    batch_size: int = 32
     skip_weight_transform: bool = False
     skip_uncertainty_max: bool = False
     skip_mixing: bool = False
+    seed: int = 0
 
     def __post_init__(self):
-        self.forget_set = frozenset(int(c) for c in self.forget_set)
         if not self.forget_set:
             raise ValueError("forget_set must be non-empty")
         if min(self.forget_set) < 0:
@@ -60,6 +61,11 @@ class UnlearnConfig:
             raise ValueError("entropy_lambda must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+
+    def train_config(self) -> TrainConfig:
+        """SGD settings of phase 3."""
+        return TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
+                           batch_size=self.batch_size, seed=self.seed)
 
 
 def _check_forget_set(forget_set: frozenset[int] | set[int], num_classes: int) -> None:
@@ -216,7 +222,8 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
     on `data` is computed before phase 1 and again after phase 3 runs;
     the other snapshots score just the final layer on it.
     """
-    _check_forget_set(cfg.forget_set, model.num_classes)
+    forget = frozenset(cfg.forget_set)
+    _check_forget_set(forget, model.num_classes)
     if data.feature_dim != model.feature_dim:
         raise ValueError("dataset feature_dim does not match model")
     log: list[dict] = []
@@ -224,7 +231,7 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
 
     def record(phase: str, span: dict | None) -> None:
         """Score `data` after a phase; a phase without a span was skipped."""
-        fa, ra = accuracy_snapshot(model, data, cfg.forget_set, hidden)
+        fa, ra = accuracy_snapshot(model, data, forget, hidden)
         log.append({"phase": phase, "forget_accuracy": fa, "retain_accuracy": ra,
                     "wall_ms": span["wall_ms"] if span else 0.0, "skipped": span is None})
 
@@ -232,20 +239,19 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
         record("interference", None)
     else:
         with stage() as span:
-            interference_transform(model, cfg.forget_set, cfg.phi)
+            interference_transform(model, forget, cfg.phi)
         record("interference", span)
 
     with stage() as span:
-        relabeled = superpose_labels(data, cfg.forget_set)
+        relabeled = superpose_labels(data, forget)
     record("superposition", span)
 
     if cfg.skip_uncertainty_max:
         record("optimization", None)
     else:
-        phase3_cfg = replace(cfg.train, epochs=cfg.epochs)
-        loss = QuantumLoss(cfg.forget_set, cfg.entropy_lambda)
+        loss = QuantumLoss(forget, cfg.entropy_lambda)
         with stage() as span:
-            train(model, relabeled, phase3_cfg, loss)
+            train(model, relabeled, cfg.train_config(), loss)
         # SGD updated the hidden arrays in place
         hidden = penultimate(model, data)
         record("optimization", span)
@@ -254,7 +260,7 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
         record("mixing", None)
     else:
         with stage() as span:
-            mixing = build_mixing_matrix(model.num_classes, cfg.forget_set, cfg.alpha)
+            mixing = build_mixing_matrix(model.num_classes, forget, cfg.alpha)
             apply_mixing(model, mixing)
         record("mixing", span)
 

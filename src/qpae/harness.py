@@ -13,6 +13,7 @@ import logging
 import math
 import numbers
 from collections import Counter
+from functools import cached_property
 from dataclasses import (asdict, astuple, dataclass, field,
                          fields as dataclass_fields, is_dataclass, replace)
 from pathlib import Path
@@ -32,7 +33,7 @@ from .timing import stage
 
 log = logging.getLogger("qpae")
 
-SCENARIOS = ("single", "multi", "sequential", "ablation")
+SCENARIOS = ("single", "multi", "sequential", "ablation", "accent")
 
 # CLI method ids -> internal baseline method names ("qp" is the pipeline)
 METHOD_IDS = {"qp": "qp", "ga": "gradient_ascent", "ng": "negative_gradient",
@@ -103,20 +104,6 @@ class ModelSection:
 
 
 @dataclass
-class UnlearnSection:
-    forget_set: list[int] = field(default_factory=lambda: [0])
-    phi: float = math.pi
-    entropy_lambda: float = 1.0
-    alpha: float = 0.3
-    epochs: int = 5
-    learning_rate: float = 0.15
-    batch_size: int = 32
-    skip_weight_transform: bool = False
-    skip_uncertainty_max: bool = False
-    skip_mixing: bool = False
-
-
-@dataclass
 class ExperimentConfig:
     """The config's schema: every JSON object in it is one section dataclass."""
 
@@ -127,7 +114,7 @@ class ExperimentConfig:
     model: ModelSection = field(default_factory=ModelSection)
     train: TrainConfig = field(
         default_factory=lambda: TrainConfig(learning_rate=0.005, epochs=3))
-    unlearn: UnlearnSection = field(default_factory=UnlearnSection)
+    unlearn: UnlearnConfig = field(default_factory=UnlearnConfig)
     baselines: list[BaselineConfig] = field(
         default_factory=lambda: [BaselineConfig(method=m) for m in METHOD_NAMES])
     sequential_requests: list[list[int]] = field(default_factory=list)
@@ -223,7 +210,7 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     # the run-time configs each command builds hold the remaining range rules
     what = "unlearn"
     try:
-        _unlearn_config(cfg)
+        cfg.unlearn.train_config()
         for i, b in enumerate(cfg.baselines):
             what = f"baselines[{i}]"
             b.train_config("ascent")
@@ -234,7 +221,7 @@ def check_ranges(cfg: ExperimentConfig) -> None:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     raw = asdict(cfg)
-    for section in (raw["train"], *raw["baselines"]):
+    for section in (raw["train"], raw["unlearn"], *raw["baselines"]):
         del section["seed"]  # derived from the master seed
     return raw
 
@@ -257,7 +244,7 @@ def default_config(scenario: str = "single", **overrides) -> ExperimentConfig:
     """The desk-scale benchmark config, adjusted per scenario."""
     fields: dict = {"scenario": scenario}
     if scenario == "multi":
-        fields["unlearn"] = UnlearnSection(forget_set=[0, 4])
+        fields["unlearn"] = UnlearnConfig(forget_set=[0, 4])
         # twice the forget samples doubles the ascent steps; gentler
         # settings keep the ascent baselines finite
         fields["baselines"] = [
@@ -265,6 +252,13 @@ def default_config(scenario: str = "single", **overrides) -> ExperimentConfig:
                     learning_rate=0.08, batch_size=32) for m in METHOD_NAMES]
     if scenario == "sequential":
         fields["sequential_requests"] = [[0], [1], [2]]
+    if scenario == "accent":
+        # neighbouring classes share spectral structure on the overlap
+        # profile: they train more slowly and tolerate less entropy
+        # pressure than the well-separated default tones
+        fields["dataset"] = DatasetSpec(profile="overlap")
+        fields["train"] = TrainConfig(learning_rate=0.01, epochs=8)
+        fields["unlearn"] = UnlearnConfig(learning_rate=0.02)
     fields.update(overrides)
     unknown = set(fields) - {f.name for f in dataclass_fields(ExperimentConfig)}
     if unknown:
@@ -328,20 +322,8 @@ def _train_config(cfg: ExperimentConfig) -> TrainConfig:
     return replace(cfg.train, seed=derive_seed(cfg.seed, _SEED_TRAIN))
 
 
-def _unlearn_config(cfg: ExperimentConfig, forget_set: set[int] | None = None,
-                    **tweaks) -> UnlearnConfig:
-    sec = cfg.unlearn
-    phase3 = TrainConfig(learning_rate=sec.learning_rate, epochs=sec.epochs,
-                         batch_size=sec.batch_size,
-                         seed=derive_seed(cfg.seed, _SEED_UNLEARN))
-    ucfg = UnlearnConfig(
-        forget_set=frozenset(forget_set if forget_set is not None else sec.forget_set),
-        phi=sec.phi, entropy_lambda=sec.entropy_lambda, alpha=sec.alpha,
-        epochs=sec.epochs, train=phase3,
-        skip_weight_transform=sec.skip_weight_transform,
-        skip_uncertainty_max=sec.skip_uncertainty_max,
-        skip_mixing=sec.skip_mixing)
-    return replace(ucfg, **tweaks) if tweaks else ucfg
+def _unlearn_config(cfg: ExperimentConfig, **tweaks) -> UnlearnConfig:
+    return replace(cfg.unlearn, seed=derive_seed(cfg.seed, _SEED_UNLEARN), **tweaks)
 
 
 def _baseline_config(cfg: ExperimentConfig, method: str) -> BaselineConfig:
@@ -355,22 +337,46 @@ def _baseline_config(cfg: ExperimentConfig, method: str) -> BaselineConfig:
 # commands
 
 
-@dataclass
 class Workspace:
-    """One experiment's in-memory state plus its output directory."""
+    """One experiment's config, its output directory and its data splits.
 
-    cfg: ExperimentConfig
-    out: Path
-    train_data: LabeledDataset
-    eval_data: LabeledDataset
+    The splits are built on first use unless they are passed in, so a
+    command can refuse its inputs before it pays for the dataset.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, out: str | Path,
+                 train_data: LabeledDataset | None = None,
+                 eval_data: LabeledDataset | None = None):
+        self.cfg = cfg
+        self.out = Path(out)
+        if train_data is not None:
+            self.splits = (train_data, eval_data)
+
+    @classmethod
+    def open(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
+        """A workspace on a checked config; nothing is built or made yet."""
+        check_ranges(cfg)
+        return cls(cfg, out if out is not None else cfg.output_dir)
 
     @classmethod
     def create(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
-        check_ranges(cfg)
-        train_data, eval_data = prepare_splits(cfg)
-        out_dir = Path(out if out is not None else cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return cls(cfg=cfg, out=out_dir, train_data=train_data, eval_data=eval_data)
+        """`open`, then build the splits, then make the output directory."""
+        ws = cls.open(cfg, out)
+        ws.splits  # a dataset that fails to build leaves no directory behind
+        ws.out.mkdir(parents=True, exist_ok=True)
+        return ws
+
+    @cached_property
+    def splits(self) -> tuple[LabeledDataset, LabeledDataset]:
+        return prepare_splits(self.cfg)
+
+    @property
+    def train_data(self) -> LabeledDataset:
+        return self.splits[0]
+
+    @property
+    def eval_data(self) -> LabeledDataset:
+        return self.splits[1]
 
     @property
     def forget_set(self) -> set[int]:
@@ -550,7 +556,7 @@ def cmd_sequential(ws: Workspace) -> list[dict]:
                         step, sorted(overlap))
         new = request - forgotten
         if new:
-            run_qp_audio_eraser(model, current, _unlearn_config(cfg, forget_set=new))
+            run_qp_audio_eraser(model, current, _unlearn_config(cfg, forget_set=sorted(new)))
             current = superpose_labels(current, new)
             forgotten |= new
         original_union = evaluate(original, ws.eval_data, forgotten)
@@ -600,12 +606,12 @@ def cmd_ablation(ws: Workspace) -> dict[str, EvaluationReport]:
 
 def run_scenario(cfg: ExperimentConfig, out: str | Path | None = None) -> Workspace:
     """Dispatch on cfg.scenario; returns the workspace with artifacts written."""
-    if cfg.scenario == "single" and len(cfg.unlearn.forget_set) != 1:
-        raise ConfigError("single scenario requires exactly one forget class")
+    if cfg.scenario in ("single", "accent") and len(cfg.unlearn.forget_set) != 1:
+        raise ConfigError(f"{cfg.scenario} scenario requires exactly one forget class")
     if cfg.scenario == "multi" and len(cfg.unlearn.forget_set) < 2:
         raise ConfigError("multi scenario requires at least two forget classes")
     ws = Workspace.create(cfg, out)
-    if cfg.scenario in ("single", "multi"):
+    if cfg.scenario in ("single", "multi", "accent"):
         run_standard_scenario(ws)
     elif cfg.scenario == "sequential":
         cmd_sequential(ws)
@@ -632,11 +638,8 @@ def cmd_synth(cfg: ExperimentConfig, out: str | Path) -> Path:
 def cmd_report(out: str | Path) -> tuple[Path, Path]:
     """Assemble a table from the report JSONs already in a directory."""
     out_dir = Path(out)
-    order = [("original", "Original"), ("qp", METHOD_LABELS["qp"]),
-             ("ga", METHOD_LABELS["ga"]), ("ng", METHOD_LABELS["ng"]),
-             ("fisher", METHOD_LABELS["fisher"]), ("ssd", METHOD_LABELS["ssd"])]
     rows = []
-    for stem, label in order:
+    for stem, label in [("original", "Original"), *METHOD_LABELS.items()]:
         # `evaluate` names a report after its checkpoint, unlearned_<id>
         for path in (out_dir / f"report_{stem}.json",
                      out_dir / f"report_unlearned_{stem}.json"):

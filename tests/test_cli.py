@@ -107,6 +107,46 @@ def test_out_of_range_config_exits_2(cfg_path, tmp_path, capsys, verb, flags, ed
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
+def test_inputs_are_read_before_the_dataset(cfg_path, tmp_path, monkeypatch, capsys,
+                                            verb):
+    """A missing checkpoint or a report that is no report exits 3 before
+    any dataset is built, and leaves no --out behind."""
+    builds = []
+    monkeypatch.setattr(harness, "_last_splits", {})
+    monkeypatch.setattr(harness, "build_dataset", builds.append)
+    out = tmp_path / "fresh"
+    if verb == "unlearn":
+        extra = ["--method", "qp"]
+    else:
+        bad = tmp_path / "r.json"
+        bad.write_text("{nope")
+        extra = ["--model", str(tmp_path / "original.qpae"),
+                 "--original-report", str(bad)]
+    assert main([verb, "--config", str(cfg_path), "--out", str(out), *extra]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    assert builds == []
+
+
+def test_run_prints_the_scenario_table(cfg_path, tmp_path, capsys):
+    out = tmp_path / "run_out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    table = (out / "table.md").read_text()
+    assert table in capsys.readouterr().out
+    assert "| QPAudioEraser |" in table
+
+
+def test_run_takes_a_config_or_a_scenario(cfg_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg_path), "--scenario", "ablation",
+              "--out", str(tmp_path / "run_out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_bad_forget_flag_exits_2(cfg_path):
     assert main(["train", "--config", str(cfg_path), "--forget", "a,b"]) == 2
 

@@ -354,14 +354,13 @@ class TestPipeline:
         before = tiny_model.copy()
         cfg = UnlearnConfig(forget_set={0}, skip_weight_transform=True,
                             skip_uncertainty_max=True, skip_mixing=True,
-                            train=TrainConfig(seed=1))
+                            learning_rate=0.05, seed=1)
         model, log = run_qp_audio_eraser(tiny_model, tiny_data, cfg)
         assert equals_bits(model, before)
         assert [e["skipped"] for e in log] == [True, False, True, True]
 
     def test_tiny_run_erases_class(self, tiny_model, tiny_data):
-        cfg = UnlearnConfig(forget_set={1}, epochs=5,
-                            train=TrainConfig(learning_rate=0.05, epochs=5, seed=3))
+        cfg = UnlearnConfig(forget_set={1}, epochs=5, learning_rate=0.05, seed=3)
         model, log = run_qp_audio_eraser(tiny_model, tiny_data, cfg)
         assert log[-1]["forget_accuracy"] == 0.0
         assert log[-1]["retain_accuracy"] >= 80.0
@@ -374,19 +373,17 @@ class TestPipeline:
         model = Classifier.random_init(data.feature_dim, [24], 6, Rng(2))
         train(model, data, TrainConfig(learning_rate=0.01, epochs=3, seed=5),
               CrossEntropyLoss())
-        cfg1 = UnlearnConfig(forget_set={0}, epochs=5,
-                             train=TrainConfig(learning_rate=0.1, epochs=5, seed=3))
+        cfg1 = UnlearnConfig(forget_set={0}, epochs=5, learning_rate=0.1, seed=3)
         model, _ = run_qp_audio_eraser(model, data, cfg1)
         data2 = superpose_labels(data, {0})
-        cfg2 = UnlearnConfig(forget_set={1}, epochs=5,
-                             train=TrainConfig(learning_rate=0.1, epochs=5, seed=4))
+        cfg2 = UnlearnConfig(forget_set={1}, epochs=5, learning_rate=0.1, seed=4)
         model, _ = run_qp_audio_eraser(model, data2, cfg2)
         fa_union, ra = accuracy_snapshot(model, data, frozenset({0, 1}))
         assert fa_union == 0.0
         assert ra >= 50.0
 
     def test_phase_log_schema(self, tiny_model, tiny_data):
-        cfg = UnlearnConfig(forget_set={2}, epochs=1, train=TrainConfig(seed=2))
+        cfg = UnlearnConfig(forget_set={2}, epochs=1, learning_rate=0.05, seed=2)
         _, log = run_qp_audio_eraser(tiny_model, tiny_data, cfg)
         assert [e["phase"] for e in log] == ["interference", "superposition",
                                              "optimization", "mixing"]

@@ -9,6 +9,7 @@ import pytest
 from qpae import harness
 from qpae.audio import WavClip, write_wav
 from qpae.baselines import BaselineConfig
+from qpae.cli import main
 from qpae.data import LabeledDataset, train_eval_split
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
@@ -92,6 +93,15 @@ class TestConfig:
             config_from_dict({"train": {"seed": 3}})
         with pytest.raises(ConfigError, match=re.escape("unknown keys in baselines[0]")):
             config_from_dict({"baselines": [{"seed": 3}]})
+        with pytest.raises(ConfigError, match="unknown keys in unlearn"):
+            config_from_dict({"unlearn": {"seed": 1}})
+
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_unlearn_section_keys(self, scenario):
+        assert list(config_to_dict(default_config(scenario))["unlearn"]) == [
+            "forget_set", "phi", "entropy_lambda", "alpha", "epochs",
+            "learning_rate", "batch_size", "skip_weight_transform",
+            "skip_uncertainty_max", "skip_mixing"]
 
     def test_round_trip_through_file(self, tmp_path):
         cfg = default_config("multi")
@@ -397,15 +407,10 @@ class TestScenarioValidation:
 def test_accent_style_run_on_overlap_profile(tmp_path):
     """Single-class forgetting where classes share spectral structure:
     erasure must still be total with retention roughly preserved."""
-    cfg = default_config("single", output_dir=str(tmp_path / "accent"))
-    cfg.dataset.profile = "overlap"
-    cfg.train.learning_rate = 0.01
-    cfg.train.epochs = 8
-    cfg.unlearn.learning_rate = 0.02
-    ws = Workspace.create(cfg)
-    _, original = harness.cmd_train(ws)
-    path, _ = harness.cmd_unlearn(ws, "qp")
-    report = harness.cmd_evaluate(ws, path, original_report=original, name="qp")
+    out = tmp_path / "accent"
+    assert main(["run", "--scenario", "accent", "--out", str(out)]) == 0
+    original = report_from_json((out / "report_original.json").read_text())
+    report = report_from_json((out / "report_qp.json").read_text())
     assert original.ra >= 75.0
     assert report.fa == 0.0
     assert report.ra >= original.ra - 10.0
