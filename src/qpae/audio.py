@@ -12,13 +12,14 @@ import csv
 import functools
 import os
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import LabeledDataset, one_hot
-from .rng import Rng
+from .rng import Rng, box_muller, unit_interval
 
 POWER_FLOOR = 1e-6  # added inside log() so silence maps to log(1e-6) exactly
 
@@ -118,12 +119,16 @@ def read_wav(path: str | Path) -> WavClip:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels < 1:
         raise WavParseError("channel count must be >= 1")
+    if sample_rate < 1:
+        raise WavParseError("sample rate must be >= 1")
     if audio_format == 1 and bits == 16:
         raw = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2")
         samples = raw.astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(data[:len(data) - len(data) % 4], dtype="<f4")
         samples = raw.astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise WavParseError("float samples must be finite")
     else:
         raise UnsupportedCodecError(
             f"unsupported codec: format tag {audio_format}, {bits}-bit")
@@ -271,23 +276,39 @@ def synth_draws(profile: SynthProfile | None = None) -> int:
     return 1 + (2 * ((p.n_samples + 1) // 2) if p.noise_sigma > 0.0 else 0)
 
 
+def synth_waves(class_ids, raw: np.ndarray, profile: SynthProfile | None = None) -> np.ndarray:
+    """Waveforms (m, n) of m seeded harmonic tones, row i of class class_ids[i].
+
+    raw holds the m clips' stream draws, synth_draws(profile) per clip and
+    clip after clip, as `Rng.fill_u64` returns them. Every sample goes
+    through the same IEEE operations whatever m is, so a row does not
+    depend on the chunk it is built in.
+    """
+    p = profile or SynthProfile()
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    m, n = class_ids.size, p.n_samples
+    raw = raw.reshape(m, synth_draws(p))
+    low, high = -p.freq_jitter, p.freq_jitter
+    jitter = low + (high - low) * unit_interval(raw[:, 0])
+    f0 = (p.base_freq + p.class_spacing * class_ids) * (1.0 + jitter)
+    t = np.arange(n) / p.sample_rate
+    x = np.zeros((m, n))
+    for k, amp in enumerate(p.harmonic_amps, start=1):
+        f = k * f0
+        keep = f < 0.45 * p.sample_rate  # keep harmonics clear of Nyquist
+        x[keep] += amp * np.sin(2.0 * np.pi * f[keep, None] * t)
+    if p.noise_sigma > 0.0:
+        x += 0.0 + p.noise_sigma * box_muller(raw[:, 1:], n)
+    return np.clip(x, -1.0, 1.0)
+
+
 def synth_clip(class_id: int, rng: Rng, profile: SynthProfile | None = None) -> WavClip:
     """One seeded harmonic tone for the class, with jitter and noise.
 
     Takes exactly `synth_draws(profile)` draws from rng.
     """
     p = profile or SynthProfile()
-    f0 = p.class_freq(class_id) * (1.0 + rng.uniform(low=-p.freq_jitter, high=p.freq_jitter))
-    n = p.n_samples
-    t = np.arange(n) / p.sample_rate
-    x = np.zeros(n)
-    for k, amp in enumerate(p.harmonic_amps, start=1):
-        f = k * f0
-        if f < 0.45 * p.sample_rate:  # keep harmonics clear of Nyquist
-            x += amp * np.sin(2.0 * np.pi * f * t)
-    if p.noise_sigma > 0.0:
-        x += rng.normal(n, sigma=p.noise_sigma)
-    return WavClip(p.sample_rate, np.clip(x, -1.0, 1.0))
+    return WavClip(p.sample_rate, synth_waves([class_id], rng.fill_u64(synth_draws(p)), p)[0])
 
 
 SYNTH_CHUNK = 8  # consecutive clips per unit of work in synth_dataset
@@ -300,18 +321,17 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def synth_dataset(num_classes: int, per_class: int, seed: int,
-                  n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
-                  n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP,
-                  profile: SynthProfile | None = None) -> LabeledDataset:
-    """Deterministic synthetic dataset: per_class tones for each class.
+def _synth_chunks(num_classes: int, per_class: int, seed: int, profile: SynthProfile,
+                  work: Callable[[int, np.ndarray], None]) -> np.ndarray:
+    """Synthesise per_class tones for each class and hand them to work in chunks.
 
     Clip j (class j // per_class) takes its draws from one Rng(seed)
     stream, starting at j * synth_draws(profile). Chunks of SYNTH_CHUNK
     clips are built on a thread pool, one worker per available CPU: numpy
-    releases the GIL in the sine, noise and FFT work. Each chunk seeks its
-    own Rng to its first clip and writes its feature rows in place, so the
-    features do not depend on the worker count.
+    releases the GIL in the sine and noise work. Each chunk seeks its own
+    Rng to its first clip and calls work(first, waves) with its
+    `synth_waves`, so what work sees does not depend on the worker count.
+    Returns the class of every clip.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -319,23 +339,40 @@ def synth_dataset(num_classes: int, per_class: int, seed: int,
         raise ValueError("need at least 2 classes")
     if per_class < 1:
         raise ValueError("need at least 1 sample per class")
-    p = profile or SynthProfile()
-    draws = synth_draws(p)
+    draws = synth_draws(profile)
     classes = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    features = np.empty((classes.size, n_mels * n_frames))
 
     def build(first: int) -> None:
         rng = Rng(seed)
         rng.skip(first * draws)
         chunk = classes[first:first + SYNTH_CHUNK]
-        clips = np.stack([synth_clip(int(c), rng, p).samples for c in chunk])
-        features[first:first + chunk.size] = log_mel_batch(
-            clips, p.sample_rate, n_fft=n_fft, hop=hop, n_mels=n_mels,
-            target_frames=n_frames).reshape(chunk.size, -1)
+        work(first, synth_waves(chunk, rng.fill_u64(chunk.size * draws), profile))
 
     starts = range(0, classes.size, SYNTH_CHUNK)
     with ThreadPoolExecutor(max_workers=min(_worker_count(), len(starts))) as pool:
         list(pool.map(build, starts))  # list() re-raises a worker's exception
+    return classes
+
+
+def synth_dataset(num_classes: int, per_class: int, seed: int,
+                  n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
+                  n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP,
+                  profile: SynthProfile | None = None) -> LabeledDataset:
+    """Deterministic synthetic dataset: per_class tones for each class.
+
+    The tones are those of `_synth_chunks`; each chunk writes its log-mel
+    feature rows in place, so the features do not depend on the worker
+    count.
+    """
+    p = profile or SynthProfile()
+    features = np.empty((num_classes * per_class, n_mels * n_frames))
+
+    def featurize(first: int, waves: np.ndarray) -> None:
+        features[first:first + len(waves)] = log_mel_batch(
+            waves, p.sample_rate, n_fft=n_fft, hop=hop, n_mels=n_mels,
+            target_frames=n_frames).reshape(len(waves), -1)
+
+    classes = _synth_chunks(num_classes, per_class, seed, p, featurize)
     labels = np.eye(num_classes)[classes]
     return LabeledDataset(features, labels, classes, num_classes)
 
@@ -344,19 +381,42 @@ class ManifestError(ValueError):
     pass
 
 
+def _clip_path(i: int) -> str:
+    return f"wavs/clip_{i:05d}.wav"
+
+
+def _write_labels(root: Path, classes) -> None:
+    with open(root / "labels.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path", "class_id"])
+        writer.writerows((_clip_path(i), int(c)) for i, c in enumerate(classes))
+
+
 def write_manifest(dataset_dir: str | Path, clips: list[tuple[WavClip, int]]) -> None:
     """Write clips as wav files plus a labels.csv manifest."""
     root = Path(dataset_dir)
     (root / "wavs").mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i, (clip, class_id) in enumerate(clips):
-        rel = f"wavs/clip_{i:05d}.wav"
-        write_wav(clip, root / rel)
-        rows.append((rel, class_id))
-    with open(root / "labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "class_id"])
-        writer.writerows(rows)
+    for i, (clip, _) in enumerate(clips):
+        write_wav(clip, root / _clip_path(i))
+    _write_labels(root, [class_id for _, class_id in clips])
+
+
+def synth_manifest(dataset_dir: str | Path, num_classes: int, per_class: int, seed: int,
+                   profile: SynthProfile | None = None) -> None:
+    """Write the tones of synth_dataset as a write_manifest directory.
+
+    Each chunk writes its own WAV files on the pool of `_synth_chunks`, so
+    no more waveforms are held at once than the workers' chunks.
+    """
+    p = profile or SynthProfile()
+    root = Path(dataset_dir)
+    (root / "wavs").mkdir(parents=True, exist_ok=True)
+
+    def write(first: int, waves: np.ndarray) -> None:
+        for i, wave in enumerate(waves, start=first):
+            write_wav(WavClip(p.sample_rate, wave), root / _clip_path(i))
+
+    _write_labels(root, _synth_chunks(num_classes, per_class, seed, p, write))
 
 
 def load_manifest(dataset_dir: str | Path, num_classes: int | None = None,
@@ -368,21 +428,25 @@ def load_manifest(dataset_dir: str | Path, num_classes: int | None = None,
     if not manifest.exists():
         raise ManifestError(f"no labels.csv in {root}")
     entries: list[tuple[str, int]] = []
-    with open(manifest, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["path", "class_id"]:
-            raise ManifestError("manifest header must be exactly 'path,class_id'")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ManifestError(f"line {line_no}: expected 2 columns")
-            try:
-                class_id = int(row[1])
-            except ValueError as exc:
-                raise ManifestError(f"line {line_no}: bad class_id {row[1]!r}") from exc
-            if class_id < 0:
-                raise ManifestError(f"line {line_no}: negative class_id")
-            entries.append((row[0], class_id))
+    with open(manifest, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ManifestError(f"labels.csv is not UTF-8 CSV: {exc}") from exc
+    if not rows or rows[0] != ["path", "class_id"]:
+        raise ManifestError("manifest header must be exactly 'path,class_id'")
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise ManifestError(f"line {line_no}: expected 2 columns")
+        if "\0" in row[0]:
+            raise ManifestError(f"line {line_no}: NUL byte in path")
+        try:
+            class_id = int(row[1])
+        except ValueError as exc:
+            raise ManifestError(f"line {line_no}: bad class_id {row[1]!r}") from exc
+        if class_id < 0:
+            raise ManifestError(f"line {line_no}: negative class_id")
+        entries.append((row[0], class_id))
     if not entries:
         raise ManifestError("manifest lists no samples")
 

@@ -626,12 +626,9 @@ def cmd_synth(cfg: ExperimentConfig, out: str | Path) -> Path:
     if spec.kind != "synthetic":
         raise ConfigError("synth requires a synthetic dataset spec")
     check_ranges(cfg)
-    rng = Rng(derive_seed(cfg.seed, _SEED_DATA))
-    profile = audio.PROFILES[spec.profile]
-    clips = [(audio.synth_clip(c, rng, profile), c)
-             for c in range(spec.num_classes) for _ in range(spec.per_class)]
     out_dir = Path(out)
-    audio.write_manifest(out_dir, clips)
+    audio.synth_manifest(out_dir, spec.num_classes, spec.per_class,
+                         derive_seed(cfg.seed, _SEED_DATA), audio.PROFILES[spec.profile])
     return out_dir
 
 

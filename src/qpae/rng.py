@@ -57,22 +57,13 @@ class Rng:
         if n is None:
             u = (self.next_u64() >> 11) * 2.0**-53
             return low + (high - low) * u
-        u = (self.fill_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return low + (high - low) * u
+        return low + (high - low) * unit_interval(self.fill_u64(n))
 
     def normal(self, n: int | None = None, mu: float = 0.0, sigma: float = 1.0):
         """Gaussian draws via Box-Muller on consecutive stream pairs."""
         scalar = n is None
         count = 1 if scalar else int(n)
-        pairs = (count + 1) // 2
-        raw = self.fill_u64(2 * pairs)
-        # (0,1] for the log argument, [0,1) for the angle
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
-        out = mu + sigma * z
+        out = mu + sigma * box_muller(self.fill_u64(2 * ((count + 1) // 2)), count)
         return float(out[0]) if scalar else out
 
     def randbelow(self, bound: int) -> int:
@@ -105,6 +96,26 @@ class Rng:
     def spawn(self, key: int) -> "Rng":
         """Independent substream keyed off this generator's seed."""
         return Rng(derive_seed(self._seed, key))
+
+
+def unit_interval(raw: np.ndarray) -> np.ndarray:
+    """Floats in [0, 1) with 53-bit resolution, one per raw draw."""
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def box_muller(raw: np.ndarray, count: int) -> np.ndarray:
+    """The first count standard normals of each row of raw draws, (..., count).
+
+    A row of 2p draws is p Box-Muller pairs: the first p draws give the
+    radii and the last p the angles, and the p cosines come before the p
+    sines. Each element is the same whatever the shape around it.
+    """
+    pairs = raw.shape[-1] // 2
+    # (0,1] for the log argument, [0,1) for the angle
+    u1 = ((raw[..., :pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * unit_interval(raw[..., pairs:])
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :count]
 
 
 def derive_seed(seed: int, key: int) -> int:

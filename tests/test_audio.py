@@ -1,19 +1,21 @@
+import csv
 import struct
 import sys
 
 import numpy as np
 import pytest
 
-from qpae.audio import (OVERLAP_PROFILE, SYNTH_CHUNK, ManifestError,
+from qpae import harness
+from qpae.audio import (OVERLAP_PROFILE, PROFILES, SYNTH_CHUNK, ManifestError,
                         MissingChunkError, NotWavError, SynthProfile,
                         TruncatedWavError, UnsupportedCodecError, WavClip,
-                        _framed_power, hann_window, hz_to_mel, load_manifest,
+                        WavParseError, _framed_power, hann_window, hz_to_mel, load_manifest,
                         log_mel_batch, log_mel_spectrogram, mel_filterbank,
                         mel_to_hz, read_wav, synth_clip, synth_dataset,
-                        synth_draws, write_manifest, write_wav)
+                        synth_draws, synth_waves, write_manifest, write_wav)
 from qpae.data import one_hot, train_eval_split
 from qpae.model import Classifier, CrossEntropyLoss, TrainConfig, predict_classes, train
-from qpae.rng import Rng
+from qpae.rng import Rng, derive_seed
 
 SR = 8000
 
@@ -36,6 +38,13 @@ def pcm16_wav_bytes(samples, sample_rate=SR, channels=1):
         b"data", len(data)) + data
 
 
+def float32_wav_bytes(samples, sample_rate=SR):
+    data = np.asarray(samples, dtype="<f4").tobytes()
+    return struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16, 3, 1,
+        sample_rate, sample_rate * 4, 4, 32, b"data", len(data)) + data
+
+
 class TestReadWav:
     def test_pcm16_scaling(self, tmp_path):
         p = tmp_path / "a.wav"
@@ -52,13 +61,22 @@ class TestReadWav:
         assert clip.samples[0] == pytest.approx(32767 / 32768 / 2)
 
     def test_float32_payload(self, tmp_path):
-        data = np.array([0.25, -0.5], dtype="<f4").tobytes()
-        blob = struct.pack(
-            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16,
-            3, 1, SR, SR * 4, 4, 32, b"data", len(data)) + data
         p = tmp_path / "f.wav"
-        p.write_bytes(blob)
+        p.write_bytes(float32_wav_bytes([0.25, -0.5]))
         assert read_wav(p).samples.tolist() == [0.25, -0.5]
+
+    @pytest.mark.parametrize("blob", [
+        pcm16_wav_bytes([0, 1], sample_rate=0),
+        float32_wav_bytes([0.0], sample_rate=0),
+        float32_wav_bytes([0.25, np.nan]),
+        float32_wav_bytes([np.inf, 0.5]),
+        float32_wav_bytes([-np.inf])], ids=["pcm16_rate0", "float32_rate0", "nan", "inf",
+                                             "neg_inf"])
+    def test_bad_values_are_parse_errors(self, tmp_path, blob):
+        p = tmp_path / "x.wav"
+        p.write_bytes(blob)
+        with pytest.raises(WavParseError):
+            read_wav(p)
 
     def test_rifx_rejected(self, tmp_path):
         p = tmp_path / "x.wav"
@@ -247,13 +265,37 @@ def reference_log_mel(clip, n_fft=256, hop=128, n_mels=32, target_frames=32):
     return values[:, start:start + target_frames]
 
 
+def reference_synth_clip(class_id, rng, profile=None):
+    """One tone as first written: scalar jitter draw, one sine per harmonic
+    clear of Nyquist, then Box-Muller noise as Rng.normal first drew it."""
+    p = profile or SynthProfile()
+    f0 = p.class_freq(class_id) * (1.0 + rng.uniform(low=-p.freq_jitter, high=p.freq_jitter))
+    n = p.n_samples
+    t = np.arange(n) / p.sample_rate
+    x = np.zeros(n)
+    for k, amp in enumerate(p.harmonic_amps, start=1):
+        f = k * f0
+        if f < 0.45 * p.sample_rate:
+            x += amp * np.sin(2.0 * np.pi * f * t)
+    if p.noise_sigma > 0.0:
+        pairs = (n + 1) // 2
+        raw = rng.fill_u64(2 * pairs)
+        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        x += 0.0 + p.noise_sigma * z
+    return WavClip(p.sample_rate, np.clip(x, -1.0, 1.0))
+
+
 def serial_synth_dataset(num_classes, per_class, seed, n_mels, n_frames, profile=None):
     """synth_dataset as a serial loop: one shared Rng, clip after clip."""
     rng = Rng(seed)
     feats, classes = [], []
     for c in range(num_classes):
         for _ in range(per_class):
-            clip = synth_clip(c, rng, profile)
+            clip = reference_synth_clip(c, rng, profile)
             feats.append(log_mel_spectrogram(clip, n_mels=n_mels,
                                              target_frames=n_frames).flatten())
             classes.append(c)
@@ -301,6 +343,33 @@ class TestBatchedFrontEnd:
         assert synth_draws() == 1 + 6400
         assert synth_draws(SynthProfile(noise_sigma=0.0)) == 1
         assert synth_draws(SynthProfile(duration_s=0.000625)) == 1 + 6
+
+
+# classes 8 and up lose the third harmonic to the Nyquist guard, class 30 all three
+MIXED_CLASSES = [0, 8, 3, 30, 7, 9, 1, 12, 5, 2, 10, 4, 6]
+
+
+class TestSynthWaves:
+    @pytest.mark.parametrize("profile", [
+        None, OVERLAP_PROFILE, SynthProfile(noise_sigma=0.0),
+        SynthProfile(duration_s=0.100125)],  # 801 samples: an odd noise count
+        ids=["default", "overlap", "noiseless", "odd_n"])
+    @pytest.mark.parametrize("m", [1, 3, 8, 13])
+    def test_rows_equal_the_scalar_oracle(self, profile, m):
+        class_ids = MIXED_CLASSES[:m]
+        oracle = Rng(m)
+        want = [reference_synth_clip(c, oracle, profile).samples for c in class_ids]
+        waves = synth_waves(class_ids, Rng(m).fill_u64(m * synth_draws(profile)), profile)
+        assert waves.shape == (m, (profile or SynthProfile()).n_samples)
+        assert np.array_equal(waves, np.stack(want))
+
+    def test_synth_clip_is_a_chunk_of_one(self):
+        rng, oracle = Rng(17), Rng(17)
+        for c in MIXED_CLASSES:
+            clip = synth_clip(c, rng, OVERLAP_PROFILE)
+            assert clip.sample_rate == OVERLAP_PROFILE.sample_rate
+            assert np.array_equal(clip.samples,
+                                  reference_synth_clip(c, oracle, OVERLAP_PROFILE).samples)
 
 
 @pytest.fixture()
@@ -371,6 +440,41 @@ class TestThreadedSynth:
         assert pool_sizes == [3]
 
 
+def serial_synth_manifest(root, num_classes, per_class, seed, profile):
+    """cmd_synth's directory as a serial loop over reference tones."""
+    rng = Rng(seed)
+    (root / "wavs").mkdir(parents=True)
+    rows = [["path", "class_id"]]
+    for i, c in enumerate(c for c in range(num_classes) for _ in range(per_class)):
+        rel = f"wavs/clip_{i:05d}.wav"
+        write_wav(reference_synth_clip(c, rng, profile), root / rel)
+        rows.append([rel, c])
+    with open(root / "labels.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def tree_bytes(root):
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+            if f.is_file()}
+
+
+class TestSynthManifest:
+    @pytest.mark.parametrize("profile", ["default", "overlap"])
+    @pytest.mark.parametrize("cpus, want", [({0}, 1), (set(range(5)), 5)])
+    def test_cmd_synth_equals_serial_writer(self, monkeypatch, pool_sizes, tmp_path,
+                                            profile, cpus, want):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus, raising=False)
+        cfg = harness.default_config("single", seed=23, dataset=harness.DatasetSpec(
+            kind="synthetic", num_classes=4, per_class=11, profile=profile))
+        harness.cmd_synth(cfg, tmp_path / "got")
+        assert pool_sizes == [want]
+        serial_synth_manifest(tmp_path / "want", 4, 11,
+                              derive_seed(23, harness._SEED_DATA), PROFILES[profile])
+        got, expected = tree_bytes(tmp_path / "got"), tree_bytes(tmp_path / "want")
+        assert len(got) == 1 + 44
+        assert got == expected
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         rng = Rng(6)
@@ -389,6 +493,14 @@ class TestManifest:
 
     def test_bad_header_rejected(self, tmp_path):
         (tmp_path / "labels.csv").write_text("file,label\nx.wav,0\n")
+        with pytest.raises(ManifestError):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("text", [b"path,class_id\n\xff.wav,0\n",
+                                      b"path,class_id\nwavs/a\x00.wav,0\n"],
+                             ids=["not_utf8", "nul_in_path"])
+    def test_unreadable_rows_rejected(self, tmp_path, text):
+        (tmp_path / "labels.csv").write_bytes(text)
         with pytest.raises(ManifestError):
             load_manifest(tmp_path)
 

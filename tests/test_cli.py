@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -301,6 +302,31 @@ def test_manifest_with_too_few_clips_per_class_exits_2(cfg_path, tmp_path, capsy
     assert main(["train", "--config", str(manifest), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "too few clips" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# a fmt chunk with sample rate 0, and a float32 payload holding NaN or inf
+_BAD_CLIPS = {
+    "rate0": struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 38, b"WAVE", b"fmt ", 16, 1, 1,
+                         0, 0, 2, 16, b"data", 2) + b"\x00\x00",
+    **{name: struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 40, b"WAVE", b"fmt ", 16, 3, 1,
+                         8000, 32000, 4, 32, b"data", 4) + struct.pack("<f", value)
+       for name, value in (("nan", float("nan")), ("inf", float("inf")))},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_CLIPS))
+def test_manifest_with_a_bad_clip_exits_3(cfg_path, tmp_path, capsys, bad):
+    dataset = tmp_path / "dataset"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(dataset)]) == 0
+    (dataset / "wavs" / "clip_00005.wav").write_bytes(_BAD_CLIPS[bad])
+    manifest = _edit(cfg_path, tmp_path, "manifest.json",
+                     dataset={"kind": "manifest", "path": str(dataset)})
+    capsys.readouterr()
+    out = tmp_path / "fresh"
+    assert main(["train", "--config", str(manifest), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "io error" in err and "Traceback" not in err
     assert not out.exists()
 
 
