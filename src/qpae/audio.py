@@ -419,10 +419,14 @@ def synth_manifest(dataset_dir: str | Path, num_classes: int, per_class: int, se
     _write_labels(root, _synth_chunks(num_classes, per_class, seed, p, write))
 
 
-def load_manifest(dataset_dir: str | Path, num_classes: int | None = None,
+def load_manifest(dataset_dir: str | Path, num_classes: int,
                   n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
                   n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP) -> LabeledDataset:
-    """Load a labels.csv manifest directory into a feature dataset."""
+    """Load a labels.csv manifest directory into a feature dataset.
+
+    Every class id must lie in [0, num_classes); the one-hot labels are
+    num_classes wide.
+    """
     root = Path(dataset_dir)
     manifest = root / "labels.csv"
     if not manifest.exists():
@@ -444,23 +448,21 @@ def load_manifest(dataset_dir: str | Path, num_classes: int | None = None,
             class_id = int(row[1])
         except ValueError as exc:
             raise ManifestError(f"line {line_no}: bad class_id {row[1]!r}") from exc
-        if class_id < 0:
-            raise ManifestError(f"line {line_no}: negative class_id")
+        if not 0 <= class_id < num_classes:
+            raise ManifestError(f"line {line_no}: class_id {class_id} out of "
+                                f"range [0, {num_classes})")
         entries.append((row[0], class_id))
     if not entries:
         raise ManifestError("manifest lists no samples")
 
-    k = num_classes if num_classes is not None else max(c for _, c in entries) + 1
     feats = []
     classes = []
     for rel, class_id in entries:
-        if class_id >= k:
-            raise ManifestError(f"class_id {class_id} out of range [0, {k})")
         clip = read_wav(root / rel)
         feat = log_mel_spectrogram(clip, n_fft=n_fft, hop=hop,
                                    n_mels=n_mels, target_frames=n_frames)
         feats.append(feat.flatten())
         classes.append(class_id)
-    labels = np.stack([one_hot(c, k) for c in classes])
+    labels = np.stack([one_hot(c, num_classes) for c in classes])
     return LabeledDataset(np.stack(feats), labels,
-                          np.array(classes, dtype=np.int64), k)
+                          np.array(classes, dtype=np.int64), num_classes)

@@ -3,7 +3,8 @@ noise scrubbing, and selective synaptic dampening.
 
 These are minimal reconstructions of the methods' core update rules,
 sharing the SGD machinery from the model module. Their knobs live in
-BaselineConfig; defaults are tuned for the desk-scale benchmark.
+one BaselineConfig that all four share; defaults are tuned for the
+desk-scale benchmark.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ METHOD_NAMES = ("gradient_ascent", "negative_gradient",
 
 @dataclass
 class BaselineConfig:
-    method: str = "gradient_ascent"
     ascent_epochs: int = 4
     finetune_epochs: int = 1
     learning_rate: float = 0.12
@@ -36,8 +36,6 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in METHOD_NAMES:
-            raise ValueError(f"unknown baseline method {self.method!r}")
         if self.ascent_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
         if self.fisher_noise_scale < 0:
@@ -150,12 +148,16 @@ def synaptic_dampening(model: Classifier, data: LabeledDataset,
 
 
 def run_baseline(model: Classifier, data: LabeledDataset, forget_set: set[int],
-                 cfg: BaselineConfig) -> Classifier:
-    """Dispatch by cfg.method; mutates and returns the model."""
+                 method: str, cfg: BaselineConfig) -> Classifier:
+    """Run the baseline named `method`; mutates and returns the model."""
+    if method not in METHOD_NAMES:
+        raise ValueError(f"unknown baseline method {method!r}; expected one of "
+                         f"{METHOD_NAMES}")
+    # looked up at call time, so a wrapped module function is the one run
     fn = {
         "gradient_ascent": gradient_ascent_unlearn,
         "negative_gradient": negative_gradient_unlearn,
         "fisher_forgetting": fisher_forgetting,
         "synaptic_dampening": synaptic_dampening,
-    }[cfg.method]
+    }[method]
     return fn(model, data, forget_set, cfg)

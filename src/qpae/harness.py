@@ -75,7 +75,6 @@ _FIELD_KINDS = {
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "list[int]": ("a list of integers", _is_list_of(_is_int)),
     "list[list[int]]": ("a list of integer lists", _is_list_of(_is_list_of(_is_int))),
-    "list[BaselineConfig]": ("a list", lambda v: isinstance(v, list)),
 }
 
 
@@ -115,8 +114,8 @@ class ExperimentConfig:
     train: TrainConfig = field(
         default_factory=lambda: TrainConfig(learning_rate=0.005, epochs=3))
     unlearn: UnlearnConfig = field(default_factory=UnlearnConfig)
-    baselines: list[BaselineConfig] = field(
-        default_factory=lambda: [BaselineConfig(method=m) for m in METHOD_NAMES])
+    # one section shared by the four baselines
+    baselines: BaselineConfig = field(default_factory=BaselineConfig)
     sequential_requests: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -146,9 +145,6 @@ def _merge(prefix: str, base, raw):
         kind, holds = _FIELD_KINDS[annotation]
         if not holds(value):
             raise ConfigError(f"{prefix}{key} must be {kind}, got {value!r}")
-        if annotation == "list[BaselineConfig]":
-            value = [_merge(f"{key}[{i}].", BaselineConfig(), b)
-                     for i, b in enumerate(value)]
         values[key] = value
     try:
         return replace(base, **values)
@@ -211,17 +207,16 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     what = "unlearn"
     try:
         cfg.unlearn.train_config()
-        for i, b in enumerate(cfg.baselines):
-            what = f"baselines[{i}]"
-            b.train_config("ascent")
-            b.train_config("finetune")
+        what = "baselines"
+        cfg.baselines.train_config("ascent")
+        cfg.baselines.train_config("finetune")
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     raw = asdict(cfg)
-    for section in (raw["train"], raw["unlearn"], *raw["baselines"]):
+    for section in (raw["train"], raw["unlearn"], raw["baselines"]):
         del section["seed"]  # derived from the master seed
     return raw
 
@@ -247,9 +242,8 @@ def default_config(scenario: str = "single", **overrides) -> ExperimentConfig:
         fields["unlearn"] = UnlearnConfig(forget_set=[0, 4])
         # twice the forget samples doubles the ascent steps; gentler
         # settings keep the ascent baselines finite
-        fields["baselines"] = [
-            replace(BaselineConfig(method=m), ascent_epochs=2,
-                    learning_rate=0.08, batch_size=32) for m in METHOD_NAMES]
+        fields["baselines"] = BaselineConfig(ascent_epochs=2, learning_rate=0.08,
+                                             batch_size=32)
     if scenario == "sequential":
         fields["sequential_requests"] = [[0], [1], [2]]
     if scenario == "accent":
@@ -326,11 +320,11 @@ def _unlearn_config(cfg: ExperimentConfig, **tweaks) -> UnlearnConfig:
     return replace(cfg.unlearn, seed=derive_seed(cfg.seed, _SEED_UNLEARN), **tweaks)
 
 
-def _baseline_config(cfg: ExperimentConfig, method: str) -> BaselineConfig:
-    for i, b in enumerate(cfg.baselines):
-        if b.method == method:
-            return replace(b, seed=derive_seed(cfg.seed, 16 + i))
-    return BaselineConfig(method=method, seed=derive_seed(cfg.seed, 16 + 8))
+def _baseline_config(cfg: ExperimentConfig, name: str) -> BaselineConfig:
+    """The shared baselines section, seeded by the method's index in
+    METHOD_NAMES."""
+    return replace(cfg.baselines,
+                   seed=derive_seed(cfg.seed, 16 + METHOD_NAMES.index(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +420,6 @@ class Workspace:
         path.write_text(report_to_json(report) + "\n")
         return path
 
-    def read_report(self, name: str) -> EvaluationReport:
-        return report_from_json(self.report_path(name).read_text())
-
 
 def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
     """Train from a seeded init; write the checkpoint and original report."""
@@ -457,11 +448,12 @@ def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
         model, phase_log = run_qp_audio_eraser(model, ws.train_data,
                                                _unlearn_config(ws.cfg))
     else:
-        bcfg = _baseline_config(ws.cfg, METHOD_IDS[method_id])
+        name = METHOD_IDS[method_id]
         with stage() as span:
-            run_baseline(model, ws.train_data, forget, bcfg)
+            run_baseline(model, ws.train_data, forget, name,
+                         _baseline_config(ws.cfg, name))
         fa, ra = accuracy_snapshot(model, ws.train_data, frozenset(forget))
-        phase_log = [{"phase": METHOD_IDS[method_id], "forget_accuracy": fa,
+        phase_log = [{"phase": name, "forget_accuracy": fa,
                       "retain_accuracy": ra, "wall_ms": span["wall_ms"], "skipped": False}]
     path = ws.out / f"unlearned_{method_id}.qpae"
     save_checkpoint(model, path)
@@ -481,9 +473,7 @@ def cmd_evaluate(ws: Workspace, model_path: str | Path,
     report = evaluate(model, ws.eval_data, ws.forget_set, original_fa=original_fa)
     stem = name if name is not None else Path(model_path).stem
     ws.write_report(stem, report)
-    csv_path = ws.out / f"report_{stem}.csv"
-    csv_path.write_text(",".join(TABLE_COLUMNS) + "\n"
-                        + ",".join(report_csv_row(stem, report)) + "\n")
+    (ws.out / f"report_{stem}.csv").write_text(emit_table([(stem, report)])[1])
     if original_report is not None:
         deltas = compare_reports(original_report, report)
         (ws.out / f"report_{stem}_deltas.json").write_text(
@@ -518,9 +508,7 @@ def run_standard_scenario(ws: Workspace) -> dict[str, EvaluationReport]:
     _, original_report = cmd_train(ws)
     reports: dict[str, EvaluationReport] = {"original": original_report}
     rows = [("Original", original_report)]
-    method_ids = ["qp"] + [mid for mid, name in METHOD_IDS.items()
-                           if name in {b.method for b in ws.cfg.baselines}]
-    for mid in method_ids:
+    for mid in METHOD_IDS:
         path, _ = cmd_unlearn(ws, mid)
         report = cmd_evaluate(ws, path, original_report=original_report,
                               name=mid)

@@ -45,7 +45,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         # learning_rate 0 is allowed so a zero-step run is expressible
@@ -235,7 +234,7 @@ def train(model: Classifier, data: "LabeledDataset", cfg: TrainConfig,
     rng = Rng(cfg.seed)
     n = data.n_samples
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]

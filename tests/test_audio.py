@@ -480,7 +480,7 @@ class TestManifest:
         rng = Rng(6)
         clips = [(synth_clip(c, rng), c) for c in (0, 1, 2, 1)]
         write_manifest(tmp_path, clips)
-        data = load_manifest(tmp_path, n_mels=8, n_frames=8)
+        data = load_manifest(tmp_path, num_classes=3, n_mels=8, n_frames=8)
         assert data.n_samples == 4
         assert data.num_classes == 3
         assert data.original_classes.tolist() == [0, 1, 2, 1]
@@ -491,10 +491,17 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(tmp_path, num_classes=3, n_mels=8, n_frames=8)
 
+    def test_huge_class_id_rejected_before_any_allocation(self, tmp_path):
+        rng = Rng(6)
+        write_manifest(tmp_path, [(synth_clip(0, rng), 0),
+                                  (synth_clip(1, rng), 1_000_000_000_000)])
+        with pytest.raises(ManifestError, match="line 3: class_id 1000000000000"):
+            load_manifest(tmp_path, num_classes=2, n_mels=8, n_frames=8)
+
     def test_bad_header_rejected(self, tmp_path):
         (tmp_path / "labels.csv").write_text("file,label\nx.wav,0\n")
         with pytest.raises(ManifestError):
-            load_manifest(tmp_path)
+            load_manifest(tmp_path, num_classes=2)
 
     @pytest.mark.parametrize("text", [b"path,class_id\n\xff.wav,0\n",
                                       b"path,class_id\nwavs/a\x00.wav,0\n"],
@@ -502,11 +509,11 @@ class TestManifest:
     def test_unreadable_rows_rejected(self, tmp_path, text):
         (tmp_path / "labels.csv").write_bytes(text)
         with pytest.raises(ManifestError):
-            load_manifest(tmp_path)
+            load_manifest(tmp_path, num_classes=2)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestError):
-            load_manifest(tmp_path / "nope")
+            load_manifest(tmp_path / "nope", num_classes=2)
 
 
 def test_overlap_profile_is_harder_but_learnable():

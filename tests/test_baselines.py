@@ -32,9 +32,12 @@ def reference_fisher(model, samples):
 
 
 class TestConfig:
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(method="retrain_from_scratch")
+    def test_unknown_method(self, tiny_model, tiny_data):
+        before = tiny_model.copy()
+        with pytest.raises(ValueError, match="retrain_from_scratch"):
+            run_baseline(tiny_model, tiny_data, {0}, "retrain_from_scratch",
+                         BaselineConfig())
+        assert equals_bits(tiny_model, before)
 
     def test_negative_counts(self):
         with pytest.raises(ValueError):
@@ -46,8 +49,7 @@ class TestConfig:
 class TestGradientAscent:
     def test_zero_epochs_noop(self, tiny_model, tiny_data):
         before = tiny_model.copy()
-        cfg = BaselineConfig(method="gradient_ascent", ascent_epochs=0,
-                             finetune_epochs=0, seed=1)
+        cfg = BaselineConfig(ascent_epochs=0, finetune_epochs=0, seed=1)
         gradient_ascent_unlearn(tiny_model, tiny_data, {0}, cfg)
         assert equals_bits(tiny_model, before)
 
@@ -56,14 +58,13 @@ class TestGradientAscent:
         keep = np.where(tiny_data.original_classes != 3)[0]
         data = tiny_data.subset(keep)
         before = tiny_model.copy()
-        cfg = BaselineConfig(method="gradient_ascent", ascent_epochs=5,
-                             finetune_epochs=0, seed=1)
+        cfg = BaselineConfig(ascent_epochs=5, finetune_epochs=0, seed=1)
         gradient_ascent_unlearn(tiny_model, data, {3}, cfg)
         assert equals_bits(tiny_model, before)
 
     def test_negative_gradient_equals_ga_without_finetune(self, tiny_model, tiny_data):
-        cfg = BaselineConfig(method="gradient_ascent", ascent_epochs=2,
-                             finetune_epochs=0, learning_rate=0.05, seed=11)
+        cfg = BaselineConfig(ascent_epochs=2, finetune_epochs=0, learning_rate=0.05,
+                             seed=11)
         a = tiny_model.copy()
         b = tiny_model.copy()
         gradient_ascent_unlearn(a, tiny_data, {1}, cfg)
@@ -137,12 +138,12 @@ class TestFisherEstimate:
 class TestFisherForgetting:
     def test_gamma_zero_noop(self, tiny_model, tiny_data):
         before = tiny_model.copy()
-        cfg = BaselineConfig(method="fisher_forgetting", fisher_noise_scale=0.0, seed=3)
+        cfg = BaselineConfig(fisher_noise_scale=0.0, seed=3)
         fisher_forgetting(tiny_model, tiny_data, {0}, cfg)
         assert equals_bits(tiny_model, before)
 
     def test_same_seed_identical(self, tiny_model, tiny_data):
-        cfg = BaselineConfig(method="fisher_forgetting", fisher_noise_scale=1e-3, seed=4)
+        cfg = BaselineConfig(fisher_noise_scale=1e-3, seed=4)
         a, b = tiny_model.copy(), tiny_model.copy()
         fisher_forgetting(a, tiny_data, {1}, cfg)
         fisher_forgetting(b, tiny_data, {1}, cfg)
@@ -151,7 +152,7 @@ class TestFisherForgetting:
 
     def test_finite_and_shape_preserving(self, tiny_model, tiny_data):
         shapes = [p.shape for p in tiny_model.parameters()]
-        cfg = BaselineConfig(method="fisher_forgetting", fisher_noise_scale=1e-3, seed=4)
+        cfg = BaselineConfig(fisher_noise_scale=1e-3, seed=4)
         fisher_forgetting(tiny_model, tiny_data, {1}, cfg)
         assert [p.shape for p in tiny_model.parameters()] == shapes
         tiny_model.ensure_finite()
@@ -160,20 +161,19 @@ class TestFisherForgetting:
 class TestSynapticDampening:
     def test_huge_threshold_noop(self, tiny_model, tiny_data):
         before = tiny_model.copy()
-        cfg = BaselineConfig(method="synaptic_dampening", ssd_threshold=1e12, seed=5)
+        cfg = BaselineConfig(ssd_threshold=1e12, seed=5)
         synaptic_dampening(tiny_model, tiny_data, {0}, cfg)
         assert equals_bits(tiny_model, before)
 
     def test_never_amplifies(self, tiny_model, tiny_data):
         before = tiny_model.copy()
-        cfg = BaselineConfig(method="synaptic_dampening", ssd_threshold=0.01,
-                             ssd_dampening_floor=0.01, seed=5)
+        cfg = BaselineConfig(ssd_threshold=0.01, ssd_dampening_floor=0.01, seed=5)
         synaptic_dampening(tiny_model, tiny_data, {2}, cfg)
         for p_new, p_old in zip(tiny_model.parameters(), before.parameters()):
             assert np.all(np.abs(p_new) <= np.abs(p_old) + 1e-15)
 
     def test_deterministic(self, tiny_model, tiny_data):
-        cfg = BaselineConfig(method="synaptic_dampening", seed=6)
+        cfg = BaselineConfig(seed=6)
         a, b = tiny_model.copy(), tiny_model.copy()
         synaptic_dampening(a, tiny_data, {1}, cfg)
         synaptic_dampening(b, tiny_data, {1}, cfg)
@@ -182,11 +182,11 @@ class TestSynapticDampening:
 
 def test_ascent_methods_deterministic_under_fixed_seed(tiny_model, tiny_data):
     for method in ("gradient_ascent", "negative_gradient"):
-        cfg = BaselineConfig(method=method, ascent_epochs=2, finetune_epochs=1,
+        cfg = BaselineConfig(ascent_epochs=2, finetune_epochs=1,
                              learning_rate=0.05, seed=31)
         a, b = tiny_model.copy(), tiny_model.copy()
-        run_baseline(a, tiny_data, {1}, cfg)
-        run_baseline(b, tiny_data, {1}, cfg)
+        run_baseline(a, tiny_data, {1}, method, cfg)
+        run_baseline(b, tiny_data, {1}, method, cfg)
         assert equals_bits(a, b)
         assert not equals_bits(a, tiny_model)
 
@@ -195,9 +195,9 @@ def test_dispatch_covers_all_methods(tiny_model, tiny_data):
     for method in ("gradient_ascent", "negative_gradient",
                    "fisher_forgetting", "synaptic_dampening"):
         m = tiny_model.copy()
-        cfg = BaselineConfig(method=method, ascent_epochs=1, finetune_epochs=1,
+        cfg = BaselineConfig(ascent_epochs=1, finetune_epochs=1,
                              learning_rate=0.01, seed=8)
-        out = run_baseline(m, tiny_data, {0}, cfg)
+        out = run_baseline(m, tiny_data, {0}, method, cfg)
         assert out is m
         m.ensure_finite()
         assert m.final_w.shape == tiny_model.final_w.shape

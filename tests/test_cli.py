@@ -18,8 +18,7 @@ def cfg_path(tmp_path):
                             n_mels=8, n_frames=8),
         model=harness.ModelSection([16]),
         train=TrainConfig(learning_rate=0.05, epochs=10),
-        baselines=[BaselineConfig(method="negative_gradient", ascent_epochs=1,
-                                  learning_rate=0.02)])
+        baselines=BaselineConfig(ascent_epochs=1, learning_rate=0.02))
     path = tmp_path / "cfg.json"
     harness.save_config(cfg, path)
     return path
@@ -65,6 +64,21 @@ def test_config_error_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sed": 1}))
     assert main(["train", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    {"baselines": [{"method": "negative_gradient", "ascent_epochs": 1}]},
+    {"train": {"shuffle": True}},
+], ids=["baselines_list", "train_shuffle"])
+def test_retired_config_shape_exits_2(cfg_path, tmp_path, capsys, edit):
+    """A config file written in the per-method baselines list form, or one
+    setting train.shuffle, is refused before --out is made."""
+    old = _edit(cfg_path, tmp_path, "old.json", **edit)
+    out = tmp_path / "fresh"
+    assert main(["train", "--config", str(old), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb, flags, edit", [
@@ -281,7 +295,7 @@ def test_forget_set_and_baselines_may_differ_from_training(cfg_path, tmp_path):
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
     other = _edit(cfg_path, tmp_path, "other.json", unlearn={"forget_set": [2, 3]},
-                  baselines=[{"method": "gradient_ascent", "ascent_epochs": 1}])
+                  baselines={"ascent_epochs": 2})
     assert main(["unlearn", "--config", str(other), "--method", "ga"]) == 0
     assert main(["evaluate", "--config", str(other),
                  "--model", str(out / "unlearned_ga.qpae")]) == 0
@@ -330,20 +344,15 @@ def test_manifest_with_a_bad_clip_exits_3(cfg_path, tmp_path, capsys, bad):
     assert not out.exists()
 
 
-def _baseline(**fields):
-    return [{"method": "negative_gradient", "ascent_epochs": 1,
-             "learning_rate": 0.02, **fields}]
-
-
 @pytest.mark.parametrize("verb, edit", [
     ("train", {"train": {"batch_size": 0}}),
     ("train", {"train": {"learning_rate": "x"}}),
     ("train", {"train": {"epochs": 1.5}}),
-    ("train", {"train": {"shuffle": 1}}),
+    ("train", {"baselines": {"ssd_threshold": 0}}),
     ("train", {"dataset": {"n_mels": 0}}),
     ("train", {"dataset": {"n_mels": 100000}}),
     ("train", {"dataset": {"n_frames": 0}}),
-    ("train", {"baselines": {}}),
+    ("train", {"baselines": []}),
     ("train", {"unlearn": {"forget_set": 3}}),
     ("train", {"train": {"learning_rate": float("nan")}}),
     ("unlearn", {"unlearn": {"alpha": 2.0}}),
@@ -356,10 +365,10 @@ def _baseline(**fields):
     ("unlearn", {"unlearn": {"phi": "pi"}}),
     ("unlearn", {"unlearn": {"phi": float("inf")}}),
     ("unlearn", {"unlearn": {"skip_mixing": 0}}),
-    ("unlearn", {"baselines": _baseline(learning_rate="x")}),
-    ("unlearn", {"baselines": _baseline(learning_rate=-1)}),
-    ("unlearn", {"baselines": _baseline(batch_size=0)}),
-    ("unlearn", {"baselines": _baseline(ascent_epochs=1.5)}),
+    ("unlearn", {"baselines": {"learning_rate": "x"}}),
+    ("unlearn", {"baselines": {"learning_rate": -1}}),
+    ("unlearn", {"baselines": {"batch_size": 0}}),
+    ("unlearn", {"baselines": {"ascent_epochs": 1.5}}),
     # strings are not coerced: a number or null is no path
     ("train", {"dataset": {"kind": "manifest", "path": 5}}),
     ("train", {"output_dir": None}),

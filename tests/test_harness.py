@@ -8,7 +8,7 @@ import pytest
 
 from qpae import harness
 from qpae.audio import WavClip, write_wav
-from qpae.baselines import BaselineConfig
+from qpae.baselines import METHOD_NAMES, BaselineConfig
 from qpae.cli import main
 from qpae.data import LabeledDataset, train_eval_split
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
@@ -16,6 +16,7 @@ from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           emit_table, load_config)
 from qpae.metrics import report_from_json
 from qpae.model import TrainConfig
+from qpae.rng import derive_seed
 
 
 @pytest.fixture()
@@ -29,20 +30,18 @@ def small_cfg(tmp_path):
                                     per_class=20, n_mels=8, n_frames=8),
         model=harness.ModelSection([16]),
         train=TrainConfig(learning_rate=0.05, epochs=10),
-        baselines=[BaselineConfig(method="negative_gradient", ascent_epochs=1,
-                                  learning_rate=0.02)],
+        baselines=BaselineConfig(ascent_epochs=1, learning_rate=0.02),
     )
 
 
 # a JSON value of the wrong kind for each annotation a config field has
 WRONG_KIND = {"int": 1.5, "float": "x", "bool": 1, "str": 5, "str | None": 5,
-              "list[int]": [1.5], "list[list[int]]": [[1.5]],
-              "list[BaselineConfig]": {}}
+              "list[int]": [1.5], "list[list[int]]": [[1.5]]}
 
 
 def _config_fields():
-    """One case per config field: the top level, each section and one
-    baseline. Section seeds are no config keys."""
+    """One case per config field: the top level and each section. Section
+    seeds are no config keys."""
     cfg = default_config("sequential")
     cases = []
     for f in dataclass_fields(cfg):
@@ -52,8 +51,6 @@ def _config_fields():
                       for g in dataclass_fields(value) if g.name != "seed"]
         else:
             cases.append((f.name, (f.name,), f.type))
-    cases += [(f"baselines[0].{g.name}", ("baselines", 0, g.name), g.type)
-              for g in dataclass_fields(cfg.baselines[0]) if g.name != "seed"]
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
@@ -83,7 +80,7 @@ class TestConfig:
         cfg = default_config("sequential")
         node = cfg
         for key in path[:-1]:
-            node = node[key] if isinstance(key, int) else getattr(node, key)
+            node = getattr(node, key)
         setattr(node, path[-1], wrong)
         with pytest.raises(ConfigError, match=re.escape(f"{name} must be")):
             harness.check_ranges(cfg)
@@ -91,8 +88,8 @@ class TestConfig:
     def test_section_seed_is_no_key(self):
         with pytest.raises(ConfigError, match="unknown keys in train"):
             config_from_dict({"train": {"seed": 3}})
-        with pytest.raises(ConfigError, match=re.escape("unknown keys in baselines[0]")):
-            config_from_dict({"baselines": [{"seed": 3}]})
+        with pytest.raises(ConfigError, match="unknown keys in baselines"):
+            config_from_dict({"baselines": {"seed": 3}})
         with pytest.raises(ConfigError, match="unknown keys in unlearn"):
             config_from_dict({"unlearn": {"seed": 1}})
 
@@ -102,6 +99,27 @@ class TestConfig:
             "forget_set", "phi", "entropy_lambda", "alpha", "epochs",
             "learning_rate", "batch_size", "skip_weight_transform",
             "skip_uncertainty_max", "skip_mixing"]
+
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_baselines_section_keys(self, scenario):
+        assert list(config_to_dict(default_config(scenario))["baselines"]) == [
+            "ascent_epochs", "finetune_epochs", "learning_rate", "batch_size",
+            "fisher_noise_scale", "ssd_threshold", "ssd_dampening_floor"]
+
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_baseline_seed_follows_method_names_order(self, scenario):
+        cfg = default_config(scenario, seed=99)
+        for i, name in enumerate(METHOD_NAMES):
+            bcfg = harness._baseline_config(cfg, name)
+            assert bcfg.seed == derive_seed(cfg.seed, 16 + i)
+            assert replace(bcfg, seed=cfg.baselines.seed) == cfg.baselines
+
+    def test_default_config_has_32_settable_values(self):
+        def leaves(node):
+            if isinstance(node, dict):
+                return sum(leaves(v) for v in node.values())
+            return 1
+        assert leaves(config_to_dict(default_config())) == 32
 
     def test_round_trip_through_file(self, tmp_path):
         cfg = default_config("multi")
@@ -117,8 +135,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown keys"):
             config_from_dict({"train": {"learning_rte": 0.1}})
         with pytest.raises(ConfigError, match="unknown keys"):
-            config_from_dict({"baselines": [{"method": "gradient_ascent",
-                                             "gamma": 1.0}]})
+            config_from_dict({"baselines": {"ascent_epochs": 1, "gamma": 1.0}})
+        # the method is a --method argument, not a config key
+        with pytest.raises(ConfigError, match="unknown keys"):
+            config_from_dict({"baselines": {"method": "gradient_ascent"}})
 
     def test_bad_scenario_rejected(self):
         with pytest.raises(ConfigError):

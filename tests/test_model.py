@@ -256,7 +256,7 @@ def reference_train(model, data, cfg, terms):
     n = data.n_samples
     epoch_losses = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
