@@ -1,7 +1,7 @@
 """Desk-scale class-unlearning lab for small audio classifiers.
 
 Modules:
-    model      dense softmax classifier, SGD training, gradient checking
+    model      dense softmax classifier and SGD training
     checkpoint bit-stable binary serialization with CRC
     audio      WAV parsing, log-mel features, synthetic tone datasets
     data       labeled datasets with forget-set bookkeeping

@@ -69,20 +69,6 @@ class WavClip:
         return self.samples.size / self.sample_rate
 
 
-@dataclass
-class SpectrogramFeature:
-    n_mels: int
-    n_frames: int
-    values: np.ndarray  # (n_mels, n_frames) log-mel power
-
-    @property
-    def flattened_dim(self) -> int:
-        return self.n_mels * self.n_frames
-
-    def flatten(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
-
 def read_wav(path: str | Path) -> WavClip:
     """Parse a RIFF/WAVE file (PCM16 or float32; stereo averaged to mono)."""
     blob = Path(path).read_bytes()
@@ -231,11 +217,11 @@ def log_mel_batch(x: np.ndarray, sample_rate: int, n_fft: int = DEFAULT_N_FFT,
 
 def log_mel_spectrogram(clip: WavClip, n_fft: int = DEFAULT_N_FFT,
                         hop: int = DEFAULT_HOP, n_mels: int = DEFAULT_N_MELS,
-                        target_frames: int = DEFAULT_N_FRAMES) -> SpectrogramFeature:
-    """Log mel-band power of one clip: `log_mel_batch` of a batch of one."""
-    values = log_mel_batch(clip.samples[None, :], clip.sample_rate, n_fft=n_fft,
-                           hop=hop, n_mels=n_mels, target_frames=target_frames)[0]
-    return SpectrogramFeature(n_mels=n_mels, n_frames=target_frames, values=values)
+                        target_frames: int = DEFAULT_N_FRAMES) -> np.ndarray:
+    """Log mel-band power of one clip, (n_mels, target_frames):
+    `log_mel_batch` of a batch of one."""
+    return log_mel_batch(clip.samples[None, :], clip.sample_rate, n_fft=n_fft,
+                         hop=hop, n_mels=n_mels, target_frames=target_frames)[0]
 
 
 @dataclass
@@ -392,18 +378,10 @@ def _write_labels(root: Path, classes) -> None:
         writer.writerows((_clip_path(i), int(c)) for i, c in enumerate(classes))
 
 
-def write_manifest(dataset_dir: str | Path, clips: list[tuple[WavClip, int]]) -> None:
-    """Write clips as wav files plus a labels.csv manifest."""
-    root = Path(dataset_dir)
-    (root / "wavs").mkdir(parents=True, exist_ok=True)
-    for i, (clip, _) in enumerate(clips):
-        write_wav(clip, root / _clip_path(i))
-    _write_labels(root, [class_id for _, class_id in clips])
-
-
 def synth_manifest(dataset_dir: str | Path, num_classes: int, per_class: int, seed: int,
                    profile: SynthProfile | None = None) -> None:
-    """Write the tones of synth_dataset as a write_manifest directory.
+    """Write the tones of synth_dataset as a load_manifest directory:
+    wavs/clip_<i>.wav files plus labels.csv.
 
     Each chunk writes its own WAV files on the pool of `_synth_chunks`, so
     no more waveforms are held at once than the workers' chunks.
@@ -461,7 +439,7 @@ def load_manifest(dataset_dir: str | Path, num_classes: int,
         clip = read_wav(root / rel)
         feat = log_mel_spectrogram(clip, n_fft=n_fft, hop=hop,
                                    n_mels=n_mels, target_frames=n_frames)
-        feats.append(feat.flatten())
+        feats.append(feat.reshape(-1))
         classes.append(class_id)
     labels = np.stack([one_hot(c, num_classes) for c in classes])
     return LabeledDataset(np.stack(feats), labels,

@@ -53,10 +53,6 @@ class LabeledDataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def copy(self) -> "LabeledDataset":
-        return LabeledDataset(self.features.copy(), self.labels.copy(),
-                              self.original_classes.copy(), self.num_classes)
-
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[indices], self.labels[indices],
                               self.original_classes[indices], self.num_classes)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .model import (Classifier, CrossEntropyLoss, LossFn, TrainConfig,
-                    cross_entropy, forward_batch, train)
+                    forward_batch, train)
 from .timing import stage
 
 
@@ -108,37 +108,6 @@ def superpose_labels(data: LabeledDataset, forget_set: set[int]) -> LabeledDatas
     labels[mask] = 1.0 / data.num_classes
     return LabeledDataset(data.features, labels, data.original_classes,
                           data.num_classes)
-
-
-def quantum_loss(pred: np.ndarray, target: np.ndarray, original_class: int,
-                 forget_set: set[int], entropy_lambda: float) -> float:
-    """Cross-entropy on retained samples; -lambda * entropy on forgotten ones.
-
-    The forget branch is the *negative* scaled entropy, so minimizing the
-    loss drives predictions toward the uniform distribution; its minimum
-    is -lambda * log K, attained exactly at uniform.
-    """
-    if original_class not in forget_set:
-        return cross_entropy(pred, target)
-    p = np.asarray(pred, dtype=np.float64)
-    nz = p > 0.0
-    return float(entropy_lambda * np.sum(p[nz] * np.log(p[nz])))
-
-
-def quantum_loss_logit_grad(pred: np.ndarray, target: np.ndarray,
-                            original_class: int, forget_set: set[int],
-                            entropy_lambda: float) -> np.ndarray:
-    """Gradient of quantum_loss with respect to the logits feeding `pred`.
-
-    Forget branch: lambda * p_k * (log p_k + H(p)), which vanishes at the
-    uniform distribution and always sums to zero. Retained branch: p - target.
-    """
-    p = np.asarray(pred, dtype=np.float64)
-    if original_class not in forget_set:
-        return p - np.asarray(target, dtype=np.float64)
-    plogp = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)), 0.0)
-    h = -np.sum(plogp)
-    return entropy_lambda * (plogp + p * h)
 
 
 class QuantumLoss(LossFn):
@@ -270,7 +239,6 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
 
 __all__ = [
     "InvalidClassError", "UnlearnConfig", "interference_transform",
-    "superpose_labels", "quantum_loss",
-    "quantum_loss_logit_grad", "QuantumLoss", "build_mixing_matrix",
+    "superpose_labels", "QuantumLoss", "build_mixing_matrix",
     "apply_mixing", "run_qp_audio_eraser", "penultimate", "accuracy_snapshot",
 ]

@@ -177,6 +177,9 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     """
     # every field against its annotation, by the walk that parses a file
     _merge("", ExperimentConfig(), config_to_dict(cfg))
+    # Rng and derive_seed read a seed modulo 2**64, so -1 would alias 2**64 - 1
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {cfg.seed}")
     k = cfg.dataset.num_classes
     if k < 2:
         raise ConfigError(f"dataset.num_classes must be >= 2, got {k}")
@@ -316,8 +319,8 @@ def _train_config(cfg: ExperimentConfig) -> TrainConfig:
     return replace(cfg.train, seed=derive_seed(cfg.seed, _SEED_TRAIN))
 
 
-def _unlearn_config(cfg: ExperimentConfig, **tweaks) -> UnlearnConfig:
-    return replace(cfg.unlearn, seed=derive_seed(cfg.seed, _SEED_UNLEARN), **tweaks)
+def _unlearn_config(cfg: ExperimentConfig) -> UnlearnConfig:
+    return replace(cfg.unlearn, seed=derive_seed(cfg.seed, _SEED_UNLEARN))
 
 
 def _baseline_config(cfg: ExperimentConfig, name: str) -> BaselineConfig:
@@ -435,26 +438,37 @@ def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
     return ws.original_path(), report
 
 
-def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
-    """Apply one unlearning method to a copy of the original checkpoint."""
+def forget(model: Classifier, data: LabeledDataset, method_id: str,
+           cfg: ExperimentConfig) -> tuple[Classifier, list[dict]]:
+    """Apply one method to `model` for `cfg`'s forget set: the unit of work.
+
+    `method_id` is a METHOD_IDS key: "qp" runs the four-phase eraser, the
+    others a baseline, each seeded from the master seed. The model is
+    changed in place and nothing is written. The phase log holds one entry
+    per eraser phase, or one for the baseline, scored on `data`.
+    """
     if method_id not in METHOD_IDS:
         raise ConfigError(f"unknown method {method_id!r}; expected one of "
                           f"{sorted(METHOD_IDS)}")
+    # both runners are read from this module at call time, where the
+    # benchmark times them
+    if method_id == "qp":
+        return run_qp_audio_eraser(model, data, _unlearn_config(cfg))
+    name = METHOD_IDS[method_id]
+    forget_set = set(cfg.unlearn.forget_set)
+    with stage() as span:
+        run_baseline(model, data, forget_set, name, _baseline_config(cfg, name))
+    fa, ra = accuracy_snapshot(model, data, frozenset(forget_set))
+    return model, [{"phase": name, "forget_accuracy": fa, "retain_accuracy": ra,
+                    "wall_ms": span["wall_ms"], "skipped": False}]
+
+
+def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
+    """`forget` on the original checkpoint; write the result and its phase log."""
     model = load_checkpoint(ws.original_path())
     ws.check_provenance()
     ws.check_fits(model)
-    forget = ws.forget_set
-    if method_id == "qp":
-        model, phase_log = run_qp_audio_eraser(model, ws.train_data,
-                                               _unlearn_config(ws.cfg))
-    else:
-        name = METHOD_IDS[method_id]
-        with stage() as span:
-            run_baseline(model, ws.train_data, forget, name,
-                         _baseline_config(ws.cfg, name))
-        fa, ra = accuracy_snapshot(model, ws.train_data, frozenset(forget))
-        phase_log = [{"phase": name, "forget_accuracy": fa,
-                      "retain_accuracy": ra, "wall_ms": span["wall_ms"], "skipped": False}]
+    model, phase_log = forget(model, ws.train_data, method_id, ws.cfg)
     path = ws.out / f"unlearned_{method_id}.qpae"
     save_checkpoint(model, path)
     (ws.out / f"phase_log_{method_id}.json").write_text(
@@ -466,6 +480,13 @@ def cmd_evaluate(ws: Workspace, model_path: str | Path,
                  original_report: EvaluationReport | None = None,
                  name: str | None = None) -> EvaluationReport:
     """Evaluate a checkpoint on the held-out split; write JSON + CSV row."""
+    if original_report is not None:
+        theirs = (original_report.forget_set, original_report.num_classes)
+        ours = (sorted(ws.forget_set), ws.cfg.dataset.num_classes)
+        if theirs != ours:
+            raise ConfigError(
+                f"the original report covers forget set {theirs[0]} of "
+                f"{theirs[1]} classes; this run forgets {ours[0]} of {ours[1]}")
     model = load_checkpoint(model_path)
     ws.check_provenance()
     ws.check_fits(model)
@@ -532,7 +553,7 @@ def cmd_sequential(ws: Workspace) -> list[dict]:
     _, _ = cmd_train(ws)
     original = load_checkpoint(ws.original_path())
     model = original.copy()
-    current = ws.train_data.copy()
+    current = ws.train_data
     forgotten: set[int] = set()
     series: list[dict] = []
     rows: list[tuple[str, EvaluationReport]] = []
@@ -544,7 +565,8 @@ def cmd_sequential(ws: Workspace) -> list[dict]:
                         step, sorted(overlap))
         new = request - forgotten
         if new:
-            run_qp_audio_eraser(model, current, _unlearn_config(cfg, forget_set=sorted(new)))
+            step_cfg = replace(cfg, unlearn=replace(cfg.unlearn, forget_set=sorted(new)))
+            forget(model, current, "qp", step_cfg)
             current = superpose_labels(current, new)
             forgotten |= new
         original_union = evaluate(original, ws.eval_data, forgotten)
@@ -580,8 +602,8 @@ def cmd_ablation(ws: Workspace) -> dict[str, EvaluationReport]:
     original = load_checkpoint(ws.original_path())
     for name, tweaks in ABLATION_VARIANTS:
         model = original.copy()
-        run_qp_audio_eraser(model, ws.train_data,
-                            _unlearn_config(ws.cfg, **tweaks))
+        forget(model, ws.train_data, "qp",
+               replace(ws.cfg, unlearn=replace(ws.cfg.unlearn, **tweaks)))
         save_checkpoint(model, ws.out / f"unlearned_ablation_{name}.qpae")
         report = evaluate(model, ws.eval_data, ws.forget_set,
                           original_fa=original_report.fa)

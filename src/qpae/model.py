@@ -34,11 +34,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """-sum target_j * log(pred_j + eps) with the shared eps clamp."""
-    return float(-np.sum(target * np.log(pred + LOG_EPS)))
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.05
@@ -115,9 +110,6 @@ class Classifier:
         """Mutable views of every parameter block: W0, b0, W1, b1, ..."""
         return [p for layer in self.layers for p in layer]
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def copy(self) -> "Classifier":
         return Classifier([(w.copy(), b.copy()) for w, b in self.layers])
 
@@ -152,18 +144,6 @@ def forward_batch(model: Classifier, xs: np.ndarray) -> tuple[list[np.ndarray], 
         acts.append(h)
     logits = h @ model.final_w + model.final_b
     return acts, logits
-
-
-def predict_probs(model: Classifier, xs: np.ndarray) -> np.ndarray:
-    """Softmax outputs for a batch, shape (n, K)."""
-    _, logits = forward_batch(model, xs)
-    return softmax(logits)
-
-
-def predict_classes(model: Classifier, xs: np.ndarray) -> np.ndarray:
-    """Top-1 predictions; argmax breaks ties toward the lowest class index."""
-    _, logits = forward_batch(model, xs)
-    return np.argmax(logits, axis=1)
 
 
 def backprop(model: Classifier, acts: list[np.ndarray],
@@ -253,48 +233,3 @@ def train(model: Classifier, data: "LabeledDataset", cfg: TrainConfig,
         log.epoch_losses.append(total / n)
     model.ensure_finite()
     return log
-
-
-def sample_gradient(model: Classifier, x: np.ndarray, target: np.ndarray,
-                    loss: LossFn, original_class: int) -> list[np.ndarray]:
-    """Analytic gradient of the loss for one sample, per parameter block."""
-    acts, logits = forward_batch(model, x[None, :])
-    _, dlogits = loss.batch(softmax(logits), target[None, :], np.array([original_class]))
-    return backward_batch(model, acts, dlogits)
-
-
-def gradient_check(model: Classifier, x: np.ndarray, target: np.ndarray,
-                   loss: LossFn, original_class: int | None = None,
-                   step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Relative error for parameter p is |g_a - g_fd| / max(1, |g_a|, |g_fd|).
-    Only meant for small models; refuses anything above 5000 parameters.
-    """
-    if model.num_parameters() > 5000:
-        raise ValueError("gradient_check is limited to models with <= 5000 parameters")
-    if original_class is None:
-        original_class = int(np.argmax(target))
-
-    def loss_at() -> float:
-        _, logits = forward_batch(model, x[None, :])
-        values, _ = loss.batch(softmax(logits), target[None, :],
-                               np.array([original_class]))
-        return float(values[0])
-
-    analytic = sample_gradient(model, x, target, loss, original_class)
-    worst = 0.0
-    for block, grad in zip(model.parameters(), analytic):
-        flat = block.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + step
-            up = loss_at()
-            flat[i] = saved - step
-            down = loss_at()
-            flat[i] = saved
-            fd = (up - down) / (2.0 * step)
-            err = abs(gflat[i] - fd) / max(1.0, abs(gflat[i]), abs(fd))
-            worst = max(worst, err)
-    return worst

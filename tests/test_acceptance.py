@@ -17,8 +17,7 @@ import pytest
 from qpae import harness
 from qpae.checkpoint import (ChecksumError, load_checkpoint, save_checkpoint)
 from qpae.data import one_hot
-from qpae.eraser import (build_mixing_matrix, interference_transform,
-                         quantum_loss_logit_grad)
+from qpae.eraser import QuantumLoss, build_mixing_matrix, interference_transform
 from qpae.harness import Workspace
 from qpae.metrics import erb_score, evaluate
 from qpae.model import Classifier, forward_batch, softmax
@@ -134,6 +133,13 @@ def test_criterion_03_baseline_frontier_pattern(single_run):
 def test_criterion_04_gradient_oracle():
     rng = Rng(1234)
 
+    def grad(p, lam):
+        """QuantumLoss's logit gradient for one forgotten sample."""
+        k = len(p)
+        _, g = QuantumLoss({0}, lam).batch(p[None, :], one_hot(0, k)[None, :],
+                                           np.array([0]))
+        return g[0]
+
     def fd(p, lam, h=1e-6):
         z = np.log(p)
         out = np.zeros_like(z)
@@ -156,14 +162,13 @@ def test_criterion_04_gradient_oracle():
         lam = 0.25 + 1.5 * rng.uniform()
         p = rng.uniform(k) + 1e-4
         p /= p.sum()
-        g = quantum_loss_logit_grad(p, one_hot(0, k), 0, {0}, lam)
+        g = grad(p, lam)
         ref = fd(p, lam)
         err = float(np.max(np.abs(g - ref)
                            / np.maximum(1.0, np.maximum(np.abs(g), np.abs(ref)))))
         worst = max(worst, err)
-    uniform_norms = [float(np.linalg.norm(
-        quantum_loss_logit_grad(np.full(k, 1.0 / k), one_hot(0, k), 0, {0}, 1.0)))
-        for k in range(2, 33)]
+    uniform_norms = [float(np.linalg.norm(grad(np.full(k, 1.0 / k), 1.0)))
+                     for k in range(2, 33)]
     ok = worst <= 1e-4 and max(uniform_norms) <= 1e-8
     crit(4, ok, f"max FD relative error {worst:.2e} over 1000 cases; "
                 f"max |grad| at uniform {max(uniform_norms):.2e}")

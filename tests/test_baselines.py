@@ -6,11 +6,10 @@ from qpae.baselines import (BaselineConfig, NegatedCrossEntropyLoss,
                             gradient_ascent_unlearn, negative_gradient_unlearn,
                             run_baseline, synaptic_dampening)
 from qpae.data import LabeledDataset, one_hot
-from qpae.model import (Classifier, CrossEntropyLoss, forward_batch,
-                        sample_gradient, softmax)
+from qpae.model import Classifier, CrossEntropyLoss, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import equals_bits
+from helpers import equals_bits, sample_gradient
 
 
 def reference_fisher(model, samples):

@@ -108,6 +108,10 @@ def test_retired_config_shape_exits_2(cfg_path, tmp_path, capsys, edit):
     ("sequential", [], {"scenario": "sequential", "sequential_requests": [[1.5]]}),
     # an empty request would train first and fail only at that step
     ("sequential", [], {"scenario": "sequential", "sequential_requests": [[0], []]}),
+    # the master seed is a u64: Rng would alias any other value to one
+    ("train", ["--seed", "-1"], {}),
+    ("train", ["--seed", "18446744073709551616"], {}),
+    ("train", [], {"seed": -1}),
 ])
 def test_out_of_range_config_exits_2(cfg_path, tmp_path, capsys, verb, flags, edit):
     raw = json.loads(cfg_path.read_text())
@@ -389,6 +393,36 @@ def test_bad_section_value_exits_2(cfg_path, tmp_path, capsys, verb, edit):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
+
+
+@pytest.mark.parametrize("mismatch", ["forget_set", "num_classes"])
+def test_original_report_of_another_run_exits_2(cfg_path, tmp_path, monkeypatch,
+                                                capsys, mismatch):
+    """An --original-report for another forget set or class count is refused
+    before the dataset is built, and nothing is written."""
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["unlearn", "--config", str(cfg_path), "--method", "qp",
+                 "--forget", "3"]) == 0
+    report = out / "report_original.json"  # forget set [0]
+    if mismatch == "num_classes":
+        five = _edit(cfg_path, tmp_path, "five.json", dataset={"num_classes": 5})
+        assert main(["train", "--config", str(five), "--forget", "3",
+                     "--out", str(tmp_path / "five")]) == 0
+        report = tmp_path / "five" / "report_original.json"
+    capsys.readouterr()
+    builds = []
+    monkeypatch.setattr(harness, "_last_splits", {})
+    monkeypatch.setattr(harness, "build_dataset", builds.append)
+    before = sorted(p.name for p in out.iterdir())
+    assert main(["evaluate", "--config", str(cfg_path), "--forget", "3",
+                 "--model", str(out / "unlearned_qp.qpae"),
+                 "--original-report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "original report" in err
+    assert "Traceback" not in err
+    assert builds == []
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def _missing_ra(report_text):

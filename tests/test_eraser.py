@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,14 @@ from hypothesis import strategies as st
 from qpae.data import LabeledDataset, one_hot
 from qpae.eraser import (InvalidClassError, QuantumLoss, UnlearnConfig,
                          apply_mixing, build_mixing_matrix,
-                         interference_transform, quantum_loss,
-                         quantum_loss_logit_grad, run_qp_audio_eraser,
+                         interference_transform, run_qp_audio_eraser,
                          superpose_labels)
 from qpae.harness import ABLATION_VARIANTS
-from qpae.model import (Classifier, TrainConfig, forward_batch, predict_probs,
-                        softmax)
+from qpae.model import Classifier, TrainConfig, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import equals_bits
+from helpers import (equals_bits, predict_probs, quantum_loss,
+                     quantum_loss_logit_grad)
 
 distributions = st.lists(st.floats(min_value=1e-6, max_value=1.0),
                          min_size=2, max_size=12).map(
@@ -417,7 +417,8 @@ class TestPipeline:
             return fresh_snapshot(model, data, forget_set, hidden)
 
         monkeypatch.setattr(eraser, "accuracy_snapshot", keep_copy)
-        ucfg = harness._unlearn_config(desk["cfg"], **dict(ABLATION_VARIANTS)[variant])
+        ucfg = replace(harness._unlearn_config(desk["cfg"]),
+                       **dict(ABLATION_VARIANTS)[variant])
         _, log = run_qp_audio_eraser(desk["model"].copy(), desk["train"], ucfg)
         assert len(copies) == len(log) == 4
         for copy, entry in zip(copies, log):

@@ -10,10 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qpae.audio import (ManifestError, WavClip, WavParseError, load_manifest,
-                        read_wav, write_manifest, write_wav)
+                        read_wav, write_wav)
 from qpae.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from qpae.model import Classifier, NumericError
 from qpae.rng import Rng
+
+from helpers import write_manifest
 
 # 4-byte words a mutation may write: zero, all ones, float32 NaN, +inf and
 # max, and the largest u32 sizes, the values parsers most often mishandle

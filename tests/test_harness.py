@@ -9,14 +9,17 @@ import pytest
 from qpae import harness
 from qpae.audio import WavClip, write_wav
 from qpae.baselines import METHOD_NAMES, BaselineConfig
+from qpae.checkpoint import load_checkpoint
 from qpae.cli import main
 from qpae.data import LabeledDataset, train_eval_split
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
                           emit_table, load_config)
 from qpae.metrics import report_from_json
-from qpae.model import TrainConfig
-from qpae.rng import derive_seed
+from qpae.model import Classifier, TrainConfig
+from qpae.rng import Rng, derive_seed
+
+from helpers import equals_bits
 
 
 @pytest.fixture()
@@ -253,6 +256,49 @@ class TestCommands:
         report = harness.cmd_evaluate(ws, ws.original_path(),
                                       original_report=original, name="self")
         assert report.per == 0.0
+
+
+def without_wall_ms(phase_log):
+    return [{k: v for k, v in entry.items() if k != "wall_ms"} for entry in phase_log]
+
+
+class TestForget:
+    @pytest.mark.parametrize("method_id", sorted(harness.METHOD_IDS))
+    def test_matches_what_cmd_unlearn_writes(self, small_cfg, tmp_path, monkeypatch,
+                                             method_id):
+        ws = Workspace.create(small_cfg)
+        harness.cmd_train(ws)
+        model = load_checkpoint(ws.original_path())
+        monkeypatch.chdir(tmp_path)
+        files = sorted(tmp_path.rglob("*"))
+        result, phase_log = harness.forget(model, ws.train_data, method_id, ws.cfg)
+        assert result is model
+        assert sorted(tmp_path.rglob("*")) == files  # forget writes nothing
+        path, written_log = harness.cmd_unlearn(ws, method_id)
+        # the checkpoint holds float32 parameters
+        stored = Classifier([(w.astype(np.float32), b.astype(np.float32))
+                             for w, b in model.layers])
+        assert equals_bits(load_checkpoint(path), stored)
+        on_disk = json.loads((ws.out / f"phase_log_{method_id}.json").read_text())
+        assert without_wall_ms(phase_log) == without_wall_ms(on_disk) == \
+            without_wall_ms(written_log)
+
+    def test_unknown_method_leaves_the_model_untouched(self, small_cfg):
+        ws = Workspace.create(small_cfg)
+        model = Classifier.random_init(ws.train_data.feature_dim, [16],
+                                       ws.train_data.num_classes, Rng(3))
+        before = model.copy()
+        with pytest.raises(ConfigError, match="unknown method"):
+            harness.forget(model, ws.train_data, "distillation", ws.cfg)
+        assert equals_bits(model, before)
+
+    def test_full_ablation_variant_is_the_qp_request(self, small_cfg):
+        small_cfg.unlearn.epochs = 1
+        ws = Workspace.create(small_cfg)
+        harness.cmd_ablation(ws)
+        path, _ = harness.cmd_unlearn(ws, "qp")
+        assert path.read_bytes() == \
+            (ws.out / "unlearned_ablation_full.qpae").read_bytes()
 
 
 class TestSequentialScenario:

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from qpae.baselines import NegatedCrossEntropyLoss
 from qpae.data import LabeledDataset, one_hot
-from qpae.eraser import (QuantumLoss, quantum_loss, quantum_loss_logit_grad,
-                         superpose_labels)
+from qpae.eraser import QuantumLoss, superpose_labels
 from qpae.model import (Classifier, CrossEntropyLoss, TrainConfig,
-                        backward_batch, cross_entropy, forward_batch,
-                        gradient_check, predict_classes, softmax, train)
+                        backward_batch, forward_batch, softmax, train)
 from qpae.rng import Rng
 
-from helpers import equals_bits
+from helpers import (cross_entropy, equals_bits, gradient_check,
+                     predict_classes, quantum_loss, quantum_loss_logit_grad)
 
 
 def linear_model(w, b):
