@@ -9,6 +9,7 @@ Modules:
     baselines  gradient ascent / negative gradient / Fisher / dampening
     metrics    FA, RA, IL, PER, FAR, FRR, ERB and report serialization
     harness    experiment configs, scenarios, tables
+    files      artifact files written whole or not at all
     timing     wall-clock spans of a run's stages
     cli        `qpae` command-line entry point
 """

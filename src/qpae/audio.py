@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledDataset, one_hot
-from .rng import Rng, box_muller, unit_interval
+from .data import LabeledDataset
+from .rng import Rng, box_muller, draws_at, unit_interval
 
 POWER_FLOOR = 1e-6  # added inside log() so silence maps to log(1e-6) exactly
 
@@ -71,7 +71,8 @@ class WavClip:
 
 def read_wav(path: str | Path) -> WavClip:
     """Parse a RIFF/WAVE file (PCM16 or float32; stereo averaged to mono)."""
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) < 12:
         raise TruncatedWavError("file too short for a RIFF header")
     if blob[:4] == b"RIFX":
@@ -80,21 +81,20 @@ def read_wav(path: str | Path) -> WavClip:
         raise NotWavError("not a RIFF/WAVE file")
 
     fmt = None
-    data = None
+    data = None  # (offset, size) of the data chunk's body in blob
     pos = 12
     while pos + 8 <= len(blob):
         cid = blob[pos:pos + 4]
-        size = struct.unpack("<I", blob[pos + 4:pos + 8])[0]
+        (size,) = struct.unpack_from("<I", blob, pos + 4)
         body_start = pos + 8
         if body_start + size > len(blob):
             raise TruncatedWavError(f"chunk {cid!r} extends past end of file")
-        body = blob[body_start:body_start + size]
         if cid == b"fmt ":
             if size < 16:
                 raise TruncatedWavError("fmt chunk too small")
-            fmt = struct.unpack("<HHIIHH", body[:16])
+            fmt = struct.unpack_from("<HHIIHH", blob, body_start)
         elif cid == b"data":
-            data = body
+            data = (body_start, size)
         pos = body_start + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -107,11 +107,12 @@ def read_wav(path: str | Path) -> WavClip:
         raise WavParseError("channel count must be >= 1")
     if sample_rate < 1:
         raise WavParseError("sample rate must be >= 1")
+    offset, size = data
     if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2")
+        raw = np.frombuffer(blob, dtype="<i2", count=size // 2, offset=offset)
         samples = raw.astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
-        raw = np.frombuffer(data[:len(data) - len(data) % 4], dtype="<f4")
+        raw = np.frombuffer(blob, dtype="<f4", count=size // 4, offset=offset)
         samples = raw.astype(np.float64)
         if not np.all(np.isfinite(samples)):
             raise WavParseError("float samples must be finite")
@@ -121,8 +122,11 @@ def read_wav(path: str | Path) -> WavClip:
 
     if samples.size < channels or samples.size == 0:
         raise TruncatedWavError("data chunk holds no complete frame")
-    frames = samples.size // channels
-    samples = samples[:frames * channels].reshape(frames, channels).mean(axis=1)
+    if channels > 1:
+        frames = samples.size // channels
+        samples = samples[:frames * channels].reshape(frames, channels).mean(axis=1)
+    elif audio_format == 3:
+        samples += 0.0  # as a one-channel mean would: -0.0 becomes 0.0
     return WavClip(sample_rate=sample_rate, samples=samples)
 
 
@@ -165,9 +169,16 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int) -> np.ndarray:
     return filt
 
 
+@functools.lru_cache(maxsize=16)
 def hann_window(n: int) -> np.ndarray:
-    # periodic form, the standard choice for short-time analysis
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    """Periodic Hann window, the standard choice for short-time analysis.
+
+    Cached per length, like `mel_filterbank`; every caller shares the one
+    read-only array.
+    """
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.flags.writeable = False
+    return window
 
 
 def _check_fft(n_fft: int, hop: int) -> None:
@@ -183,7 +194,11 @@ def _framed_power(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     Rows must hold at least n_fft samples. The FFT of a frame does not
     depend on how many frames or rows share the call.
     """
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft, axis=1)[:, ::hop]
+    m, n = x.shape
+    row, step = x.strides
+    frames = np.lib.stride_tricks.as_strided(
+        x, shape=(m, (n - n_fft) // hop + 1, n_fft), strides=(row, hop * step, step),
+        writeable=False)
     spec = np.fft.rfft(frames * hann_window(n_fft), axis=-1)
     return spec.real ** 2 + spec.imag ** 2
 
@@ -266,9 +281,9 @@ def synth_waves(class_ids, raw: np.ndarray, profile: SynthProfile | None = None)
     """Waveforms (m, n) of m seeded harmonic tones, row i of class class_ids[i].
 
     raw holds the m clips' stream draws, synth_draws(profile) per clip and
-    clip after clip, as `Rng.fill_u64` returns them. Every sample goes
-    through the same IEEE operations whatever m is, so a row does not
-    depend on the chunk it is built in.
+    clip after clip, as `Rng.fill_u64` or `draws_at` return them. Every
+    sample goes through the same IEEE operations whatever m is, so a row
+    does not depend on the chunk it is built in.
     """
     p = profile or SynthProfile()
     class_ids = np.asarray(class_ids, dtype=np.int64)
@@ -297,7 +312,7 @@ def synth_clip(class_id: int, rng: Rng, profile: SynthProfile | None = None) -> 
     return WavClip(p.sample_rate, synth_waves([class_id], rng.fill_u64(synth_draws(p)), p)[0])
 
 
-SYNTH_CHUNK = 8  # consecutive clips per unit of work in synth_dataset
+SYNTH_CHUNK = 8  # clips per unit of work in synth_dataset
 
 
 def _worker_count() -> int:
@@ -307,60 +322,80 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _synth_chunks(num_classes: int, per_class: int, seed: int, profile: SynthProfile,
-                  work: Callable[[int, np.ndarray], None]) -> np.ndarray:
-    """Synthesise per_class tones for each class and hand them to work in chunks.
-
-    Clip j (class j // per_class) takes its draws from one Rng(seed)
-    stream, starting at j * synth_draws(profile). Chunks of SYNTH_CHUNK
-    clips are built on a thread pool, one worker per available CPU: numpy
-    releases the GIL in the sine and noise work. Each chunk seeks its own
-    Rng to its first clip and calls work(first, waves) with its
-    `synth_waves`, so what work sees does not depend on the worker count.
-    Returns the class of every clip.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
+def synth_classes(num_classes: int, per_class: int) -> np.ndarray:
+    """The class of every synthetic clip, class-major: clip j is of class
+    j // per_class. The layout is known before any tone is made."""
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
     if per_class < 1:
         raise ValueError("need at least 1 sample per class")
+    return np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+
+
+def _clip_rows(rows, n: int) -> np.ndarray:
+    """rows as an index array into n clips; all n, in order, if rows is None."""
+    if rows is None:
+        return np.arange(n, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= n)):
+        raise ValueError(f"rows must be a list of clip indices in [0, {n})")
+    return rows
+
+
+def _synth_chunks(classes: np.ndarray, clips: np.ndarray, seed: int,
+                  profile: SynthProfile, work: Callable[[int, np.ndarray], None]) -> None:
+    """Synthesise the listed clips and hand them to work in chunks.
+
+    Clip j, of class classes[j], takes its draws from the Rng(seed)
+    stream starting at draw j * synth_draws(profile), so its tone does not
+    depend on which clips are built with it. The list is cut into chunks
+    of SYNTH_CHUNK clips, built on a thread pool with one worker per
+    available CPU: numpy releases the GIL in the sine and noise work. Each
+    chunk calls work(first, waves) with the `synth_waves` of
+    clips[first:first + len(waves)], so what work sees does not depend on
+    the worker count.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     draws = synth_draws(profile)
-    classes = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
 
     def build(first: int) -> None:
-        rng = Rng(seed)
-        rng.skip(first * draws)
-        chunk = classes[first:first + SYNTH_CHUNK]
-        work(first, synth_waves(chunk, rng.fill_u64(chunk.size * draws), profile))
+        chunk = clips[first:first + SYNTH_CHUNK]
+        work(first, synth_waves(classes[chunk], draws_at(seed, chunk * draws, draws),
+                                profile))
 
-    starts = range(0, classes.size, SYNTH_CHUNK)
+    starts = range(0, clips.size, SYNTH_CHUNK)
+    if not starts:
+        return
     with ThreadPoolExecutor(max_workers=min(_worker_count(), len(starts))) as pool:
         list(pool.map(build, starts))  # list() re-raises a worker's exception
-    return classes
 
 
 def synth_dataset(num_classes: int, per_class: int, seed: int,
                   n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
                   n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP,
-                  profile: SynthProfile | None = None) -> LabeledDataset:
+                  profile: SynthProfile | None = None, rows=None) -> LabeledDataset:
     """Deterministic synthetic dataset: per_class tones for each class.
 
     The tones are those of `_synth_chunks`; each chunk writes its log-mel
     feature rows in place, so the features do not depend on the worker
-    count.
+    count. rows, if given, lists the clips to build (indices into the
+    `synth_classes` layout); row i of the result is row rows[i] of the
+    whole dataset, bit for bit.
     """
     p = profile or SynthProfile()
-    features = np.empty((num_classes * per_class, n_mels * n_frames))
+    classes = synth_classes(num_classes, per_class)
+    clips = _clip_rows(rows, classes.size)
+    features = np.empty((clips.size, n_mels * n_frames))
 
     def featurize(first: int, waves: np.ndarray) -> None:
         features[first:first + len(waves)] = log_mel_batch(
             waves, p.sample_rate, n_fft=n_fft, hop=hop, n_mels=n_mels,
             target_frames=n_frames).reshape(len(waves), -1)
 
-    classes = _synth_chunks(num_classes, per_class, seed, p, featurize)
-    labels = np.eye(num_classes)[classes]
-    return LabeledDataset(features, labels, classes, num_classes)
+    _synth_chunks(classes, clips, seed, p, featurize)
+    classes = classes[clips]
+    return LabeledDataset(features, np.eye(num_classes)[classes], classes, num_classes)
 
 
 class ManifestError(ValueError):
@@ -387,6 +422,7 @@ def synth_manifest(dataset_dir: str | Path, num_classes: int, per_class: int, se
     no more waveforms are held at once than the workers' chunks.
     """
     p = profile or SynthProfile()
+    classes = synth_classes(num_classes, per_class)
     root = Path(dataset_dir)
     (root / "wavs").mkdir(parents=True, exist_ok=True)
 
@@ -394,22 +430,22 @@ def synth_manifest(dataset_dir: str | Path, num_classes: int, per_class: int, se
         for i, wave in enumerate(waves, start=first):
             write_wav(WavClip(p.sample_rate, wave), root / _clip_path(i))
 
-    _write_labels(root, _synth_chunks(num_classes, per_class, seed, p, write))
+    _synth_chunks(classes, np.arange(classes.size), seed, p, write)
+    _write_labels(root, classes)
 
 
-def load_manifest(dataset_dir: str | Path, num_classes: int,
-                  n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
-                  n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP) -> LabeledDataset:
-    """Load a labels.csv manifest directory into a feature dataset.
+def read_labels(dataset_dir: str | Path, num_classes: int) -> tuple[list[str], np.ndarray]:
+    """The checked rows of a manifest directory's labels.csv: each clip's
+    path, relative to the directory, and its class. No WAV file is opened.
 
-    Every class id must lie in [0, num_classes); the one-hot labels are
-    num_classes wide.
+    Every class id must lie in [0, num_classes).
     """
     root = Path(dataset_dir)
     manifest = root / "labels.csv"
     if not manifest.exists():
         raise ManifestError(f"no labels.csv in {root}")
-    entries: list[tuple[str, int]] = []
+    paths: list[str] = []
+    classes: list[int] = []
     with open(manifest, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.reader(fh))
@@ -429,18 +465,33 @@ def load_manifest(dataset_dir: str | Path, num_classes: int,
         if not 0 <= class_id < num_classes:
             raise ManifestError(f"line {line_no}: class_id {class_id} out of "
                                 f"range [0, {num_classes})")
-        entries.append((row[0], class_id))
-    if not entries:
-        raise ManifestError("manifest lists no samples")
-
-    feats = []
-    classes = []
-    for rel, class_id in entries:
-        clip = read_wav(root / rel)
-        feat = log_mel_spectrogram(clip, n_fft=n_fft, hop=hop,
-                                   n_mels=n_mels, target_frames=n_frames)
-        feats.append(feat.reshape(-1))
+        paths.append(row[0])
         classes.append(class_id)
-    labels = np.stack([one_hot(c, num_classes) for c in classes])
-    return LabeledDataset(np.stack(feats), labels,
-                          np.array(classes, dtype=np.int64), num_classes)
+    if not paths:
+        raise ManifestError("manifest lists no samples")
+    return paths, np.array(classes, dtype=np.int64)
+
+
+def load_manifest(dataset_dir: str | Path, num_classes: int,
+                  n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
+                  n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP,
+                  rows=None) -> LabeledDataset:
+    """Load a labels.csv manifest directory into a feature dataset.
+
+    Every class id must lie in [0, num_classes); the one-hot labels are
+    num_classes wide. rows, if given, lists the manifest rows to load
+    (0-based, in labels.csv order), and only their WAV files are opened;
+    row i of the result is row rows[i] of the whole manifest, bit for bit.
+    """
+    paths, classes = read_labels(dataset_dir, num_classes)
+    clips = _clip_rows(rows, len(paths))
+    root = os.fspath(dataset_dir)
+    features = np.empty((clips.size, n_mels * n_frames))
+    for i, row in enumerate(clips.tolist()):
+        # one read_wav and one log_mel_spectrogram per clip, looked up in
+        # this module at call time, where the benchmark counts them
+        clip = read_wav(os.path.join(root, paths[row]))
+        features[i] = log_mel_spectrogram(clip, n_fft=n_fft, hop=hop, n_mels=n_mels,
+                                          target_frames=n_frames).reshape(-1)
+    classes = classes[clips]
+    return LabeledDataset(features, np.eye(num_classes)[classes], classes, num_classes)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import write_atomic
 from .model import Classifier, NumericError
 
 MAGIC = b"QPAE"
@@ -69,7 +70,7 @@ def save_checkpoint(model: Classifier, path: str | Path) -> None:
         parts.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
     payload = b"".join(parts)
     blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 class _Reader:

@@ -63,30 +63,37 @@ class LabeledDataset:
         return self.subset(np.where(mask)[0]), self.subset(np.where(~mask)[0])
 
 
-def one_hot(class_id: int, num_classes: int) -> np.ndarray:
-    v = np.zeros(num_classes)
-    v[class_id] = 1.0
-    return v
-
-
 def train_count(n: int, train_frac: float) -> int:
-    """How many of a class's n samples train_eval_split puts on the train side."""
+    """How many of a class's n samples split_indices puts on the train side."""
     return int(round(n * train_frac))
 
 
-def train_eval_split(data: LabeledDataset, train_frac: float,
-                     seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded per-class split so both sides see every class."""
+def split_indices(classes: np.ndarray, num_classes: int, train_frac: float,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded per-class split of row indices: (train rows, held-out rows),
+    each sorted, so both sides see every class.
+
+    Only each row's class is read, so the split is known before any
+    features are built.
+    """
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
     rng = Rng(seed)
     train_idx: list[int] = []
     eval_idx: list[int] = []
-    for c in range(data.num_classes):
-        idx = np.where(data.original_classes == c)[0]
+    for c in range(num_classes):
+        idx = np.where(classes == c)[0]
         rng.shuffle(idx)
         cut = train_count(len(idx), train_frac)
         train_idx.extend(idx[:cut])
         eval_idx.extend(idx[cut:])
-    return data.subset(np.array(sorted(train_idx), dtype=np.int64)), \
-        data.subset(np.array(sorted(eval_idx), dtype=np.int64))
+    return (np.array(sorted(train_idx), dtype=np.int64),
+            np.array(sorted(eval_idx), dtype=np.int64))
+
+
+def train_eval_split(data: LabeledDataset, train_frac: float,
+                     seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """The rows of `split_indices` of data's classes, as two datasets."""
+    train_idx, eval_idx = split_indices(data.original_classes, data.num_classes,
+                                        train_frac, seed)
+    return data.subset(train_idx), data.subset(eval_idx)

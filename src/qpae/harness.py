@@ -12,18 +12,19 @@ import json
 import logging
 import math
 import numbers
-from collections import Counter
-from functools import cached_property
 from dataclasses import (asdict, astuple, dataclass, field,
                          fields as dataclass_fields, is_dataclass, replace)
 from pathlib import Path
 
+import numpy as np
+
 from . import audio
 from .baselines import METHOD_NAMES, BaselineConfig, run_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import LabeledDataset, train_count, train_eval_split
+from .data import LabeledDataset, split_indices, train_count, train_eval_split
 from .eraser import (UnlearnConfig, accuracy_snapshot,
                      run_qp_audio_eraser, superpose_labels)
+from .files import write_atomic
 from .metrics import (TABLE_COLUMNS, EvaluationReport, compare_reports,
                       evaluate, report_csv_row, report_from_json,
                       report_to_json)
@@ -235,7 +236,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
+    write_atomic(path, json.dumps(config_to_dict(cfg), indent=2) + "\n")
 
 
 def default_config(scenario: str = "single", **overrides) -> ExperimentConfig:
@@ -267,15 +268,38 @@ def default_config(scenario: str = "single", **overrides) -> ExperimentConfig:
 # dataset + model construction
 
 
-def build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
+def dataset_classes(cfg: ExperimentConfig) -> np.ndarray:
+    """The class of every clip of the config's dataset, known before any
+    audio is read: the class-major tone order of a synthetic spec, or a
+    manifest's labels.csv.
+
+    A manifest class with too few clips for both sides of the split is a
+    ConfigError: check_ranges' per_class rule, for counts that only
+    labels.csv holds.
+    """
+    spec = cfg.dataset
+    if spec.kind == "synthetic":
+        return audio.synth_classes(spec.num_classes, spec.per_class)
+    classes = audio.read_labels(spec.path, spec.num_classes)[1]
+    counts = np.bincount(classes, minlength=spec.num_classes)
+    short = {c: int(n) for c, n in enumerate(counts) if not _splits_both_sides(n)}
+    if short:
+        raise ConfigError(f"manifest classes hold too few clips for the "
+                          f"{TRAIN_FRACTION:g} split (class: clips) {short}")
+    return classes
+
+
+def build_dataset(cfg: ExperimentConfig, rows=None) -> LabeledDataset:
+    """The config's dataset, or only its listed rows (see `dataset_classes`
+    for their order); a row is the same either way."""
     spec = cfg.dataset
     if spec.kind == "synthetic":
         return audio.synth_dataset(
             spec.num_classes, spec.per_class, derive_seed(cfg.seed, _SEED_DATA),
             n_mels=spec.n_mels, n_frames=spec.n_frames,
-            profile=audio.PROFILES[spec.profile])
+            profile=audio.PROFILES[spec.profile], rows=rows)
     return audio.load_manifest(spec.path, num_classes=spec.num_classes,
-                               n_mels=spec.n_mels, n_frames=spec.n_frames)
+                               n_mels=spec.n_mels, n_frames=spec.n_frames, rows=rows)
 
 
 # The last synthetic (train, eval) pair and its key. Scenarios run back to
@@ -285,34 +309,49 @@ def build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 _last_splits: dict[tuple, tuple[LabeledDataset, LabeledDataset]] = {}
 
 
+def _splits_key(cfg: ExperimentConfig) -> tuple | None:
+    """prepare_splits' reuse key, or None for a manifest: its files can
+    change on disk, so it is always read afresh."""
+    return (astuple(cfg.dataset), cfg.seed) if cfg.dataset.kind == "synthetic" else None
+
+
 def prepare_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded 80/20 split of the config's dataset.
+    """Seeded 80/20 split of the config's dataset, built in one pass over
+    every clip.
 
     A synthetic dataset is a pure function of its spec and the master seed,
     so the last pair built is returned again for the same key, with every
-    array read-only. Manifest datasets are always read afresh: their files
-    can change on disk.
+    array read-only.
     """
-    key = (astuple(cfg.dataset), cfg.seed)
-    if cfg.dataset.kind == "synthetic" and key in _last_splits:
+    key = _splits_key(cfg)
+    if key in _last_splits:
         return _last_splits[key]
     _last_splits.clear()  # before the build, so two datasets are never held
-    data = build_dataset(cfg)
-    if cfg.dataset.kind == "manifest":
-        # check_ranges' per_class rule, for counts known only once read
-        counts = Counter(data.original_classes.tolist())
-        short = {c: counts[c] for c in range(data.num_classes)
-                 if not _splits_both_sides(counts[c])}
-        if short:
-            raise ConfigError(f"manifest classes hold too few clips for the "
-                              f"{TRAIN_FRACTION:g} split (class: clips) {short}")
-    splits = train_eval_split(data, TRAIN_FRACTION, derive_seed(cfg.seed, _SEED_SPLIT))
-    if cfg.dataset.kind == "synthetic":
+    if key is None:
+        dataset_classes(cfg)  # short classes are refused before any WAV is opened
+    splits = train_eval_split(build_dataset(cfg), TRAIN_FRACTION,
+                              derive_seed(cfg.seed, _SEED_SPLIT))
+    if key is not None:
         for part in splits:
             for array in (part.features, part.labels, part.original_classes):
                 array.flags.writeable = False
         _last_splits[key] = splits
     return splits
+
+
+def prepare_split(cfg: ExperimentConfig, side: int) -> LabeledDataset:
+    """Side 0 (training) or 1 (held out) of `prepare_splits(cfg)`, the same
+    bit for bit, built from only that side's clips.
+
+    The split comes from the class layout alone, before any audio is
+    touched. A synthetic pair that prepare_splits kept is reused.
+    """
+    key = _splits_key(cfg)
+    if key in _last_splits:
+        return _last_splits[key][side]
+    rows = split_indices(dataset_classes(cfg), cfg.dataset.num_classes,
+                         TRAIN_FRACTION, derive_seed(cfg.seed, _SEED_SPLIT))[side]
+    return build_dataset(cfg, rows)
 
 
 def _train_config(cfg: ExperimentConfig) -> TrainConfig:
@@ -337,8 +376,10 @@ def _baseline_config(cfg: ExperimentConfig, name: str) -> BaselineConfig:
 class Workspace:
     """One experiment's config, its output directory and its data splits.
 
-    The splits are built on first use unless they are passed in, so a
-    command can refuse its inputs before it pays for the dataset.
+    `create` builds both sides of the split in one pass. A workspace from
+    `open` builds each side on first use, from only that side's clips,
+    unless the sides are passed in: a command can refuse its inputs before
+    it pays for the dataset, and reads no clip it does not use.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: str | Path,
@@ -346,8 +387,7 @@ class Workspace:
                  eval_data: LabeledDataset | None = None):
         self.cfg = cfg
         self.out = Path(out)
-        if train_data is not None:
-            self.splits = (train_data, eval_data)
+        self._sides = [train_data, eval_data]
 
     @classmethod
     def open(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
@@ -359,21 +399,23 @@ class Workspace:
     def create(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
         """`open`, then build the splits, then make the output directory."""
         ws = cls.open(cfg, out)
-        ws.splits  # a dataset that fails to build leaves no directory behind
+        # a dataset that fails to build leaves no directory behind
+        ws._sides = list(prepare_splits(cfg))
         ws.out.mkdir(parents=True, exist_ok=True)
         return ws
 
-    @cached_property
-    def splits(self) -> tuple[LabeledDataset, LabeledDataset]:
-        return prepare_splits(self.cfg)
+    def _side(self, side: int) -> LabeledDataset:
+        if self._sides[side] is None:
+            self._sides[side] = prepare_split(self.cfg, side)
+        return self._sides[side]
 
     @property
     def train_data(self) -> LabeledDataset:
-        return self.splits[0]
+        return self._side(0)
 
     @property
     def eval_data(self) -> LabeledDataset:
-        return self.splits[1]
+        return self._side(1)
 
     @property
     def forget_set(self) -> set[int]:
@@ -408,8 +450,7 @@ class Workspace:
                     f"the original model in {self.out} was trained with another "
                     f"{key} ({recorded.get(key)!r}; this run: {current[key]!r})")
 
-    def check_fits(self, model: Classifier) -> None:
-        data = self.eval_data
+    def check_fits(self, model: Classifier, data: LabeledDataset) -> None:
         if (model.feature_dim, model.num_classes) != (data.feature_dim, data.num_classes):
             raise ConfigError(
                 f"model takes {model.feature_dim} features into {model.num_classes} "
@@ -420,7 +461,7 @@ class Workspace:
 
     def write_report(self, name: str, report: EvaluationReport) -> Path:
         path = self.report_path(name)
-        path.write_text(report_to_json(report) + "\n")
+        write_atomic(path, report_to_json(report) + "\n")
         return path
 
 
@@ -467,12 +508,12 @@ def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
     """`forget` on the original checkpoint; write the result and its phase log."""
     model = load_checkpoint(ws.original_path())
     ws.check_provenance()
-    ws.check_fits(model)
+    ws.check_fits(model, ws.train_data)
     model, phase_log = forget(model, ws.train_data, method_id, ws.cfg)
     path = ws.out / f"unlearned_{method_id}.qpae"
     save_checkpoint(model, path)
-    (ws.out / f"phase_log_{method_id}.json").write_text(
-        json.dumps(phase_log, indent=2) + "\n")
+    write_atomic(ws.out / f"phase_log_{method_id}.json",
+                 json.dumps(phase_log, indent=2) + "\n")
     return path, phase_log
 
 
@@ -489,16 +530,16 @@ def cmd_evaluate(ws: Workspace, model_path: str | Path,
                 f"{theirs[1]} classes; this run forgets {ours[0]} of {ours[1]}")
     model = load_checkpoint(model_path)
     ws.check_provenance()
-    ws.check_fits(model)
+    ws.check_fits(model, ws.eval_data)
     original_fa = original_report.fa if original_report is not None else None
     report = evaluate(model, ws.eval_data, ws.forget_set, original_fa=original_fa)
     stem = name if name is not None else Path(model_path).stem
     ws.write_report(stem, report)
-    (ws.out / f"report_{stem}.csv").write_text(emit_table([(stem, report)])[1])
+    write_atomic(ws.out / f"report_{stem}.csv", emit_table([(stem, report)])[1])
     if original_report is not None:
         deltas = compare_reports(original_report, report)
-        (ws.out / f"report_{stem}_deltas.json").write_text(
-            json.dumps(deltas, indent=2) + "\n")
+        write_atomic(ws.out / f"report_{stem}_deltas.json",
+                     json.dumps(deltas, indent=2) + "\n")
     return report
 
 
@@ -519,8 +560,8 @@ def write_table(out: Path, rows: list[tuple[str, EvaluationReport]],
     markdown, csv_text = emit_table(rows)
     md_path = out / f"{stem}.md"
     csv_path = out / f"{stem}.csv"
-    md_path.write_text(markdown)
-    csv_path.write_text(csv_text)
+    write_atomic(md_path, markdown)
+    write_atomic(csv_path, csv_text)
     return md_path, csv_path
 
 
@@ -579,7 +620,7 @@ def cmd_sequential(ws: Workspace) -> list[dict]:
                        "forgotten_union": sorted(forgotten),
                        "fa": report.fa, "ra": report.ra, "per": report.per,
                        "retained_classes": ws.eval_data.num_classes - len(forgotten)})
-    (ws.out / "sequential_series.json").write_text(json.dumps(series, indent=2) + "\n")
+    write_atomic(ws.out / "sequential_series.json", json.dumps(series, indent=2) + "\n")
     write_table(ws.out, rows, stem="sequential_table")
     return series
 

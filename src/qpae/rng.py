@@ -98,6 +98,17 @@ class Rng:
         return Rng(derive_seed(self._seed, key))
 
 
+def draws_at(seed: int, starts, n: int) -> np.ndarray:
+    """Rows of n raw draws of the Rng(seed) stream, (len(starts), n).
+
+    Row i holds the n draws that follow the first starts[i] ones: what
+    `Rng(seed)` gives from `fill_u64(n)` after `skip(starts[i])`.
+    """
+    idx = (np.asarray(starts, dtype=np.uint64)[:, None]
+           + np.arange(1, n + 1, dtype=np.uint64))
+    return _mix64_array(np.uint64(int(seed) & _MASK) + idx * np.uint64(_GOLDEN))
+
+
 def unit_interval(raw: np.ndarray) -> np.ndarray:
     """Floats in [0, 1) with 53-bit resolution, one per raw draw."""
     return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -6,10 +6,12 @@ import pytest
 
 from qpae import harness
 from qpae.checkpoint import save_checkpoint
-from qpae.data import LabeledDataset, one_hot
+from qpae.data import LabeledDataset
 from qpae.metrics import evaluate
 from qpae.model import Classifier, CrossEntropyLoss, train
 from qpae.rng import Rng, derive_seed
+
+from helpers import one_hot
 
 
 @pytest.fixture(scope="session")

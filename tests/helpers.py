@@ -1,13 +1,24 @@
 """Helpers shared by the test modules: a bitwise model comparison,
 predictions, the per-sample reference forms of the losses, a one-sample
-gradient check, and a manifest writer."""
+gradient check, a manifest writer, a file that fails part-way through a
+write, and the WAV reader and log-mel batch as first written."""
 
+import errno
+import struct
 from pathlib import Path
 
 import numpy as np
 
-from qpae.audio import WavClip, _clip_path, _write_labels, write_wav
+from qpae.audio import (POWER_FLOOR, MissingChunkError, NotWavError, TruncatedWavError,
+                        UnsupportedCodecError, WavClip, WavParseError, _clip_path,
+                        _write_labels, mel_filterbank, write_wav)
 from qpae.model import LOG_EPS, backward_batch, forward_batch, softmax
+
+
+def one_hot(class_id: int, num_classes: int) -> np.ndarray:
+    v = np.zeros(num_classes)
+    v[class_id] = 1.0
+    return v
 
 
 def equals_bits(a, b) -> bool:
@@ -117,3 +128,99 @@ def write_manifest(dataset_dir, clips: list[tuple[WavClip, int]]) -> None:
     for i, (clip, _) in enumerate(clips):
         write_wav(clip, root / _clip_path(i))
     _write_labels(root, [class_id for _, class_id in clips])
+
+
+class FailingWrite:
+    """Wraps an open file: write stores half its bytes, then the disk is full."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, blob):
+        self.fh.write(blob[:len(blob) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+# The per-clip front end as first written: the oracles the lean `read_wav`
+# and `log_mel_batch` are compared against, bit for bit.
+
+def reference_read_wav(path) -> WavClip:
+    """Parse a RIFF/WAVE file (PCM16 or float32; stereo averaged to mono)."""
+    blob = Path(path).read_bytes()
+    if len(blob) < 12:
+        raise TruncatedWavError("file too short for a RIFF header")
+    if blob[:4] == b"RIFX":
+        raise NotWavError("big-endian RIFX files are not supported")
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise NotWavError("not a RIFF/WAVE file")
+
+    fmt = None
+    data = None
+    pos = 12
+    while pos + 8 <= len(blob):
+        cid = blob[pos:pos + 4]
+        size = struct.unpack("<I", blob[pos + 4:pos + 8])[0]
+        body_start = pos + 8
+        if body_start + size > len(blob):
+            raise TruncatedWavError(f"chunk {cid!r} extends past end of file")
+        body = blob[body_start:body_start + size]
+        if cid == b"fmt ":
+            if size < 16:
+                raise TruncatedWavError("fmt chunk too small")
+            fmt = struct.unpack("<HHIIHH", body[:16])
+        elif cid == b"data":
+            data = body
+        pos = body_start + size + (size & 1)  # chunks are word-aligned
+
+    if fmt is None:
+        raise MissingChunkError("missing fmt chunk")
+    if data is None:
+        raise MissingChunkError("missing data chunk")
+
+    audio_format, channels, sample_rate, _, _, bits = fmt
+    if channels < 1:
+        raise WavParseError("channel count must be >= 1")
+    if sample_rate < 1:
+        raise WavParseError("sample rate must be >= 1")
+    if audio_format == 1 and bits == 16:
+        raw = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2")
+        samples = raw.astype(np.float64) / 32768.0
+    elif audio_format == 3 and bits == 32:
+        raw = np.frombuffer(data[:len(data) - len(data) % 4], dtype="<f4")
+        samples = raw.astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise WavParseError("float samples must be finite")
+    else:
+        raise UnsupportedCodecError(
+            f"unsupported codec: format tag {audio_format}, {bits}-bit")
+
+    if samples.size < channels or samples.size == 0:
+        raise TruncatedWavError("data chunk holds no complete frame")
+    frames = samples.size // channels
+    samples = samples[:frames * channels].reshape(frames, channels).mean(axis=1)
+    return WavClip(sample_rate=sample_rate, samples=samples)
+
+
+def reference_log_mel_batch(x, sample_rate, n_fft=256, hop=128, n_mels=32,
+                            target_frames=32) -> np.ndarray:
+    """Log mel-band power of the m equal-length clips in x (m, n), shape
+    (m, n_mels, target_frames): zero-pad, frame with a sliding window view,
+    a Hann window computed per call, one stacked mel matmul, crop, log."""
+    x = np.asarray(x, dtype=np.float64)
+    needed = n_fft + (target_frames - 1) * hop
+    if x.shape[1] < needed:
+        x = np.concatenate([x, np.zeros((x.shape[0], needed - x.shape[1]))], axis=1)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft, axis=1)[:, ::hop]
+    spec = np.fft.rfft(frames * window, axis=-1)
+    power = (spec.real ** 2 + spec.imag ** 2).transpose(0, 2, 1)
+    mel_power = np.matmul(mel_filterbank(sample_rate, n_fft, n_mels), power)
+    start = (mel_power.shape[2] - target_frames) // 2
+    return np.log(POWER_FLOOR + mel_power[:, :, start:start + target_frames])

@@ -16,14 +16,13 @@ import pytest
 
 from qpae import harness
 from qpae.checkpoint import (ChecksumError, load_checkpoint, save_checkpoint)
-from qpae.data import one_hot
 from qpae.eraser import QuantumLoss, build_mixing_matrix, interference_transform
 from qpae.harness import Workspace
 from qpae.metrics import erb_score, evaluate
 from qpae.model import Classifier, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import equals_bits
+from helpers import equals_bits, one_hot
 from test_metrics import brute_force_recount, prediction_set
 
 

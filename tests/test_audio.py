@@ -1,9 +1,12 @@
 import csv
+import re
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qpae import harness
 from qpae.audio import (OVERLAP_PROFILE, PROFILES, SYNTH_CHUNK, ManifestError,
@@ -13,11 +16,12 @@ from qpae.audio import (OVERLAP_PROFILE, PROFILES, SYNTH_CHUNK, ManifestError,
                         log_mel_batch, log_mel_spectrogram, mel_filterbank,
                         mel_to_hz, read_wav, synth_clip, synth_dataset,
                         synth_draws, synth_waves, write_wav)
-from qpae.data import one_hot, train_eval_split
+from qpae.data import split_indices, train_eval_split
 from qpae.model import Classifier, CrossEntropyLoss, TrainConfig, train
 from qpae.rng import Rng, derive_seed
 
-from helpers import predict_classes, write_manifest
+from helpers import (one_hot, predict_classes, reference_log_mel_batch,
+                     reference_read_wav, write_manifest)
 
 SR = 8000
 
@@ -32,19 +36,25 @@ def power_spectrogram(clip, n_fft, hop):
     return _framed_power(x[None, :], n_fft, hop)[0].T
 
 
+def wav_bytes(payload: bytes, fmt_tag: int, channels: int, sample_rate: int, bits: int,
+              before: bytes = b"", after: bytes = b"") -> bytes:
+    """A RIFF/WAVE file whose data chunk holds payload, padded to a word;
+    extra chunks may come before the fmt chunk and after the data chunk."""
+    block = channels * bits // 8
+    body = (b"WAVE" + before
+            + struct.pack("<4sIHHIIHH", b"fmt ", 16, fmt_tag, channels, sample_rate,
+                          sample_rate * block, block, bits)
+            + struct.pack("<4sI", b"data", len(payload)) + payload
+            + b"\0" * (len(payload) & 1) + after)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def pcm16_wav_bytes(samples, sample_rate=SR, channels=1):
-    data = np.asarray(samples, dtype="<i2").tobytes()
-    return struct.pack(
-        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16, 1,
-        channels, sample_rate, sample_rate * 2 * channels, 2 * channels, 16,
-        b"data", len(data)) + data
+    return wav_bytes(np.asarray(samples, dtype="<i2").tobytes(), 1, channels, sample_rate, 16)
 
 
 def float32_wav_bytes(samples, sample_rate=SR):
-    data = np.asarray(samples, dtype="<f4").tobytes()
-    return struct.pack(
-        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE", b"fmt ", 16, 3, 1,
-        sample_rate, sample_rate * 4, 4, 32, b"data", len(data)) + data
+    return wav_bytes(np.asarray(samples, dtype="<f4").tobytes(), 3, 1, sample_rate, 32)
 
 
 class TestReadWav:
@@ -526,3 +536,176 @@ def test_overlap_profile_is_harder_but_learnable():
     train(m, tr, TrainConfig(learning_rate=0.01, epochs=6, seed=4), CrossEntropyLoss())
     acc = float(np.mean(predict_classes(m, ev.features) == ev.original_classes))
     assert acc >= 0.6
+
+
+def _pcm16(n, seed):
+    values = Rng(seed).uniform(n, low=-32768.0, high=32768.0).astype(np.int64)
+    values[:3] = [-32768, 0, 32767]
+    return values.astype("<i2").tobytes()
+
+
+def _float32(n, seed):
+    values = Rng(seed).normal(n, sigma=0.4).astype("<f4")
+    values[:4] = [-0.0, 0.0, np.float32(1e-45), -1.0]  # signed zeros and a denormal
+    return values.tobytes()
+
+
+JUNK = b"JUNK" + struct.pack("<I", 3) + b"abc\0"
+LIST = b"LIST" + struct.pack("<I", 4) + b"INFO"
+
+# (payload, format tag, channels, sample rate, bits, chunk before fmt, chunk after data)
+ORACLE_WAVS = {
+    "pcm16_mono": (_pcm16(6400, 1), 1, 1, 8000, 16, b"", b""),
+    "pcm16_stereo": (_pcm16(2 * 6400, 2), 1, 2, 8000, 16, b"", b""),
+    "pcm16_stereo_part_frame": (_pcm16(2 * 500 + 1, 3), 1, 2, 8000, 16, b"", b""),
+    "float32_mono": (_float32(6400, 4), 3, 1, 8000, 32, b"", b""),
+    "float32_stereo": (_float32(2 * 3000, 5), 3, 2, 8000, 32, b"", b""),
+    "odd_data_chunk": (_pcm16(3001, 6)[:-1], 1, 1, 8000, 16, JUNK, LIST),
+    "odd_float_chunk": (_float32(1200, 7)[:-3], 3, 1, 8000, 32, b"", LIST),
+    "short_clip": (_pcm16(1000, 8), 1, 1, 8000, 16, b"", b""),
+    "long_clip": (_pcm16(20000, 9), 1, 1, 8000, 16, b"", b""),
+    "rate_16000": (_pcm16(12800, 10), 1, 1, 16000, 16, b"", b""),
+    "rate_22050_stereo": (_float32(2 * 9000, 11), 3, 2, 22050, 32, JUNK, b""),
+}
+
+
+class TestLeanFrontEnd:
+    """`read_wav` and `log_mel_batch` against their first versions in
+    helpers.py: the same bytes out, for every input."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_WAVS))
+    def test_read_wav_and_log_mel_equal_the_oracle(self, tmp_path, name):
+        payload, tag, channels, rate, bits, before, after = ORACLE_WAVS[name]
+        path = tmp_path / "clip.wav"
+        path.write_bytes(wav_bytes(payload, tag, channels, rate, bits, before, after))
+        got, want = read_wav(path), reference_read_wav(path)
+        assert got.sample_rate == want.sample_rate == rate
+        assert got.samples.dtype == want.samples.dtype == np.float64
+        assert got.samples.tobytes() == want.samples.tobytes()  # -0.0 is no 0.0
+        for n_frames in (1, 32, 49):
+            feat = log_mel_spectrogram(got, target_frames=n_frames)
+            oracle = reference_log_mel_batch(want.samples[None, :], rate,
+                                             target_frames=n_frames)[0]
+            assert feat.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    @pytest.mark.parametrize("n", [10, 255, 256, 4095, 4096, 4097, 6400, 9000])
+    def test_log_mel_batch_equals_the_oracle(self, rate, n):
+        # needed = 256 + 31 * 128 = 4224 samples fill 32 frames without padding
+        x = Rng(n + rate).normal(3 * n, sigma=0.3).reshape(3, n)
+        for kwargs in ({}, {"n_fft": 512, "hop": 100, "n_mels": 40, "target_frames": 7}):
+            got = log_mel_batch(x, rate, **kwargs)
+            assert got.tobytes() == reference_log_mel_batch(x, rate, **kwargs).tobytes()
+
+    def test_hann_window_is_one_read_only_array_per_length(self):
+        a = hann_window(256)
+        assert hann_window(256) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        assert hann_window(512).shape == (512,)
+
+    @pytest.mark.parametrize("blob", [
+        b"", b"RIFF", b"RIFX" + bytes(40), b"RIFF\0\0\0\0WAVE",
+        wav_bytes(b"", 1, 1, 8000, 16), wav_bytes(b"\0", 1, 1, 8000, 16),
+        wav_bytes(bytes(6), 1, 4, 8000, 16), wav_bytes(bytes(8), 1, 0, 8000, 16),
+        wav_bytes(bytes(8), 7, 1, 8000, 8), wav_bytes(bytes(8), 1, 1, 0, 16),
+        wav_bytes(struct.pack("<2f", 0.5, np.nan), 3, 2, 8000, 32),
+        wav_bytes(bytes(8), 1, 1, 8000, 16)[:-3],
+        wav_bytes(bytes(8), 1, 1, 8000, 16)[:30],
+    ], ids=["empty", "short_header", "rifx", "no_chunks", "empty_data", "half_sample",
+            "part_frame_only", "zero_channels", "codec", "rate0", "nan_in_last_frame",
+            "truncated_data", "truncated_fmt"])
+    def test_malformed_files_raise_what_the_oracle_raises(self, tmp_path, blob):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(blob)
+        with pytest.raises(WavParseError) as want:
+            reference_read_wav(path)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            read_wav(path)
+
+    def test_mutated_files_behave_as_the_oracle(self, tmp_path):
+        from test_fuzz import mutate, mutations
+        from hypothesis import given, settings
+
+        seeds = [wav_bytes(*ORACLE_WAVS[name]) for name in
+                 ("pcm16_stereo_part_frame", "odd_float_chunk", "rate_22050_stereo")]
+        path = tmp_path / "mutant.wav"
+
+        @settings(max_examples=150, deadline=None)
+        @given(which=st.integers(0, len(seeds) - 1), ops=mutations)
+        def check(which, ops):
+            path.write_bytes(mutate(seeds[which], ops))
+            try:
+                want = reference_read_wav(path)
+            except WavParseError as exc:
+                with pytest.raises(type(exc)):
+                    read_wav(path)
+                return
+            got = read_wav(path)
+            assert got.sample_rate == want.sample_rate
+            assert got.samples.tobytes() == want.samples.tobytes()
+
+        check()
+
+
+def _subsets(classes, num_classes):
+    """Row lists a command or a caller builds: each side of the split, one
+    row, the first and last clips, and a run across a chunk boundary."""
+    train, held_out = split_indices(classes, num_classes, 0.8, seed=3)
+    n = len(classes)
+    return {"train": train, "held_out": held_out, "one": [n // 2],
+            "first_last": [0, n - 1],
+            "across_chunk": list(range(SYNTH_CHUNK - 3, 2 * SYNTH_CHUNK + 2))}
+
+
+def _assert_rows_of(part, full, rows):
+    rows = np.asarray(rows, dtype=np.int64)
+    assert part.num_classes == full.num_classes
+    assert part.features.tobytes() == full.features[rows].tobytes()
+    assert part.labels.tobytes() == full.labels[rows].tobytes()
+    assert part.original_classes.tolist() == full.original_classes[rows].tolist()
+
+
+class TestSubsetBuilds:
+    @pytest.mark.parametrize("cpus", [{0}, set(range(5))], ids=["one_cpu", "five_cpus"])
+    @pytest.mark.parametrize("profile", [None, SynthProfile(duration_s=0.2)],
+                             ids=["default", "short_clips"])
+    def test_synth_rows_equal_full_build_rows(self, monkeypatch, cpus, profile):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: cpus, raising=False)
+        full = synth_dataset(5, 13, seed=8, n_mels=16, n_frames=8, profile=profile)
+        for name, rows in _subsets(full.original_classes, 5).items():
+            part = synth_dataset(5, 13, seed=8, n_mels=16, n_frames=8, profile=profile,
+                                 rows=rows)
+            _assert_rows_of(part, full, rows)
+
+    def test_manifest_rows_equal_full_build_rows_and_open_only_their_clips(
+            self, tmp_path, monkeypatch):
+        cfg = harness.default_config("single", seed=23, dataset=harness.DatasetSpec(
+            num_classes=4, per_class=11))
+        harness.cmd_synth(cfg, tmp_path)
+        full = load_manifest(tmp_path, num_classes=4, n_mels=16, n_frames=8)
+        opened = []
+        real = read_wav
+        monkeypatch.setattr("qpae.audio.read_wav", lambda p: opened.append(p) or real(p))
+        for name, rows in _subsets(full.original_classes, 4).items():
+            opened.clear()
+            part = load_manifest(tmp_path, num_classes=4, n_mels=16, n_frames=8, rows=rows)
+            _assert_rows_of(part, full, rows)
+            assert [Path(p).name for p in opened] == [f"clip_{i:05d}.wav" for i in rows]
+
+    def test_no_rows_builds_an_empty_dataset(self, tmp_path, pool_sizes):
+        assert synth_dataset(3, 4, seed=1, n_mels=8, n_frames=8, rows=[]).n_samples == 0
+        assert pool_sizes == []
+        write_manifest(tmp_path, [(WavClip(SR, np.zeros(300)), c) for c in (0, 1)])
+        (tmp_path / "wavs" / "clip_00000.wav").unlink()
+        data = load_manifest(tmp_path, num_classes=2, n_mels=8, n_frames=8, rows=[1])
+        assert data.original_classes.tolist() == [1]
+
+    @pytest.mark.parametrize("rows", [[12], [-1], [[0, 1]]])
+    def test_rows_outside_the_dataset_are_refused(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="rows must"):
+            synth_dataset(3, 4, seed=1, n_mels=8, n_frames=8, rows=rows)
+        write_manifest(tmp_path, [(WavClip(SR, np.zeros(300)), c) for c in range(12)])
+        with pytest.raises(ValueError, match="rows must"):
+            load_manifest(tmp_path, num_classes=12, n_mels=8, n_frames=8, rows=rows)

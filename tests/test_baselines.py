@@ -5,11 +5,11 @@ from qpae.baselines import (BaselineConfig, NegatedCrossEntropyLoss,
                             estimate_diag_fisher, fisher_forgetting,
                             gradient_ascent_unlearn, negative_gradient_unlearn,
                             run_baseline, synaptic_dampening)
-from qpae.data import LabeledDataset, one_hot
+from qpae.data import LabeledDataset
 from qpae.model import Classifier, CrossEntropyLoss, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import equals_bits, sample_gradient
+from helpers import equals_bits, one_hot, sample_gradient
 
 
 def reference_fisher(model, samples):

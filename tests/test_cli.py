@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import pytest
@@ -6,8 +7,12 @@ import pytest
 from qpae import harness
 from qpae.baselines import BaselineConfig
 from qpae.cli import main
+from qpae.data import split_indices
 from qpae.harness import DatasetSpec, default_config
 from qpae.model import TrainConfig
+from qpae.rng import derive_seed
+
+from helpers import FailingWrite
 
 
 @pytest.fixture()
@@ -447,3 +452,112 @@ def test_report_that_is_no_report_exits_3(cfg_path, tmp_path, capsys, spoil):
     err = capsys.readouterr().err
     assert err.count("io error: not an evaluation report") == 2
     assert "Traceback" not in err
+
+
+@pytest.fixture()
+def manifest(cfg_path, tmp_path, capsys):
+    """A manifest dataset written by `qpae synth`, a config reading it, and
+    the training and held-out clip files of its split."""
+    dataset = tmp_path / "dataset"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(dataset)]) == 0
+    path = _edit(cfg_path, tmp_path, "manifest.json",
+                 dataset={"kind": "manifest", "path": str(dataset)})
+    cfg = harness.load_config(path)
+    rows = split_indices(harness.dataset_classes(cfg), cfg.dataset.num_classes,
+                         harness.TRAIN_FRACTION, derive_seed(cfg.seed, harness._SEED_SPLIT))
+    capsys.readouterr()
+    return {"config": path, "dataset": dataset,
+            "clips": [[dataset / "wavs" / f"clip_{i:05d}.wav" for i in side] for side in rows]}
+
+
+def _keep_two_clips_per_class(dataset):
+    lines = (dataset / "labels.csv").read_text().splitlines()
+    kept = {}
+    for line in lines[1:]:
+        kept.setdefault(line.split(",")[1], []).append(line)
+    (dataset / "labels.csv").write_text(
+        "\n".join([lines[0]] + [row for rows in kept.values() for row in rows[:2]]) + "\n")
+
+
+@pytest.mark.parametrize("verb", ["train", "unlearn", "evaluate"])
+def test_short_manifest_is_refused_before_any_wav_is_opened(manifest, tmp_path, capsys,
+                                                            verb):
+    """labels.csv alone decides that a class is too small for the split: with
+    every WAV file gone the command still exits 2, not 3."""
+    out = tmp_path / "out"
+    if verb != "train":
+        assert main(["train", "--config", str(manifest["config"])]) == 0
+        capsys.readouterr()
+    else:
+        out = tmp_path / "fresh"
+    _keep_two_clips_per_class(manifest["dataset"])
+    for wav in (manifest["dataset"] / "wavs").iterdir():
+        wav.unlink()
+    (manifest["dataset"] / "wavs").rmdir()
+    before = sorted(p.name for p in out.iterdir()) if out.exists() else None
+    extra = {"train": [], "unlearn": ["--method", "qp"],
+             "evaluate": ["--model", str(out / "original.qpae")]}[verb]
+    assert main([verb, "--config", str(manifest["config"]), "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "too few clips" in err and "Traceback" not in err
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
+
+
+def test_evaluate_reads_only_held_out_clips(manifest, tmp_path, capsys):
+    """`evaluate` opens no training clip, and `unlearn` no held-out one."""
+    out = tmp_path / "out"
+    config = str(manifest["config"])
+    train_clips, held_out = manifest["clips"]
+    evaluate = ["evaluate", "--config", config, "--model", str(out / "unlearned_qp.qpae"),
+                "--original-report", str(out / "report_original.json")]
+    assert main(["train", "--config", config]) == 0
+    assert main(["unlearn", "--config", config, "--method", "qp"]) == 0
+    assert main(evaluate) == 0
+    report = {p.name: p.read_bytes() for p in out.glob("report_unlearned_qp*")}
+    assert len(report) == 3
+    for wav in train_clips:
+        wav.unlink()
+    assert main(evaluate) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("report_unlearned_qp*")} == report
+    # unlearn needs the training clips; a held-out clip is not read
+    capsys.readouterr()
+    assert main(["unlearn", "--config", config, "--method", "ng"]) == 3
+    assert "io error" in capsys.readouterr().err
+    assert not (out / "unlearned_ng.qpae").exists()
+
+
+def test_corrupt_held_out_clip_fails_evaluate_with_exit_3(manifest, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = str(manifest["config"])
+    assert main(["train", "--config", config]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    manifest["clips"][1][0].write_bytes(_BAD_CLIPS["nan"])
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config,
+                 "--model", str(out / "original.qpae")]) == 3
+    err = capsys.readouterr().err
+    assert "io error" in err and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
+def test_failed_write_leaves_no_partial_or_temporary_file(cfg_path, tmp_path, monkeypatch,
+                                                          capsys, verb):
+    """A write that fails midway keeps the file it would replace, whole, and
+    leaves no temporary file behind."""
+    out = tmp_path / "out"
+    config = str(cfg_path)
+    model = ["--model", str(out / "unlearned_qp.qpae")]
+    assert main(["train", "--config", config]) == 0
+    assert main(["unlearn", "--config", config, "--method", "qp"]) == 0
+    assert main(["evaluate", "--config", config, *model]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: FailingWrite(real_fdopen(fd, mode)))
+    capsys.readouterr()
+    # another forget set: every file the command writes would change
+    args = (["--method", "qp"] if verb == "unlearn" else model)
+    assert main([verb, "--config", config, "--forget", "2", *args]) == 3
+    err = capsys.readouterr().err
+    assert "io error" in err and "No space left" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpae.data import LabeledDataset, one_hot
+from qpae.data import LabeledDataset
 from qpae.eraser import (InvalidClassError, QuantumLoss, UnlearnConfig,
                          apply_mixing, build_mixing_matrix,
                          interference_transform, run_qp_audio_eraser,
@@ -15,7 +15,7 @@ from qpae.harness import ABLATION_VARIANTS
 from qpae.model import Classifier, TrainConfig, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import (equals_bits, predict_probs, quantum_loss,
+from helpers import (equals_bits, one_hot, predict_probs, quantum_loss,
                      quantum_loss_logit_grad)
 
 distributions = st.lists(st.floats(min_value=1e-6, max_value=1.0),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from dataclasses import fields as dataclass_fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +457,54 @@ class TestSplitReuse:
         assert len(builds) == 1
         assert files[0] == files[1]
         assert "unlearned_qp.qpae" in files[0] and "table.csv" in files[0]
+
+
+class TestOneSide:
+    @pytest.fixture()
+    def manifest_cfg(self, small_cfg, tmp_path):
+        data_dir = cmd_synth(small_cfg, tmp_path / "dataset")
+        return replace(small_cfg, dataset=harness.DatasetSpec(
+            kind="manifest", path=str(data_dir), num_classes=4, n_mels=8, n_frames=8))
+
+    @pytest.mark.parametrize("kind", ["synthetic", "manifest"])
+    def test_each_side_equals_that_side_of_a_full_build(self, small_cfg, manifest_cfg,
+                                                        monkeypatch, kind):
+        cfg = small_cfg if kind == "synthetic" else manifest_cfg
+        monkeypatch.setattr(harness, "_last_splits", {})
+        full = harness.prepare_splits(cfg)
+        for side in (0, 1):
+            harness._last_splits.clear()
+            part = harness.prepare_split(cfg, side)
+            assert part is not full[side]
+            assert part.features.tobytes() == full[side].features.tobytes()
+            assert part.labels.tobytes() == full[side].labels.tobytes()
+            assert part.original_classes.tolist() == full[side].original_classes.tolist()
+
+    def test_a_kept_synthetic_pair_is_reused(self, small_cfg, monkeypatch):
+        monkeypatch.setattr(harness, "_last_splits", {})
+        full = harness.prepare_splits(small_cfg)
+        for side in (0, 1):
+            assert harness.prepare_split(small_cfg, side) is full[side]
+
+    def test_each_command_builds_the_rows_it_reads(self, manifest_cfg, tmp_path,
+                                                   monkeypatch):
+        """train builds every clip at once; unlearn only the training rows,
+        evaluate only the held-out ones."""
+        builds = []
+        real = harness.build_dataset
+
+        def recording(cfg, rows=None):
+            builds.append(None if rows is None else len(rows))
+            return real(cfg, rows)
+        monkeypatch.setattr(harness, "build_dataset", recording)
+        cfg_path = tmp_path / "manifest.json"
+        harness.save_config(manifest_cfg, cfg_path)
+        common = ["--config", str(cfg_path)]
+        out = Path(manifest_cfg.output_dir)
+        assert main(["train", *common]) == 0
+        assert main(["unlearn", *common, "--method", "qp"]) == 0
+        assert main(["evaluate", *common, "--model", str(out / "unlearned_qp.qpae")]) == 0
+        assert builds == [None, 64, 16]
 
 
 class TestScenarioValidation:

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpae.data import LabeledDataset, one_hot
+from qpae.data import LabeledDataset
 from qpae.metrics import (ReportError, compare_reports, erb_score, evaluate,
                           format_metric, report_csv_row, report_from_json,
                           report_to_json)
 from qpae.model import Classifier, softmax
 from qpae.rng import Rng
+
+from helpers import one_hot
 
 
 def prediction_set(logits, classes, k):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpae.baselines import NegatedCrossEntropyLoss
-from qpae.data import LabeledDataset, one_hot
+from qpae.data import LabeledDataset
 from qpae.eraser import QuantumLoss, superpose_labels
 from qpae.model import (Classifier, CrossEntropyLoss, TrainConfig,
                         backward_batch, forward_batch, softmax, train)
 from qpae.rng import Rng
 
-from helpers import (cross_entropy, equals_bits, gradient_check,
+from helpers import (cross_entropy, equals_bits, gradient_check, one_hot,
                      predict_classes, quantum_loss, quantum_loss_logit_grad)
 
 

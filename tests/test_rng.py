@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpae.rng import Rng, derive_seed
+from qpae.rng import Rng, derive_seed, draws_at
 
 
 def test_scalar_and_vector_draws_share_one_stream():
@@ -104,3 +104,16 @@ def test_skip_equals_discarded_draws(seed, n):
 def test_skip_rejects_negative_counts():
     with pytest.raises(ValueError):
         Rng(1).skip(-1)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.lists(st.integers(min_value=0, max_value=2**40), max_size=6),
+       st.integers(min_value=0, max_value=40))
+@settings(max_examples=50)
+def test_draws_at_equals_skip_then_fill(seed, starts, n):
+    got = draws_at(seed, starts, n)
+    assert got.shape == (len(starts), n) and got.dtype == np.uint64
+    for row, start in zip(got, starts):
+        rng = Rng(seed)
+        rng.skip(start)
+        assert row.tolist() == rng.fill_u64(n).tolist()
