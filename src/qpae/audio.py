@@ -64,10 +64,6 @@ class WavClip:
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def read_wav(path: str | Path) -> WavClip:
     """Parse a RIFF/WAVE file (PCM16 or float32; stereo averaged to mono)."""
@@ -113,9 +109,10 @@ def read_wav(path: str | Path) -> WavClip:
         samples = raw.astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(blob, dtype="<f4", count=size // 4, offset=offset)
-        samples = raw.astype(np.float64)
-        if not np.all(np.isfinite(samples)):
+        # checked before the cast, which warns on a signalling NaN
+        if not np.all(np.isfinite(raw)):
             raise WavParseError("float samples must be finite")
+        samples = raw.astype(np.float64)
     else:
         raise UnsupportedCodecError(
             f"unsupported codec: format tag {audio_format}, {bits}-bit")
@@ -254,9 +251,6 @@ class SynthProfile:
     @property
     def n_samples(self) -> int:
         return int(round(self.duration_s * self.sample_rate))
-
-    def class_freq(self, class_id: int) -> float:
-        return self.base_freq + self.class_spacing * class_id
 
 
 # narrower spacing and stronger jitter -> neighbouring classes overlap,

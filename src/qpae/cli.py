@@ -49,7 +49,7 @@ def _resolve_config(args) -> harness.ExperimentConfig:
            else harness.default_config(getattr(args, "scenario", None) or "single"))
     if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "forget", None):
+    if getattr(args, "forget", None) is not None:
         cfg.unlearn.forget_set = _parse_forget(args.forget)
     if args.out is not None:
         cfg.output_dir = args.out

@@ -64,12 +64,12 @@ class LabeledDataset:
 
 
 def train_count(n: int, train_frac: float) -> int:
-    """How many of a class's n samples split_indices puts on the train side."""
+    """How many of a class's n samples train_eval_split puts on the train side."""
     return int(round(n * train_frac))
 
 
-def split_indices(classes: np.ndarray, num_classes: int, train_frac: float,
-                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+def train_eval_split(classes: np.ndarray, num_classes: int, train_frac: float,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded per-class split of row indices: (train rows, held-out rows),
     each sorted, so both sides see every class.
 
@@ -89,11 +89,3 @@ def split_indices(classes: np.ndarray, num_classes: int, train_frac: float,
         eval_idx.extend(idx[cut:])
     return (np.array(sorted(train_idx), dtype=np.int64),
             np.array(sorted(eval_idx), dtype=np.int64))
-
-
-def train_eval_split(data: LabeledDataset, train_frac: float,
-                     seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    """The rows of `split_indices` of data's classes, as two datasets."""
-    train_idx, eval_idx = split_indices(data.original_classes, data.num_classes,
-                                        train_frac, seed)
-    return data.subset(train_idx), data.subset(eval_idx)

@@ -21,7 +21,7 @@ import numpy as np
 from . import audio
 from .baselines import METHOD_NAMES, BaselineConfig, run_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import LabeledDataset, split_indices, train_count, train_eval_split
+from .data import LabeledDataset, train_count, train_eval_split
 from .eraser import (UnlearnConfig, accuracy_snapshot,
                      run_qp_audio_eraser, superpose_labels)
 from .files import write_atomic
@@ -172,7 +172,7 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     """Reject values of the wrong type, class ids, sizes and section values
     the run cannot use, before any work.
 
-    `Workspace.create` and `cmd_synth` call it, so it sees the config after
+    `Workspace.open` and `cmd_synth` call it, so it sees the config after
     command-line overrides, which can change the forget set once the file
     is parsed.
     """
@@ -302,56 +302,41 @@ def build_dataset(cfg: ExperimentConfig, rows=None) -> LabeledDataset:
                                n_mels=spec.n_mels, n_frames=spec.n_frames, rows=rows)
 
 
-# The last synthetic (train, eval) pair and its key. Scenarios run back to
-# back share no object, so reuse has to live here; one entry catches every
-# repeat of a run of scenarios on one seed and holds no more than the
-# previous Workspace already keeps alive.
-_last_splits: dict[tuple, tuple[LabeledDataset, LabeledDataset]] = {}
-
-
-def _splits_key(cfg: ExperimentConfig) -> tuple | None:
-    """prepare_splits' reuse key, or None for a manifest: its files can
-    change on disk, so it is always read afresh."""
-    return (astuple(cfg.dataset), cfg.seed) if cfg.dataset.kind == "synthetic" else None
-
-
-def prepare_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded 80/20 split of the config's dataset, built in one pass over
-    every clip.
-
-    A synthetic dataset is a pure function of its spec and the master seed,
-    so the last pair built is returned again for the same key, with every
-    array read-only.
-    """
-    key = _splits_key(cfg)
-    if key in _last_splits:
-        return _last_splits[key]
-    _last_splits.clear()  # before the build, so two datasets are never held
-    if key is None:
-        dataset_classes(cfg)  # short classes are refused before any WAV is opened
-    splits = train_eval_split(build_dataset(cfg), TRAIN_FRACTION,
-                              derive_seed(cfg.seed, _SEED_SPLIT))
-    if key is not None:
-        for part in splits:
-            for array in (part.features, part.labels, part.original_classes):
-                array.flags.writeable = False
-        _last_splits[key] = splits
-    return splits
+# The sides built of the last synthetic dataset, by side, under its key.
+# Scenarios run back to back share no object, so reuse has to live here;
+# one entry catches every repeat of a run of scenarios on one seed and
+# holds no more than the previous Workspace already keeps alive.
+_last_splits: dict[tuple, dict[int, LabeledDataset]] = {}
 
 
 def prepare_split(cfg: ExperimentConfig, side: int) -> LabeledDataset:
-    """Side 0 (training) or 1 (held out) of `prepare_splits(cfg)`, the same
-    bit for bit, built from only that side's clips.
+    """Side 0 (training) or 1 (held out) of the config's seeded 80/20
+    split, built from only that side's clips.
 
     The split comes from the class layout alone, before any audio is
-    touched. A synthetic pair that prepare_splits kept is reused.
+    touched. A synthetic dataset is a pure function of its spec and the
+    master seed, so a side already built for the same spec and seed is
+    returned again, with every array read-only; a manifest's files can
+    change on disk, so it is always read afresh.
     """
-    key = _splits_key(cfg)
-    if key in _last_splits:
+    key = (astuple(cfg.dataset), cfg.seed) if cfg.dataset.kind == "synthetic" else None
+    if key not in _last_splits:
+        _last_splits.clear()  # before the build, so two datasets are never held
+    elif side in _last_splits[key]:
         return _last_splits[key][side]
-    rows = split_indices(dataset_classes(cfg), cfg.dataset.num_classes,
-                         TRAIN_FRACTION, derive_seed(cfg.seed, _SEED_SPLIT))[side]
-    return build_dataset(cfg, rows)
+    rows = train_eval_split(dataset_classes(cfg), cfg.dataset.num_classes,
+                            TRAIN_FRACTION, derive_seed(cfg.seed, _SEED_SPLIT))[side]
+    data = build_dataset(cfg, rows)
+    if key is not None:
+        for array in (data.features, data.labels, data.original_classes):
+            array.flags.writeable = False
+        _last_splits.setdefault(key, {})[side] = data
+    return data
+
+
+def prepare_splits(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
+    """Both sides of the config's split, each from `prepare_split`."""
+    return prepare_split(cfg, 0), prepare_split(cfg, 1)
 
 
 def _train_config(cfg: ExperimentConfig) -> TrainConfig:
@@ -376,10 +361,10 @@ def _baseline_config(cfg: ExperimentConfig, name: str) -> BaselineConfig:
 class Workspace:
     """One experiment's config, its output directory and its data splits.
 
-    `create` builds both sides of the split in one pass. A workspace from
-    `open` builds each side on first use, from only that side's clips,
-    unless the sides are passed in: a command can refuse its inputs before
-    it pays for the dataset, and reads no clip it does not use.
+    Each side is built on first use, from only that side's clips, unless
+    the sides are passed in: a workspace from `open` lets a command refuse
+    its inputs before it pays for the dataset, and read no clip it does
+    not use. `create` builds both sides before it makes the directory.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: str | Path,
@@ -397,10 +382,11 @@ class Workspace:
 
     @classmethod
     def create(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
-        """`open`, then build the splits, then make the output directory."""
+        """`open`, then build both sides, then make the output directory."""
         ws = cls.open(cfg, out)
         # a dataset that fails to build leaves no directory behind
-        ws._sides = list(prepare_splits(cfg))
+        for side in (0, 1):
+            ws._side(side)
         ws.out.mkdir(parents=True, exist_ok=True)
         return ws
 

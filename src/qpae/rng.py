@@ -93,10 +93,6 @@ class Rng:
         self.shuffle(idx)
         return idx
 
-    def spawn(self, key: int) -> "Rng":
-        """Independent substream keyed off this generator's seed."""
-        return Rng(derive_seed(self._seed, key))
-
 
 def draws_at(seed: int, starts, n: int) -> np.ndarray:
     """Rows of n raw draws of the Rng(seed) stream, (len(starts), n).

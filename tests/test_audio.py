@@ -2,6 +2,7 @@ import csv
 import re
 import struct
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from qpae.audio import (OVERLAP_PROFILE, PROFILES, SYNTH_CHUNK, ManifestError,
                         log_mel_batch, log_mel_spectrogram, mel_filterbank,
                         mel_to_hz, read_wav, synth_clip, synth_dataset,
                         synth_draws, synth_waves, write_wav)
-from qpae.data import split_indices, train_eval_split
+from qpae.data import train_eval_split
 from qpae.model import Classifier, CrossEntropyLoss, TrainConfig, train
 from qpae.rng import Rng, derive_seed
 
@@ -82,13 +83,17 @@ class TestReadWav:
         float32_wav_bytes([0.0], sample_rate=0),
         float32_wav_bytes([0.25, np.nan]),
         float32_wav_bytes([np.inf, 0.5]),
-        float32_wav_bytes([-np.inf])], ids=["pcm16_rate0", "float32_rate0", "nan", "inf",
-                                             "neg_inf"])
+        float32_wav_bytes([-np.inf]),
+        wav_bytes(struct.pack("<I", 0x7F800001), 3, 1, SR, 32)],
+        ids=["pcm16_rate0", "float32_rate0", "nan", "inf", "neg_inf", "signalling_nan"])
     def test_bad_values_are_parse_errors(self, tmp_path, blob):
+        """Each is a WavParseError, raised without a numpy warning."""
         p = tmp_path / "x.wav"
         p.write_bytes(blob)
-        with pytest.raises(WavParseError):
-            read_wav(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WavParseError):
+                read_wav(p)
 
     def test_rifx_rejected(self, tmp_path):
         p = tmp_path / "x.wav"
@@ -281,7 +286,8 @@ def reference_synth_clip(class_id, rng, profile=None):
     """One tone as first written: scalar jitter draw, one sine per harmonic
     clear of Nyquist, then Box-Muller noise as Rng.normal first drew it."""
     p = profile or SynthProfile()
-    f0 = p.class_freq(class_id) * (1.0 + rng.uniform(low=-p.freq_jitter, high=p.freq_jitter))
+    jitter = rng.uniform(low=-p.freq_jitter, high=p.freq_jitter)
+    f0 = (p.base_freq + p.class_spacing * class_id) * (1.0 + jitter)
     n = p.n_samples
     t = np.arange(n) / p.sample_rate
     x = np.zeros(n)
@@ -531,7 +537,8 @@ class TestManifest:
 def test_overlap_profile_is_harder_but_learnable():
     data = synth_dataset(6, 30, seed=9, n_mels=16, n_frames=8,
                          profile=SynthProfile(class_spacing=50.0, freq_jitter=0.05))
-    tr, ev = train_eval_split(data, 0.8, seed=2)
+    tr, ev = (data.subset(rows) for rows in
+              train_eval_split(data.original_classes, 6, 0.8, seed=2))
     m = Classifier.random_init(data.feature_dim, [32], 6, Rng(3))
     train(m, tr, TrainConfig(learning_rate=0.01, epochs=6, seed=4), CrossEntropyLoss())
     acc = float(np.mean(predict_classes(m, ev.features) == ev.original_classes))
@@ -652,7 +659,7 @@ class TestLeanFrontEnd:
 def _subsets(classes, num_classes):
     """Row lists a command or a caller builds: each side of the split, one
     row, the first and last clips, and a run across a chunk boundary."""
-    train, held_out = split_indices(classes, num_classes, 0.8, seed=3)
+    train, held_out = train_eval_split(classes, num_classes, 0.8, seed=3)
     n = len(classes)
     return {"train": train, "held_out": held_out, "one": [n // 2],
             "first_last": [0, n - 1],

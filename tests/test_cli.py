@@ -7,7 +7,7 @@ import pytest
 from qpae import harness
 from qpae.baselines import BaselineConfig
 from qpae.cli import main
-from qpae.data import split_indices
+from qpae.data import train_eval_split
 from qpae.harness import DatasetSpec, default_config
 from qpae.model import TrainConfig
 from qpae.rng import derive_seed
@@ -117,6 +117,9 @@ def test_retired_config_shape_exits_2(cfg_path, tmp_path, capsys, edit):
     ("train", ["--seed", "-1"], {}),
     ("train", ["--seed", "18446744073709551616"], {}),
     ("train", [], {"seed": -1}),
+    # an empty --forget names no class; it is not "no override"
+    ("unlearn", ["--method", "qp", "--forget", ""], {}),
+    ("evaluate", ["--model", "original.qpae", "--forget", ""], {}),
 ])
 def test_out_of_range_config_exits_2(cfg_path, tmp_path, capsys, verb, flags, edit):
     raw = json.loads(cfg_path.read_text())
@@ -335,6 +338,9 @@ _BAD_CLIPS = {
     **{name: struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 40, b"WAVE", b"fmt ", 16, 3, 1,
                          8000, 32000, 4, 32, b"data", 4) + struct.pack("<f", value)
        for name, value in (("nan", float("nan")), ("inf", float("inf")))},
+    # a signalling NaN, which numpy warns about when it is cast
+    "snan": struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 40, b"WAVE", b"fmt ", 16, 3, 1,
+                        8000, 32000, 4, 32, b"data", 4) + struct.pack("<I", 0x7F800001),
 }
 
 
@@ -463,8 +469,8 @@ def manifest(cfg_path, tmp_path, capsys):
     path = _edit(cfg_path, tmp_path, "manifest.json",
                  dataset={"kind": "manifest", "path": str(dataset)})
     cfg = harness.load_config(path)
-    rows = split_indices(harness.dataset_classes(cfg), cfg.dataset.num_classes,
-                         harness.TRAIN_FRACTION, derive_seed(cfg.seed, harness._SEED_SPLIT))
+    rows = train_eval_split(harness.dataset_classes(cfg), cfg.dataset.num_classes,
+                            harness.TRAIN_FRACTION, derive_seed(cfg.seed, harness._SEED_SPLIT))
     capsys.readouterr()
     return {"config": path, "dataset": dataset,
             "clips": [[dataset / "wavs" / f"clip_{i:05d}.wav" for i in side] for side in rows]}

@@ -12,7 +12,7 @@ from qpae.audio import WavClip, write_wav
 from qpae.baselines import METHOD_NAMES, BaselineConfig
 from qpae.checkpoint import load_checkpoint
 from qpae.cli import main
-from qpae.data import LabeledDataset, train_eval_split
+from qpae.data import train_eval_split
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
                           emit_table, load_config)
@@ -169,11 +169,8 @@ class TestConfig:
     @pytest.mark.parametrize("per_class", range(1, 9))
     def test_per_class_accepted_iff_split_keeps_both_sides(self, per_class):
         classes = np.repeat(np.arange(3), per_class)
-        data = LabeledDataset(np.zeros((len(classes), 2)), np.eye(3)[classes],
-                              classes, 3)
-        train, held_out = train_eval_split(data, harness.TRAIN_FRACTION, seed=1)
-        both_sides = all(np.any(part.original_classes == c)
-                         for part in (train, held_out) for c in range(3))
+        sides = train_eval_split(classes, 3, harness.TRAIN_FRACTION, seed=1)
+        both_sides = all(np.any(classes[rows] == c) for rows in sides for c in range(3))
         cfg = default_config(dataset=harness.DatasetSpec(num_classes=3,
                                                          per_class=per_class))
         if both_sides:
@@ -396,13 +393,13 @@ class TestSynthCommand:
 class TestSplitReuse:
     @pytest.fixture()
     def builds(self, monkeypatch):
-        """Count the dataset builds prepare_splits makes."""
+        """Record each side prepare_split builds, as (seed, row count)."""
         calls = []
         real = harness.build_dataset
 
-        def counting(cfg):
-            calls.append(cfg.seed)
-            return real(cfg)
+        def counting(cfg, rows):
+            calls.append((cfg.seed, len(rows)))
+            return real(cfg, rows)
         monkeypatch.setattr(harness, "build_dataset", counting)
         return calls
 
@@ -429,8 +426,9 @@ class TestSplitReuse:
         cfg = replace(small_cfg, seed=seed,
                       dataset=replace(small_cfg.dataset, **fields))
         other = harness.prepare_splits(cfg)
-        assert builds == [seed]
+        assert [s for s, _ in builds] == [seed, seed]
         assert other[0] is not base[0]
+        assert len(harness._last_splits) == 1  # the first dataset was dropped
 
     def test_manifest_is_read_afresh(self, small_cfg, tmp_path, builds):
         data_dir = cmd_synth(small_cfg, tmp_path / "dataset")
@@ -438,10 +436,11 @@ class TestSplitReuse:
             kind="manifest", path=str(data_dir), num_classes=4, n_mels=8, n_frames=8))
         before, _ = harness.prepare_splits(cfg)
         assert before.features.flags.writeable
+        assert harness._last_splits == {}
         for wav in (data_dir / "wavs").iterdir():
             write_wav(WavClip(8000, np.zeros(6400)), wav)
         after, _ = harness.prepare_splits(cfg)
-        assert len(builds) == 2
+        assert builds == [(small_cfg.seed, 64), (small_cfg.seed, 16)] * 2
         assert np.all(after.features == np.log(1e-6))
         assert not np.array_equal(after.features, before.features)
 
@@ -454,7 +453,7 @@ class TestSplitReuse:
             files.append({p.name: p.read_bytes() for pattern in
                           ("report_*.json", "*.csv", "*.qpae")
                           for p in ws.out.glob(pattern)})
-        assert len(builds) == 1
+        assert builds == [(small_cfg.seed, 64), (small_cfg.seed, 16)]
         assert files[0] == files[1]
         assert "unlearned_qp.qpae" in files[0] and "table.csv" in files[0]
 
@@ -471,14 +470,16 @@ class TestOneSide:
                                                         monkeypatch, kind):
         cfg = small_cfg if kind == "synthetic" else manifest_cfg
         monkeypatch.setattr(harness, "_last_splits", {})
-        full = harness.prepare_splits(cfg)
-        for side in (0, 1):
-            harness._last_splits.clear()
+        full = harness.build_dataset(cfg)
+        sides = train_eval_split(full.original_classes, cfg.dataset.num_classes,
+                                 harness.TRAIN_FRACTION,
+                                 derive_seed(cfg.seed, harness._SEED_SPLIT))
+        for side, rows in enumerate(sides):
+            want = full.subset(rows)
             part = harness.prepare_split(cfg, side)
-            assert part is not full[side]
-            assert part.features.tobytes() == full[side].features.tobytes()
-            assert part.labels.tobytes() == full[side].labels.tobytes()
-            assert part.original_classes.tolist() == full[side].original_classes.tolist()
+            assert part.features.tobytes() == want.features.tobytes()
+            assert part.labels.tobytes() == want.labels.tobytes()
+            assert part.original_classes.tolist() == want.original_classes.tolist()
 
     def test_a_kept_synthetic_pair_is_reused(self, small_cfg, monkeypatch):
         monkeypatch.setattr(harness, "_last_splits", {})
@@ -486,10 +487,20 @@ class TestOneSide:
         for side in (0, 1):
             assert harness.prepare_split(small_cfg, side) is full[side]
 
+    def test_a_side_built_alone_is_kept_for_both_sides(self, small_cfg, monkeypatch):
+        monkeypatch.setattr(harness, "_last_splits", {})
+        held_out = harness.prepare_split(small_cfg, 1)
+        builds = []
+        real = harness.build_dataset
+        monkeypatch.setattr(harness, "build_dataset",
+                            lambda cfg, rows: builds.append(len(rows)) or real(cfg, rows))
+        assert harness.prepare_splits(small_cfg)[1] is held_out
+        assert builds == [64]
+
     def test_each_command_builds_the_rows_it_reads(self, manifest_cfg, tmp_path,
                                                    monkeypatch):
-        """train builds every clip at once; unlearn only the training rows,
-        evaluate only the held-out ones."""
+        """train builds both sides, one after the other; unlearn only the
+        training rows, evaluate only the held-out ones."""
         builds = []
         real = harness.build_dataset
 
@@ -504,7 +515,7 @@ class TestOneSide:
         assert main(["train", *common]) == 0
         assert main(["unlearn", *common, "--method", "qp"]) == 0
         assert main(["evaluate", *common, "--model", str(out / "unlearned_qp.qpae")]) == 0
-        assert builds == [None, 64, 16]
+        assert builds == [64, 16, 64, 16]
 
 
 class TestScenarioValidation:
