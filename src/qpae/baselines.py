@@ -64,10 +64,10 @@ class NegatedCrossEntropyLoss(LossFn):
 
 def _ascend(model: Classifier, data: LabeledDataset, forget_set: set[int],
             cfg: BaselineConfig) -> Classifier:
-    forget_data, _ = data.class_split(forget_set)
-    if forget_data.n_samples == 0:
-        return model
-    train(model, forget_data, cfg.train_config("ascent"), NegatedCrossEntropyLoss())
+    forgotten = data.forgotten(forget_set)
+    if forgotten.any():
+        train(model, data.subset(forgotten), cfg.train_config("ascent"),
+              NegatedCrossEntropyLoss())
     return model
 
 
@@ -75,9 +75,10 @@ def gradient_ascent_unlearn(model: Classifier, data: LabeledDataset,
                             forget_set: set[int], cfg: BaselineConfig) -> Classifier:
     """Ascent on the forget split, then CE fine-tuning on the retain split."""
     _ascend(model, data, forget_set, cfg)
-    _, retain_data = data.class_split(forget_set)
-    if retain_data.n_samples and cfg.finetune_epochs:
-        train(model, retain_data, cfg.train_config("finetune"), CrossEntropyLoss())
+    retained = ~data.forgotten(forget_set)
+    if retained.any() and cfg.finetune_epochs:
+        train(model, data.subset(retained), cfg.train_config("finetune"),
+              CrossEntropyLoss())
     return model
 
 
@@ -110,12 +111,12 @@ def estimate_diag_fisher(model: Classifier, samples: LabeledDataset) -> list[np.
 def fisher_forgetting(model: Classifier, data: LabeledDataset,
                       forget_set: set[int], cfg: BaselineConfig) -> Classifier:
     """Add seeded Gaussian noise scaled by the forget/retain Fisher ratio."""
-    forget_data, retain_data = data.class_split(forget_set)
-    if forget_data.n_samples == 0 or cfg.fisher_noise_scale == 0.0:
+    forgotten = data.forgotten(forget_set)
+    if not forgotten.any() or cfg.fisher_noise_scale == 0.0:
         return model
-    f_forget = estimate_diag_fisher(model, forget_data)
-    f_retain = estimate_diag_fisher(model, retain_data) if retain_data.n_samples \
-        else [np.zeros_like(f) for f in f_forget]
+    f_forget = estimate_diag_fisher(model, data.subset(forgotten))
+    f_retain = [np.zeros_like(f) for f in f_forget] if forgotten.all() \
+        else estimate_diag_fisher(model, data.subset(~forgotten))
     rng = Rng(derive_seed(cfg.seed, 0xF15E))
     for param, ff, fr in zip(model.parameters(), f_forget, f_retain):
         sigma = cfg.fisher_noise_scale * np.sqrt(ff / (fr + FISHER_EPS))
@@ -132,10 +133,10 @@ def synaptic_dampening(model: Classifier, data: LabeledDataset,
     A parameter is selected when F_forget > tau * F_full and is scaled by
     min(floor * F_full / F_forget, 1); dampening never amplifies.
     """
-    forget_data, _ = data.class_split(forget_set)
-    if forget_data.n_samples == 0:
+    forgotten = data.forgotten(forget_set)
+    if not forgotten.any():
         return model
-    f_forget = estimate_diag_fisher(model, forget_data)
+    f_forget = estimate_diag_fisher(model, data.subset(forgotten))
     f_full = estimate_diag_fisher(model, data)
     for param, ff, fa in zip(model.parameters(), f_forget, f_full):
         selected = ff > cfg.ssd_threshold * fa

@@ -92,8 +92,7 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def f32_array(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        return np.frombuffer(self.take(4 * count, what), dtype="<f4")
 
 
 def load_checkpoint(path: str | Path) -> Classifier:
@@ -106,8 +105,6 @@ def load_checkpoint(path: str | Path) -> Classifier:
     if version != VERSION:
         raise BadVersionError(f"unsupported checkpoint version {version}")
     layer_count = r.u16("layer count")
-    if layer_count < 1:
-        raise DimensionError("layer count must be at least 1")
 
     layers: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(layer_count):
@@ -117,10 +114,7 @@ def load_checkpoint(path: str | Path) -> Classifier:
                 or rows * cols > _MAX_ELEMS:
             raise DimensionError(f"layer {i} dimensions {rows}x{cols} out of range")
         w = r.f32_array(rows * cols, f"layer {i} weights").reshape(rows, cols)
-        bias_len = r.u32(f"layer {i} bias length")
-        if bias_len != cols:
-            raise DimensionError(f"layer {i} bias length {bias_len} != cols {cols}")
-        b = r.f32_array(bias_len, f"layer {i} bias")
+        b = r.f32_array(r.u32(f"layer {i} bias length"), f"layer {i} bias")
         layers.append((w, b))
 
     stored_crc = r.u32("checksum")
@@ -129,9 +123,11 @@ def load_checkpoint(path: str | Path) -> Classifier:
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
         raise ChecksumError("CRC32 mismatch")
 
-    try:
-        model = Classifier(layers)
+    try:  # layer count, chain widths and bias lengths
+        Classifier.validate(layers)
     except ValueError as exc:
         raise DimensionError(str(exc)) from exc
-    model.ensure_finite()  # NumericError on inf/NaN payloads
-    return model
+    # on the stored float32 values: casting a signalling NaN makes numpy warn
+    if not all(np.all(np.isfinite(p)) for layer in layers for p in layer):
+        raise NumericError("non-finite model parameter detected")
+    return Classifier(layers)

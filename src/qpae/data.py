@@ -16,8 +16,8 @@ class LabeledDataset:
     """Feature vectors plus soft-label distributions over num_classes.
 
     `original_classes` records the class each sample carried at creation
-    time; label rewriting (e.g. superposition) never touches it, so the
-    forget/retain split stays recoverable.
+    time; label rewriting (e.g. superposition) never touches it, so
+    `forgotten`, the one forget-row rule, recovers the split at any time.
     """
 
     features: np.ndarray          # (n, feature_dim) float64
@@ -53,14 +53,14 @@ class LabeledDataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.features[indices], self.labels[indices],
-                              self.original_classes[indices], self.num_classes)
+    def subset(self, rows: np.ndarray) -> "LabeledDataset":
+        """The rows given by an index array or a boolean mask, in order."""
+        return LabeledDataset(self.features[rows], self.labels[rows],
+                              self.original_classes[rows], self.num_classes)
 
-    def class_split(self, forget_set: set[int]) -> tuple["LabeledDataset", "LabeledDataset"]:
-        """(forget samples, retain samples) by original class."""
-        mask = np.isin(self.original_classes, sorted(forget_set))
-        return self.subset(np.where(mask)[0]), self.subset(np.where(~mask)[0])
+    def forgotten(self, forget_set: set[int]) -> np.ndarray:
+        """Boolean row mask: True where the original class is in forget_set."""
+        return np.isin(self.original_classes, sorted(forget_set))
 
 
 def train_count(n: int, train_frac: float) -> int:

@@ -104,8 +104,7 @@ def superpose_labels(data: LabeledDataset, forget_set: set[int]) -> LabeledDatas
     """
     _check_forget_set(forget_set, data.num_classes)
     labels = data.labels.copy()
-    mask = np.isin(data.original_classes, sorted(forget_set))
-    labels[mask] = 1.0 / data.num_classes
+    labels[data.forgotten(forget_set)] = 1.0 / data.num_classes
     return LabeledDataset(data.features, labels, data.original_classes,
                           data.num_classes)
 
@@ -174,7 +173,7 @@ def accuracy_snapshot(model: Classifier, data: LabeledDataset,
         hidden = penultimate(model, data)
     preds = np.argmax(hidden @ model.final_w + model.final_b, axis=1)
     correct = preds == data.original_classes
-    mask = np.isin(data.original_classes, sorted(forget_set))
+    mask = data.forgotten(forget_set)
     fa = 100.0 * float(np.mean(correct[mask])) if mask.any() else 0.0
     ra = 100.0 * float(np.mean(correct[~mask])) if (~mask).any() else 0.0
     return fa, ra

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import numbers
 from dataclasses import (asdict, astuple, dataclass, field,
                          fields as dataclass_fields, is_dataclass, replace)
 from pathlib import Path
@@ -24,7 +22,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import LabeledDataset, train_count, train_eval_split
 from .eraser import (UnlearnConfig, accuracy_snapshot,
                      run_qp_audio_eraser, superpose_labels)
-from .files import write_atomic
+from .files import FIELD_KINDS, write_atomic
 from .metrics import (TABLE_COLUMNS, EvaluationReport, compare_reports,
                       evaluate, report_csv_row, report_from_json,
                       report_to_json)
@@ -55,28 +53,6 @@ PROVENANCE_KEYS = ("seed", "dataset", "model", "train")
 
 class ConfigError(ValueError):
     pass
-
-
-def _is_int(value) -> bool:
-    """True for integers, bool excluded (JSON true is not a count or an id)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_list_of(holds):
-    return lambda v: isinstance(v, (list, tuple)) and all(map(holds, v))
-
-
-# what a config field must hold, keyed by its annotation
-_FIELD_KINDS = {
-    "int": ("an integer", _is_int),
-    "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
-              and not isinstance(v, bool) and math.isfinite(v)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "list[int]": ("a list of integers", _is_list_of(_is_int)),
-    "list[list[int]]": ("a list of integer lists", _is_list_of(_is_list_of(_is_int))),
-}
 
 
 @dataclass
@@ -143,7 +119,7 @@ def _merge(prefix: str, base, raw):
         if is_dataclass(getattr(base, key)):
             values[key] = _merge(f"{prefix}{key}.", getattr(base, key), value)
             continue
-        kind, holds = _FIELD_KINDS[annotation]
+        kind, holds = FIELD_KINDS[annotation]
         if not holds(value):
             raise ConfigError(f"{prefix}{key} must be {kind}, got {value!r}")
         values[key] = value

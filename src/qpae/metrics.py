@@ -12,12 +12,13 @@ rate counts the complement, so FA + FRR = 100 holds by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
 from .data import LabeledDataset
+from .files import FIELD_KINDS
 from .model import Classifier, NumericError, forward_batch, softmax
 
 
@@ -48,13 +49,26 @@ class EvaluationReport:
         return len(self.per_class)
 
 
+def per_score(original_fa: float | None, fa: float | None) -> float | None:
+    """Privacy erasure rate: % of the original FA that is gone; None unless that FA > 0."""
+    if original_fa is not None and original_fa > 0.0 and fa is not None:
+        return (original_fa - fa) / original_fa * 100.0
+    return None
+
+
+def _share(hits, rows) -> float | None:
+    """hits / rows in percent; absent (None) when no row counts."""
+    return 100.0 * (int(hits) / int(rows)) if rows else None
+
+
 def evaluate(model: Classifier, data: LabeledDataset, forget_set: set[int],
              original_fa: float | None = None) -> EvaluationReport:
     """Score a model on labeled data, split by the forget set.
 
     Predictions are the argmax of the softmax with ties broken toward
-    the lowest class index. `original_fa` (the pre-unlearning forget
-    accuracy) enables the privacy erasure rate.
+    the lowest class index. FA, RA, FAR and per-class accuracy are shares
+    of `confusion`, so a report can be recounted from itself.
+    `original_fa` (the pre-unlearning forget accuracy) enables PER.
     """
     if data.n_samples == 0:
         raise ValueError("evaluation data must be non-empty")
@@ -67,50 +81,30 @@ def evaluate(model: Classifier, data: LabeledDataset, forget_set: set[int],
     probs = softmax(logits)
     if not np.all(np.isfinite(probs)):
         raise NumericError("non-finite prediction encountered during evaluation")
-    preds = np.argmax(logits, axis=1)
-    truth = data.original_classes
-    correct = preds == truth
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (data.original_classes, np.argmax(logits, axis=1)), 1)
+    hits, rows = np.diag(confusion), confusion.sum(axis=1)
 
     forget_cols = np.array(sorted(forget_set))
-    forget_mask = np.isin(truth, forget_cols)
-    retain_mask = ~forget_mask
-    flags: list[str] = []
-
-    if forget_mask.any():
-        fa = 100.0 * float(np.mean(correct[forget_mask]))
+    forget_cls = np.isin(np.arange(k), forget_cols)  # by class, not by row
+    fa = _share(hits[forget_cls].sum(), rows[forget_cls].sum())
+    ra = _share(hits[~forget_cls].sum(), rows[~forget_cls].sum())
+    far = _share(confusion[np.ix_(~forget_cls, forget_cls)].sum(), rows[~forget_cls].sum())
+    flags = [name for name, value in (("empty_forget_split", fa),
+                                      ("empty_retain_split", ra)) if value is None]
+    frr, il = None, 0.0
+    if fa is not None:
         # the complement-count ratio, written so FA + FRR == 100 holds
         # exactly in floating point
         frr = 100.0 - fa
-        il = 100.0 * float(np.mean(np.sum(probs[np.ix_(forget_mask, forget_cols)], axis=1)))
-    else:
-        fa, frr, il = None, None, 0.0
-        flags.append("empty_forget_split")
-
-    if retain_mask.any():
-        ra = 100.0 * float(np.mean(correct[retain_mask]))
-        far = 100.0 * float(np.mean(np.isin(preds[retain_mask], forget_cols)))
-    else:
-        ra, far = None, None
-        flags.append("empty_retain_split")
-
-    per = None
-    if original_fa is not None and original_fa > 0.0 and fa is not None:
-        per = (original_fa - fa) / original_fa * 100.0
+        forget_rows = data.forgotten(forget_set)
+        il = 100.0 * float(np.mean(np.sum(probs[np.ix_(forget_rows, forget_cols)], axis=1)))
 
     erb = erb_score(fa, ra) if fa is not None and ra is not None else None
-
-    per_class: list[float | None] = []
-    for c in range(k):
-        mask = truth == c
-        per_class.append(100.0 * float(np.mean(correct[mask])) if mask.any() else None)
-
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (truth, preds), 1)
-
-    return EvaluationReport(fa=fa, ra=ra, il=il, per=per, far=far, frr=frr,
-                            erb=erb, per_class=per_class, confusion=confusion,
-                            n_eval=data.n_samples, forget_set=sorted(forget_set),
-                            flags=flags)
+    per_class = [_share(h, n) for h, n in zip(hits, rows)]
+    # positional, in field order: the dataclass is the one list of fields
+    return EvaluationReport(fa, ra, il, per_score(original_fa, fa), far, frr, erb, per_class,
+                            confusion, data.n_samples, sorted(forget_set), flags)
 
 
 def compare_reports(original: EvaluationReport,
@@ -123,21 +117,12 @@ def compare_reports(original: EvaluationReport,
     if original.forget_set != unlearned.forget_set:
         raise ValueError("reports cover different forget sets")
 
-    def delta(a: float | None, b: float | None) -> float | None:
+    def delta(key: str) -> float | None:
+        a, b = getattr(original, key), getattr(unlearned, key)
         return None if a is None or b is None else b - a
 
-    per = None
-    if original.fa is not None and original.fa > 0.0 and unlearned.fa is not None:
-        per = (original.fa - unlearned.fa) / original.fa * 100.0
-    return {
-        "fa": delta(original.fa, unlearned.fa),
-        "ra": delta(original.ra, unlearned.ra),
-        "il": delta(original.il, unlearned.il),
-        "far": delta(original.far, unlearned.far),
-        "frr": delta(original.frr, unlearned.frr),
-        "erb": delta(original.erb, unlearned.erb),
-        "per": per,
-    }
+    deltas = {key: delta(key) for key in ("fa", "ra", "il", "far", "frr", "erb")}
+    return {**deltas, "per": per_score(original.fa, unlearned.fa)}
 
 
 def format_metric(value: float | None) -> str:
@@ -152,25 +137,16 @@ TABLE_COLUMNS = ["Method", "FA", "FAR", "RA", "FRR", "PER", "IL", "ERB"]
 
 
 def report_csv_row(method: str, report: EvaluationReport) -> list[str]:
-    """One table row in the shared column order."""
-    return [method,
-            format_metric(report.fa), format_metric(report.far),
-            format_metric(report.ra), format_metric(report.frr),
-            format_metric(report.per), format_metric(report.il),
-            format_metric(report.erb)]
+    """One table row: each column after Method is the report field of
+    that name, lowercased."""
+    return [method] + [format_metric(getattr(report, column.lower()))
+                       for column in TABLE_COLUMNS[1:]]
 
 
 def report_to_json(report: EvaluationReport) -> str:
-    payload = {
-        "fa": report.fa, "ra": report.ra, "il": report.il, "per": report.per,
-        "far": report.far, "frr": report.frr, "erb": report.erb,
-        "per_class": report.per_class,
-        "confusion": report.confusion.tolist(),
-        "n_eval": report.n_eval,
-        "forget_set": report.forget_set,
-        "flags": report.flags,
-    }
-    return json.dumps(payload, indent=2)
+    """Every field in declaration order; `confusion` as nested lists."""
+    return json.dumps({**asdict(report), "confusion": report.confusion.tolist()},
+                      indent=2)
 
 
 class ReportError(ValueError):
@@ -178,15 +154,19 @@ class ReportError(ValueError):
 
 
 def report_from_json(text: str) -> EvaluationReport:
+    """The report `report_to_json` wrote; every field must hold its annotation."""
     try:
         raw = json.loads(text)
-        return EvaluationReport(
-            fa=raw["fa"], ra=raw["ra"], il=raw["il"], per=raw["per"],
-            far=raw["far"], frr=raw["frr"], erb=raw["erb"],
-            per_class=raw["per_class"],
-            confusion=np.array(raw["confusion"], dtype=np.int64),
-            n_eval=raw["n_eval"], forget_set=list(raw["forget_set"]),
-            flags=list(raw.get("flags", [])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReportError(f"not an evaluation report "
-                          f"({type(exc).__name__}: {exc})") from exc
+    except ValueError as exc:
+        raise ReportError(f"not an evaluation report ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ReportError("not an evaluation report (no JSON object)")
+    raw.setdefault("flags", [])
+    for f in fields(EvaluationReport):
+        kind, holds = FIELD_KINDS[f.type]
+        if f.name not in raw or not holds(raw[f.name]):
+            raise ReportError(f"not an evaluation report ({f.name} must be {kind})")
+    if len(raw["per_class"]) != len(raw["confusion"]):
+        raise ReportError("not an evaluation report (per_class and confusion differ in K)")
+    raw["confusion"] = np.array(raw["confusion"], dtype=np.int64)
+    return EvaluationReport(**{f.name: raw[f.name] for f in fields(EvaluationReport)})

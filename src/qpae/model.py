@@ -68,7 +68,7 @@ class Classifier:
     def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
         self.layers = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
                        for w, b in layers]
-        self.validate()
+        self.validate(self.layers)
 
     @property
     def final_w(self) -> np.ndarray:
@@ -86,11 +86,13 @@ class Classifier:
     def num_classes(self) -> int:
         return self.final_w.shape[1]
 
-    def validate(self) -> None:
-        if not self.layers:
+    @staticmethod
+    def validate(layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Raise ValueError unless the (W, b) pairs chain into a classifier."""
+        if not layers:
             raise ValueError("need at least one layer")
         width = None
-        for i, (w, b) in enumerate(self.layers):
+        for i, (w, b) in enumerate(layers):
             if w.ndim != 2 or b.ndim != 1:
                 raise ValueError(f"layer {i} must be a matrix and a bias vector")
             if width is not None and w.shape[0] != width:
@@ -98,7 +100,7 @@ class Classifier:
             if w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i} bias length must equal its width")
             width = w.shape[1]
-        if self.num_classes < 2:
+        if width < 2:
             raise ValueError("need at least 2 classes")
 
     def ensure_finite(self) -> None:

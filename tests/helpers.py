@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: a bitwise model comparison,
 predictions, the per-sample reference forms of the losses, a one-sample
 gradient check, a manifest writer, a file that fails part-way through a
-write, and the WAV reader and log-mel batch as first written."""
+write, the WAV reader and log-mel batch as first written, and the
+mask-based evaluation the confusion-matrix counts replaced."""
 
 import errno
 import struct
@@ -12,7 +13,8 @@ import numpy as np
 from qpae.audio import (POWER_FLOOR, MissingChunkError, NotWavError, TruncatedWavError,
                         UnsupportedCodecError, WavClip, WavParseError, _clip_path,
                         _write_labels, mel_filterbank, write_wav)
-from qpae.model import LOG_EPS, backward_batch, forward_batch, softmax
+from qpae.metrics import EvaluationReport, erb_score
+from qpae.model import LOG_EPS, NumericError, backward_batch, forward_batch, softmax
 
 
 def one_hot(class_id: int, num_classes: int) -> np.ndarray:
@@ -224,3 +226,62 @@ def reference_log_mel_batch(x, sample_rate, n_fft=256, hop=128, n_mels=32,
     mel_power = np.matmul(mel_filterbank(sample_rate, n_fft, n_mels), power)
     start = (mel_power.shape[2] - target_frames) // 2
     return np.log(POWER_FLOOR + mel_power[:, :, start:start + target_frames])
+
+
+def reference_evaluate(model, data, forget_set, original_fa=None) -> EvaluationReport:
+    """`metrics.evaluate` as first written: one boolean-mask pass per
+    accuracy and a per-class loop beside the confusion matrix. The oracle
+    the confusion-matrix shares are compared against, bit for bit."""
+    if data.n_samples == 0:
+        raise ValueError("evaluation data must be non-empty")
+    k = data.num_classes
+    bad = [c for c in forget_set if c < 0 or c >= k]
+    if not forget_set or bad:
+        raise ValueError(f"invalid forget_set {sorted(forget_set)} for K={k}")
+
+    _, logits = forward_batch(model, data.features)
+    probs = softmax(logits)
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("non-finite prediction encountered during evaluation")
+    preds = np.argmax(logits, axis=1)
+    truth = data.original_classes
+    correct = preds == truth
+
+    forget_cols = np.array(sorted(forget_set))
+    forget_mask = np.isin(truth, forget_cols)
+    retain_mask = ~forget_mask
+    flags: list[str] = []
+
+    if forget_mask.any():
+        fa = 100.0 * float(np.mean(correct[forget_mask]))
+        frr = 100.0 - fa
+        il = 100.0 * float(np.mean(np.sum(probs[np.ix_(forget_mask, forget_cols)], axis=1)))
+    else:
+        fa, frr, il = None, None, 0.0
+        flags.append("empty_forget_split")
+
+    if retain_mask.any():
+        ra = 100.0 * float(np.mean(correct[retain_mask]))
+        far = 100.0 * float(np.mean(np.isin(preds[retain_mask], forget_cols)))
+    else:
+        ra, far = None, None
+        flags.append("empty_retain_split")
+
+    per = None
+    if original_fa is not None and original_fa > 0.0 and fa is not None:
+        per = (original_fa - fa) / original_fa * 100.0
+
+    erb = erb_score(fa, ra) if fa is not None and ra is not None else None
+
+    per_class: list[float | None] = []
+    for c in range(k):
+        mask = truth == c
+        per_class.append(100.0 * float(np.mean(correct[mask])) if mask.any() else None)
+
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (truth, preds), 1)
+
+    return EvaluationReport(fa=fa, ra=ra, il=il, per=per, far=far, frr=frr,
+                            erb=erb, per_class=per_class, confusion=confusion,
+                            n_eval=data.n_samples, forget_set=sorted(forget_set),
+                            flags=flags)

@@ -200,3 +200,32 @@ def test_dispatch_covers_all_methods(tiny_model, tiny_data):
         assert out is m
         m.ensure_finite()
         assert m.final_w.shape == tiny_model.final_w.shape
+
+
+@pytest.mark.parametrize("method, built", [
+    ("gradient_ascent", ["forget", "retain"]),
+    ("negative_gradient", ["forget"]),
+    ("fisher_forgetting", ["forget", "retain"]),
+    ("synaptic_dampening", ["forget"]),
+])
+def test_each_baseline_builds_only_the_rows_it_reads(tiny_model, tiny_data, monkeypatch,
+                                                     method, built):
+    """Each side a baseline reads is copied out of the data once, and a side
+    it does not read is not copied at all; ssd takes its full Fisher from
+    the data itself."""
+    forget_set = {1, 3}
+    sides = []
+    real_subset = LabeledDataset.subset
+
+    def counting_subset(self, rows):
+        out = real_subset(self, rows)
+        forgotten = np.isin(out.original_classes, sorted(forget_set))
+        sides.append("forget" if forgotten.all() else
+                     "retain" if not forgotten.any() else "mixed")
+        return out
+
+    monkeypatch.setattr(LabeledDataset, "subset", counting_subset)
+    cfg = BaselineConfig(ascent_epochs=1, finetune_epochs=1, learning_rate=0.01,
+                         fisher_noise_scale=1e-3, seed=8)
+    run_baseline(tiny_model, tiny_data, forget_set, method, cfg)
+    assert sides == built

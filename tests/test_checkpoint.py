@@ -1,4 +1,5 @@
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -128,11 +129,53 @@ def test_save_refuses_f32_overflow(tmp_path):
 def test_load_refuses_non_finite_payload(tmp_path):
     p = tmp_path / "m.qpae"
     save_checkpoint(f32_model(), p)
-    blob = bytearray(p.read_bytes())
-    inf = struct.pack("<f", float("inf"))
-    payload = blob[:-4]
-    payload[20:24] = inf  # overwrite one weight, then re-seal the CRC
-    crc = struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
-    p.write_bytes(bytes(payload) + crc)
-    with pytest.raises(NumericError):
+    payload = bytearray(p.read_bytes())[:-4]
+    # +inf, and a signalling NaN, which numpy warns about when it casts it
+    # to float64: the check reads the stored float32 values, so no warning
+    for word in (0x7F800000, 0x7F800001):
+        payload[20:24] = struct.pack("<I", word)  # one weight, then re-seal the CRC
+        crc = struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
+        p.write_bytes(bytes(payload) + crc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite model parameter"):
+                load_checkpoint(p)
+
+
+def _sealed(layers) -> bytes:
+    """A checkpoint of raw (rows, cols, weight words, bias words) layers, CRC
+    intact; the words are float32 bit patterns."""
+    parts = [MAGIC, struct.pack("<HH", 1, len(layers))]
+    for rows, cols, weights, bias in layers:
+        parts.append(struct.pack(f"<II{len(weights)}I", rows, cols, *weights))
+        parts.append(struct.pack(f"<I{len(bias)}I", len(bias), *bias))
+    payload = b"".join(parts)
+    return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+SNAN, ONE = 0x7F800001, 0x3F800000
+
+
+@pytest.mark.parametrize("layers, error", [
+    ([(2, 3, [SNAN] + [ONE] * 5, [ONE] * 3), (4, 2, [ONE] * 8, [ONE] * 2)],
+     "layer 1 input width 4 != 3"),
+    ([(2, 3, [SNAN] + [ONE] * 5, [ONE] * 2)], "bias length"),
+    ([(2, 1, [SNAN, ONE], [ONE])], "at least 2 classes"),
+    ([], "at least one layer"),
+], ids=["chain", "bias", "one_class", "no_layer"])
+def test_dimension_fault_is_raised_before_a_non_finite_value(tmp_path, layers, error):
+    p = tmp_path / "m.qpae"
+    p.write_bytes(_sealed(layers))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match=error):
+            load_checkpoint(p)
+
+
+def test_crc_mismatch_is_raised_before_a_non_finite_value(tmp_path):
+    blob = bytearray(_sealed([(2, 2, [SNAN, ONE, ONE, ONE], [ONE] * 2)]))
+    blob[-1] ^= 0xFF
+    p = tmp_path / "m.qpae"
+    p.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumError):
         load_checkpoint(p)

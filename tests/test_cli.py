@@ -183,19 +183,26 @@ def test_io_error_exits_3(cfg_path, tmp_path):
     assert main(["unlearn", "--config", str(cfg_path), "--method", "qp"]) == 3
 
 
-def test_numeric_error_exits_4(cfg_path, tmp_path):
-    import struct
+@pytest.mark.filterwarnings("error")
+def test_numeric_error_exits_4(cfg_path, tmp_path, capsys):
+    """A weight of +inf, or a signalling NaN that numpy warns about when it
+    casts one: exit 4 with one line on stderr, and nothing written."""
     import zlib
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
-    blob = bytearray((out / "original.qpae").read_bytes())
-    payload = blob[:-4]
-    payload[20:24] = struct.pack("<f", float("inf"))
-    crc = struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
+    payload = bytearray((out / "original.qpae").read_bytes())[:-4]
+    before = sorted(p.name for p in out.iterdir())
     broken = tmp_path / "broken.qpae"
-    broken.write_bytes(bytes(payload) + crc)
-    assert main(["evaluate", "--config", str(cfg_path),
-                 "--model", str(broken)]) == 4
+    for word in (0x7F800000, 0x7F800001):
+        payload[20:24] = struct.pack("<I", word)
+        crc = struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
+        broken.write_bytes(bytes(payload) + crc)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path),
+                     "--model", str(broken)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: non-finite model parameter detected"]
+        assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_seed_override_changes_artifacts(cfg_path, tmp_path):
@@ -388,6 +395,8 @@ def test_manifest_with_a_bad_clip_exits_3(cfg_path, tmp_path, capsys, bad):
     ("train", {"dataset": {"kind": "manifest", "path": 5}}),
     ("train", {"output_dir": None}),
     ("train", {"output_dir": 5}),
+    # an integer no float holds is no finite number
+    ("train", {"train": {"learning_rate": 10 ** 400}}),
 ])
 def test_bad_section_value_exits_2(cfg_path, tmp_path, capsys, verb, edit):
     """Refused before any file is written: `train` creates no --out, and
@@ -436,28 +445,44 @@ def test_original_report_of_another_run_exits_2(cfg_path, tmp_path, monkeypatch,
     assert sorted(p.name for p in out.iterdir()) == before
 
 
-def _missing_ra(report_text):
-    raw = json.loads(report_text)
-    del raw["ra"]
-    return json.dumps(raw)
+def _with(key, value):
+    """A report with one field set to value; None deletes the field."""
+    def spoil(report_text):
+        raw = json.loads(report_text)
+        if value is None:
+            del raw[key]
+        else:
+            raw[key] = value
+        return json.dumps(raw)
+    return spoil
 
 
-@pytest.mark.parametrize("spoil", [lambda text: "{nope", _missing_ra,
-                                   lambda text: "[1, 2]"],
-                         ids=["not_json", "missing_key", "not_an_object"])
+@pytest.mark.parametrize("spoil", [
+    lambda text: "{nope", _with("ra", None), lambda text: "[1, 2]",
+    _with("fa", "x"), _with("ra", "x"), _with("fa", float("inf")),
+    _with("per_class", [50.0]), _with("confusion", [[1, -1], [0, 1]]),
+    _with("flags", [0]),
+], ids=["not_json", "missing_key", "not_an_object", "fa_string", "ra_string",
+        "fa_infinity", "per_class_short", "confusion_negative", "flags_not_strings"])
 def test_report_that_is_no_report_exits_3(cfg_path, tmp_path, capsys, spoil):
+    """`evaluate --original-report` and `report` refuse it with one line on
+    stderr, before they write anything."""
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["unlearn", "--config", str(cfg_path), "--method", "qp"]) == 0
     original = out / "report_original.json"
     bad = tmp_path / "bad.json"
     bad.write_text(spoil(original.read_text()))
-    assert main(["evaluate", "--config", str(cfg_path), "--model",
-                 str(out / "original.qpae"), "--original-report", str(bad)]) == 3
     original.write_text(bad.read_text())
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path), "--model",
+                 str(out / "unlearned_qp.qpae"), "--original-report", str(bad)]) == 3
     assert main(["report", "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("io error: not an evaluation report") == 2
-    assert "Traceback" not in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("io error: not an evaluation report") for line in err)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.fixture()

@@ -382,6 +382,29 @@ class TestPipeline:
         assert fa_union == 0.0
         assert ra >= 50.0
 
+    @pytest.mark.parametrize("forget", [[0], [5], [3, 7]])
+    def test_superposition_is_inert_in_a_single_request(self, desk, monkeypatch, forget):
+        # QuantumLoss keys on the original class and never reads a forgotten
+        # row's target, so one request ends in the same parameters when
+        # phase 2 leaves the labels as they are
+        from qpae import eraser, harness
+        ucfg = replace(harness._unlearn_config(desk["cfg"]), forget_set=forget)
+        want, _ = run_qp_audio_eraser(desk["model"].copy(), desk["train"], ucfg)
+        monkeypatch.setattr(eraser, "superpose_labels", lambda data, forget_set: data)
+        got, _ = run_qp_audio_eraser(desk["model"].copy(), desk["train"], ucfg)
+        assert equals_bits(got, want)
+
+    def test_a_later_request_reads_the_superposed_labels(self, tiny_model, tiny_data):
+        # in step 2 the class forgotten in step 1 is a retained row, trained
+        # by cross-entropy toward the uniform target step 1 left it
+        first = UnlearnConfig(forget_set=[0], epochs=2, learning_rate=0.05, seed=3)
+        model, _ = run_qp_audio_eraser(tiny_model, tiny_data, first)
+        second = replace(first, forget_set=[1], seed=4)
+        superposed, _ = run_qp_audio_eraser(model.copy(), superpose_labels(tiny_data, {0}),
+                                            second)
+        one_hot_kept, _ = run_qp_audio_eraser(model.copy(), tiny_data, second)
+        assert not equals_bits(superposed, one_hot_kept)
+
     def test_phase_log_schema(self, tiny_model, tiny_data):
         cfg = UnlearnConfig(forget_set={2}, epochs=1, learning_rate=0.05, seed=2)
         _, log = run_qp_audio_eraser(tiny_model, tiny_data, cfg)

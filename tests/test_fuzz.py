@@ -1,6 +1,9 @@
-"""Byte-mutation fuzzing of the three parsers that read files from outside
-the program: each may only fail with its own error types."""
+"""Fuzzing of the readers of files from outside the program: byte
+mutations of WAV files, checkpoints and manifests, and reports with
+fields swapped for JSON values of other kinds. Each may only fail with
+its own error types."""
 
+import json
 import struct
 import zlib
 
@@ -12,14 +15,19 @@ from hypothesis import strategies as st
 from qpae.audio import (ManifestError, WavClip, WavParseError, load_manifest,
                         read_wav, write_wav)
 from qpae.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from qpae.data import LabeledDataset
+from qpae.metrics import (ReportError, compare_reports, evaluate, report_csv_row,
+                          report_from_json, report_to_json)
 from qpae.model import Classifier, NumericError
 from qpae.rng import Rng
 
 from helpers import write_manifest
 
-# 4-byte words a mutation may write: zero, all ones, float32 NaN, +inf and
-# max, and the largest u32 sizes, the values parsers most often mishandle
-WORDS = [0, 0xFFFFFFFF, 0x7FC00000, 0x7F800000, 0x7F7FFFFF, 0x7FFFFFFF, 1]
+# 4-byte words a mutation may write: zero, all ones, float32 NaN, +inf,
+# max and a signalling NaN, and the largest u32 sizes, the values parsers
+# most often mishandle
+WORDS = [0, 0xFFFFFFFF, 0x7FC00000, 0x7F800000, 0x7F7FFFFF, 0x7F800001,
+         0x7FFFFFFF, 1]
 
 mutation = st.one_of(
     st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
@@ -64,7 +72,10 @@ def seeds(tmp_path_factory):
     save_checkpoint(model, root / "model.qpae")
     write_manifest(root / "dataset", [(WavClip(8000, Rng(3).normal(300, sigma=0.1)), c)
                                       for c in (0, 1, 1)])
+    data = LabeledDataset(Rng(4).normal(12, sigma=2.0).reshape(4, 3), np.eye(2)[[0, 1, 1, 0]],
+                          [0, 1, 1, 0], 2)
     return {"dir": root,
+            "report": report_to_json(evaluate(model, data, {0}, original_fa=50.0)),
             "wavs": [(root / "pcm.wav").read_bytes(),
                      float32_wav([0.5, -0.25, 3.0e38, -1.0]),
                      float32_wav([0.1, 0.2, -0.3, 0.4], channels=2)],
@@ -112,3 +123,38 @@ def test_load_manifest_raises_only_manifest_and_io_errors(seeds, ops):
     except (ManifestError, WavParseError, OSError):
         return
     assert data.n_samples >= 1 and np.all(np.isfinite(data.features))
+
+
+REPORT_KEYS = ["fa", "ra", "il", "per", "far", "frr", "erb", "per_class",
+               "confusion", "n_eval", "forget_set", "flags"]
+# JSON values of every kind, NaN and the infinities included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8)
+# per field: delete it, or give it another value
+swaps = st.dictionaries(st.sampled_from(REPORT_KEYS),
+                        st.just("delete") | st.tuples(json_values), min_size=1, max_size=3)
+
+
+@fuzz
+@given(swap=swaps)
+def test_report_from_json_raises_only_report_errors(seeds, swap):
+    original = report_from_json(seeds["report"])
+    raw = json.loads(seeds["report"])
+    for key, value in swap.items():
+        if value == "delete":
+            del raw[key]
+        else:
+            raw[key] = value[0]
+    try:
+        report = report_from_json(json.dumps(raw))
+    except ReportError:
+        return
+    report_csv_row("Fuzzed", report)
+    compare_reports(report, report)
+    if (report.forget_set, report.num_classes) == (original.forget_set, 2):
+        compare_reports(original, report)
+        compare_reports(report, original)

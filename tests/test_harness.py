@@ -13,6 +13,7 @@ from qpae.baselines import METHOD_NAMES, BaselineConfig
 from qpae.checkpoint import load_checkpoint
 from qpae.cli import main
 from qpae.data import train_eval_split
+from qpae.files import FIELD_KINDS
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
                           emit_table, load_config)
@@ -71,7 +72,7 @@ class TestConfig:
     @pytest.mark.parametrize("name, path, annotation", _config_fields())
     def test_every_field_refuses_a_wrong_kind(self, name, path, annotation):
         # a field whose annotation the walk does not know would go unchecked
-        assert annotation in harness._FIELD_KINDS
+        assert annotation in FIELD_KINDS
         wrong = WRONG_KIND[annotation]
         raw = config_to_dict(default_config("sequential"))
         node = raw

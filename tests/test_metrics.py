@@ -1,16 +1,19 @@
+import json
+from dataclasses import fields as dataclass_fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpae.data import LabeledDataset
-from qpae.metrics import (ReportError, compare_reports, erb_score, evaluate,
-                          format_metric, report_csv_row, report_from_json,
-                          report_to_json)
+from qpae.metrics import (TABLE_COLUMNS, EvaluationReport, ReportError,
+                          compare_reports, erb_score, evaluate, format_metric,
+                          report_csv_row, report_from_json, report_to_json)
 from qpae.model import Classifier, softmax
 from qpae.rng import Rng
 
-from helpers import one_hot
+from helpers import one_hot, reference_evaluate
 
 
 def prediction_set(logits, classes, k):
@@ -207,6 +210,50 @@ class TestBruteForceOracle:
         assert rep.far == pytest.approx(100.0 * np.mean(preds[~fmask] == 2))
 
 
+def exact_fields(report: EvaluationReport) -> str:
+    """Every field of a report, floats by repr, so equal text is equal bits."""
+    return repr([(f.name, getattr(report, f.name)) for f in dataclass_fields(report)
+                 if f.name != "confusion"] + [report.confusion.tolist()])
+
+
+class TestConfusionShares:
+    @pytest.mark.parametrize("sides", ["both", "no_forget_rows", "no_retain_rows"])
+    def test_bit_equal_to_mask_based_reference(self, sides):
+        # FA, RA, FAR and per-class accuracy read from the confusion matrix
+        # must equal the per-mask means of the first evaluate, bit for bit
+        rng = Rng({"both": 71, "no_forget_rows": 72, "no_retain_rows": 73}[sides])
+        for k in range(2, 13):
+            for trial in range(6):
+                dim = 2 + rng.randbelow(6)
+                model = Classifier.random_init(dim, [3 + rng.randbelow(8)], k,
+                                               Rng(1000 * k + trial))
+                forget = set()
+                n_forget = 1 + rng.randbelow(k - 1)
+                while len(forget) < n_forget:
+                    forget.add(int(rng.randbelow(k)))
+                pool = {"both": range(k),
+                        "no_forget_rows": sorted(set(range(k)) - forget),
+                        "no_retain_rows": sorted(forget)}[sides]
+                n = 2 + rng.randbelow(150)
+                classes = np.array([pool[rng.randbelow(len(pool))] for _ in range(n)])
+                if sides == "both":  # a row on each side of the split, at least
+                    classes[:2] = min(forget), min(set(range(k)) - forget)
+                data = LabeledDataset(rng.normal(n * dim, sigma=2.0).reshape(n, dim),
+                                      np.eye(k)[classes], classes, k)
+                original_fa = [None, 0.0, 100.0, 37.5, 3.0, 62.5][trial]
+                got = evaluate(model, data, forget, original_fa=original_fa)
+                want = reference_evaluate(model, data, forget, original_fa=original_fa)
+                assert exact_fields(got) == exact_fields(want), (k, trial)
+                flag = {"both": None, "no_forget_rows": "empty_forget_split",
+                        "no_retain_rows": "empty_retain_split"}[sides]
+                assert got.flags == ([flag] if flag else [])
+
+    def test_each_table_column_names_a_report_field(self):
+        names = {f.name for f in dataclass_fields(EvaluationReport)}
+        assert TABLE_COLUMNS[0] == "Method"
+        assert [c for c in TABLE_COLUMNS[1:] if c.lower() not in names] == []
+
+
 class TestCompareReports:
     def _rep(self, logits, classes, k, forget, original_fa=None):
         model, data = prediction_set(logits, classes, k)
@@ -244,6 +291,19 @@ class TestCompareReports:
             compare_reports(a, b)
 
 
+# a value of another kind for each report field, NaN and Infinity among them
+WRONG_KINDS = [
+    ("fa", "x"), ("ra", "x"), ("fa", float("inf")), ("per", float("nan")),
+    ("erb", True), ("frr", [1.0]), ("far", 10 ** 400), ("il", None),
+    ("per_class", [100.0]), ("per_class", [100.0, "x"]), ("per_class", 5),
+    ("confusion", [[1, 0], [0, -1]]), ("confusion", [[1, 0], [0]]),
+    ("confusion", [[1, 0], [0, 1.0]]), ("confusion", [[1, 0], [0, 2 ** 63]]),
+    ("confusion", [[True, 0], [0, 1]]), ("confusion", []),
+    ("n_eval", 2.0), ("forget_set", [0.5]), ("forget_set", 0), ("flags", [1]),
+    ("flags", "empty_forget_split"),
+]
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         model, data = prediction_set([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0]], [0, 1], 3)
@@ -257,6 +317,26 @@ class TestSerialization:
     def test_text_that_is_no_report_raises_report_error(self, text):
         with pytest.raises(ReportError, match="not an evaluation report"):
             report_from_json(text)
+
+    def test_json_round_trip_is_byte_stable(self):
+        model, data = prediction_set([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0]], [0, 2], 3)
+        text = report_to_json(evaluate(model, data, {0}, original_fa=50.0))
+        assert report_to_json(report_from_json(text)) == text
+
+    def test_absent_flags_read_as_empty(self):
+        model, data = prediction_set([[1.0, 0.0], [0.0, 1.0]], [0, 1], 2)
+        raw = json.loads(report_to_json(evaluate(model, data, {0})))
+        del raw["flags"]
+        assert report_from_json(json.dumps(raw)).flags == []
+
+    @pytest.mark.parametrize("key, value", WRONG_KINDS,
+                             ids=[f"{key}{i}" for i, (key, _) in enumerate(WRONG_KINDS)])
+    def test_field_of_the_wrong_kind_raises_report_error(self, key, value):
+        model, data = prediction_set([[1.0, 0.0], [0.0, 1.0]], [0, 1], 2)
+        raw = json.loads(report_to_json(evaluate(model, data, {0})))
+        raw[key] = value
+        with pytest.raises(ReportError, match="not an evaluation report"):
+            report_from_json(json.dumps(raw))
 
     def test_fixed_json_field_names(self):
         import json

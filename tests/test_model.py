@@ -329,7 +329,7 @@ class TestTrainStep:
             data = superpose_labels(tiny_data, {1})
             loss, terms = QuantumLoss({1}, 1.3), reference_quantum({1}, 1.3)
         else:
-            data, _ = tiny_data.class_split({2})
+            data = tiny_data.subset(tiny_data.forgotten({2}))
             loss, terms = NegatedCrossEntropyLoss(), reference_negated_ce
         cfg = TrainConfig(learning_rate=0.07, epochs=3, batch_size=16, seed=19)
         model = Classifier.random_init(data.feature_dim, [16, 8], 4, Rng(13))
