@@ -88,23 +88,32 @@ def negative_gradient_unlearn(model: Classifier, data: LabeledDataset,
     return _ascend(model, data, forget_set, cfg)
 
 
-def estimate_diag_fisher(model: Classifier, samples: LabeledDataset) -> list[np.ndarray]:
-    """Diagonal empirical Fisher: mean squared per-sample CE gradient.
+def estimate_diag_fisher(model: Classifier, data: LabeledDataset,
+                         rows: np.ndarray | None = None) -> list[np.ndarray]:
+    """Diagonal empirical Fisher: mean squared per-sample CE gradient over
+    `data.subset(rows)`, or over all of `data` when `rows` is None.
 
     Uses the outer-product structure of dense-layer gradients: the squared
     per-sample weight gradient is activation^2 (x) delta^2, so the whole
-    dataset reduces to one matmul per layer. Returns one array per
+    dataset reduces to one matmul per layer. The rows are gathered here,
+    once; that copy is the estimate's own, so the first layer's a^2 is
+    squared into it in place. With `rows` None the caller's arrays are
+    read, never written, and a^2 is a new array. Returns one array per
     parameter block, aligned with model.parameters().
     """
-    if samples.n_samples == 0:
-        raise ValueError("need at least one sample")
+    samples = data if rows is None else data.subset(rows)
     n = samples.n_samples
+    if n == 0:
+        raise ValueError("need at least one sample")
     acts, logits = forward_batch(model, samples.features)
     delta = softmax(logits) - samples.labels        # per-sample logit grads
     fisher_rev: list[np.ndarray] = []
     for a, dz in backprop(model, acts, delta):
         dz2 = dz ** 2
-        fisher_rev += [np.mean(dz2, axis=0), (a ** 2).T @ dz2 / n]
+        # the gathered rows are read for the last time here, so their
+        # square may take their place
+        out = a if rows is not None and a is acts[0] else None
+        fisher_rev += [np.mean(dz2, axis=0), np.square(a, out=out).T @ dz2 / n]
     return fisher_rev[::-1]
 
 
@@ -114,9 +123,9 @@ def fisher_forgetting(model: Classifier, data: LabeledDataset,
     forgotten = data.forgotten(forget_set)
     if not forgotten.any() or cfg.fisher_noise_scale == 0.0:
         return model
-    f_forget = estimate_diag_fisher(model, data.subset(forgotten))
+    f_forget = estimate_diag_fisher(model, data, forgotten)
     f_retain = [np.zeros_like(f) for f in f_forget] if forgotten.all() \
-        else estimate_diag_fisher(model, data.subset(~forgotten))
+        else estimate_diag_fisher(model, data, ~forgotten)
     rng = Rng(derive_seed(cfg.seed, 0xF15E))
     for param, ff, fr in zip(model.parameters(), f_forget, f_retain):
         sigma = cfg.fisher_noise_scale * np.sqrt(ff / (fr + FISHER_EPS))
@@ -136,7 +145,7 @@ def synaptic_dampening(model: Classifier, data: LabeledDataset,
     forgotten = data.forgotten(forget_set)
     if not forgotten.any():
         return model
-    f_forget = estimate_diag_fisher(model, data.subset(forgotten))
+    f_forget = estimate_diag_fisher(model, data, forgotten)
     f_full = estimate_diag_fisher(model, data)
     for param, ff, fa in zip(model.parameters(), f_forget, f_full):
         selected = ff > cfg.ssd_threshold * fa

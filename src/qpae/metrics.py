@@ -61,13 +61,38 @@ def _share(hits, rows) -> float | None:
     return 100.0 * (int(hits) / int(rows)) if rows else None
 
 
+def confusion_scores(confusion: np.ndarray, forget_set: list[int]) -> dict:
+    """The report fields that are counts of `confusion` split by the sorted
+    `forget_set`: fa, ra, far, frr, erb, per_class, n_eval and flags.
+
+    FA, RA, FAR and per-class accuracy are shares of the matrix, each one
+    correctly rounded division of two exact counts, so `evaluate` and a
+    report read back give the same bits.
+    """
+    counts = np.asarray(confusion).astype(object)  # Python ints: no sum wraps
+    hits, rows = np.diag(counts), counts.sum(axis=1)
+    forget_cls = np.isin(np.arange(len(counts)), forget_set)  # by class, not by row
+    fa = _share(hits[forget_cls].sum(), rows[forget_cls].sum())
+    ra = _share(hits[~forget_cls].sum(), rows[~forget_cls].sum())
+    far = _share(counts[np.ix_(~forget_cls, forget_cls)].sum(), rows[~forget_cls].sum())
+    # the complement-count ratio, written so FA + FRR == 100 holds exactly
+    # in floating point
+    frr = None if fa is None else 100.0 - fa
+    erb = erb_score(fa, ra) if fa is not None and ra is not None else None
+    flags = [name for name, value in (("empty_forget_split", fa),
+                                      ("empty_retain_split", ra)) if value is None]
+    return {"fa": fa, "ra": ra, "far": far, "frr": frr, "erb": erb,
+            "per_class": [_share(h, n) for h, n in zip(hits, rows)],
+            "n_eval": int(rows.sum()), "flags": flags}
+
+
 def evaluate(model: Classifier, data: LabeledDataset, forget_set: set[int],
              original_fa: float | None = None) -> EvaluationReport:
     """Score a model on labeled data, split by the forget set.
 
     Predictions are the argmax of the softmax with ties broken toward
-    the lowest class index. FA, RA, FAR and per-class accuracy are shares
-    of `confusion`, so a report can be recounted from itself.
+    the lowest class index. Every field but IL and PER comes from
+    `confusion_scores`, so a report can be recounted from itself.
     `original_fa` (the pre-unlearning forget accuracy) enables PER.
     """
     if data.n_samples == 0:
@@ -83,28 +108,14 @@ def evaluate(model: Classifier, data: LabeledDataset, forget_set: set[int],
         raise NumericError("non-finite prediction encountered during evaluation")
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (data.original_classes, np.argmax(logits, axis=1)), 1)
-    hits, rows = np.diag(confusion), confusion.sum(axis=1)
-
-    forget_cols = np.array(sorted(forget_set))
-    forget_cls = np.isin(np.arange(k), forget_cols)  # by class, not by row
-    fa = _share(hits[forget_cls].sum(), rows[forget_cls].sum())
-    ra = _share(hits[~forget_cls].sum(), rows[~forget_cls].sum())
-    far = _share(confusion[np.ix_(~forget_cls, forget_cls)].sum(), rows[~forget_cls].sum())
-    flags = [name for name, value in (("empty_forget_split", fa),
-                                      ("empty_retain_split", ra)) if value is None]
-    frr, il = None, 0.0
-    if fa is not None:
-        # the complement-count ratio, written so FA + FRR == 100 holds
-        # exactly in floating point
-        frr = 100.0 - fa
+    forget = sorted(forget_set)
+    scores = confusion_scores(confusion, forget)
+    il = 0.0
+    if scores["fa"] is not None:
         forget_rows = data.forgotten(forget_set)
-        il = 100.0 * float(np.mean(np.sum(probs[np.ix_(forget_rows, forget_cols)], axis=1)))
-
-    erb = erb_score(fa, ra) if fa is not None and ra is not None else None
-    per_class = [_share(h, n) for h, n in zip(hits, rows)]
-    # positional, in field order: the dataclass is the one list of fields
-    return EvaluationReport(fa, ra, il, per_score(original_fa, fa), far, frr, erb, per_class,
-                            confusion, data.n_samples, sorted(forget_set), flags)
+        il = 100.0 * float(np.mean(np.sum(probs[np.ix_(forget_rows, forget)], axis=1)))
+    return EvaluationReport(il=il, per=per_score(original_fa, scores["fa"]),
+                            confusion=confusion, forget_set=forget, **scores)
 
 
 def compare_reports(original: EvaluationReport,
@@ -154,7 +165,9 @@ class ReportError(ValueError):
 
 
 def report_from_json(text: str) -> EvaluationReport:
-    """The report `report_to_json` wrote; every field must hold its annotation."""
+    """The report `report_to_json` wrote. Every field must hold its
+    annotation, and every field `confusion_scores` gives must equal its
+    recount from `confusion` and `forget_set` bit for bit."""
     try:
         raw = json.loads(text)
     except ValueError as exc:
@@ -166,7 +179,14 @@ def report_from_json(text: str) -> EvaluationReport:
         kind, holds = FIELD_KINDS[f.type]
         if f.name not in raw or not holds(raw[f.name]):
             raise ReportError(f"not an evaluation report ({f.name} must be {kind})")
-    if len(raw["per_class"]) != len(raw["confusion"]):
-        raise ReportError("not an evaluation report (per_class and confusion differ in K)")
+    k, forget_set = len(raw["confusion"]), raw["forget_set"]
+    if not forget_set or forget_set != sorted({c for c in forget_set if 0 <= c < k}):
+        raise ReportError(f"not an evaluation report (forget_set must list classes "
+                          f"of 0..{k - 1} in order, each once)")
     raw["confusion"] = np.array(raw["confusion"], dtype=np.int64)
+    counted = confusion_scores(raw["confusion"], forget_set)
+    for name, value in counted.items():
+        # a float's repr round-trips, so equal JSON text is equal bits
+        if json.dumps(raw[name]) != json.dumps(value):
+            raise ReportError(f"not an evaluation report ({name} disagrees with confusion)")
     return EvaluationReport(**{f.name: raw[f.name] for f in fields(EvaluationReport)})

@@ -1,8 +1,9 @@
 """Helpers shared by the test modules: a bitwise model comparison,
 predictions, the per-sample reference forms of the losses, a one-sample
 gradient check, a manifest writer, a file that fails part-way through a
-write, the WAV reader and log-mel batch as first written, and the
-mask-based evaluation the confusion-matrix counts replaced."""
+write, the WAV reader and log-mel batch as first written, the
+mask-based evaluation the confusion-matrix counts replaced, and the
+Fisher estimate that allocated every square."""
 
 import errno
 import struct
@@ -14,7 +15,8 @@ from qpae.audio import (POWER_FLOOR, MissingChunkError, NotWavError, TruncatedWa
                         UnsupportedCodecError, WavClip, WavParseError, _clip_path,
                         _write_labels, mel_filterbank, write_wav)
 from qpae.metrics import EvaluationReport, erb_score
-from qpae.model import LOG_EPS, NumericError, backward_batch, forward_batch, softmax
+from qpae.model import (LOG_EPS, NumericError, backprop, backward_batch, forward_batch,
+                        softmax)
 
 
 def one_hot(class_id: int, num_classes: int) -> np.ndarray:
@@ -285,3 +287,19 @@ def reference_evaluate(model, data, forget_set, original_fa=None) -> EvaluationR
                             erb=erb, per_class=per_class, confusion=confusion,
                             n_eval=data.n_samples, forget_set=sorted(forget_set),
                             flags=flags)
+
+
+def reference_diag_fisher(model, samples) -> list[np.ndarray]:
+    """`baselines.estimate_diag_fisher` before it gathered its own rows:
+    it reads the rows it is given and allocates every square. The oracle
+    the in-place square is compared against, bit for bit."""
+    if samples.n_samples == 0:
+        raise ValueError("need at least one sample")
+    n = samples.n_samples
+    acts, logits = forward_batch(model, samples.features)
+    delta = softmax(logits) - samples.labels
+    fisher_rev: list[np.ndarray] = []
+    for a, dz in backprop(model, acts, delta):
+        dz2 = dz ** 2
+        fisher_rev += [np.mean(dz2, axis=0), (a ** 2).T @ dz2 / n]
+    return fisher_rev[::-1]

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qpae import harness
 from qpae.baselines import (BaselineConfig, NegatedCrossEntropyLoss,
                             estimate_diag_fisher, fisher_forgetting,
                             gradient_ascent_unlearn, negative_gradient_unlearn,
@@ -9,7 +12,7 @@ from qpae.data import LabeledDataset
 from qpae.model import Classifier, CrossEntropyLoss, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import equals_bits, one_hot, sample_gradient
+from helpers import equals_bits, one_hot, reference_diag_fisher, sample_gradient
 
 
 def reference_fisher(model, samples):
@@ -94,6 +97,26 @@ class TestFisherEstimate:
         assert len(got) == len(want) == len(m.parameters())
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("hidden", [[64], [32, 16]])
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_bit_equal_to_the_estimate_that_squares_into_new_arrays(self, hidden, k):
+        # the in-place square of the gathered rows is the same IEEE
+        # operation as a**2: a row mask, its complement and None all give
+        # the blocks of the estimate over the rows the caller gathered
+        rng = Rng(300 + k)
+        n, dim = 40 + 5 * k, 20
+        classes = np.arange(n) % k
+        data = LabeledDataset(rng.normal(n * dim, sigma=2.0).reshape(n, dim),
+                              np.eye(k)[classes], classes, k)
+        model = Classifier.random_init(dim, hidden, k, Rng(k))
+        forgotten = data.forgotten({k // 2, k - 1})
+        for rows in (forgotten, ~forgotten, None):
+            got = estimate_diag_fisher(model, data, rows)
+            want = reference_diag_fisher(model, data if rows is None else data.subset(rows))
+            assert len(got) == len(want) == len(model.parameters())
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_matches_per_sample_loop(self, tiny_model, tiny_data):
         # independent recount: square the per-sample analytic gradients
@@ -229,3 +252,32 @@ def test_each_baseline_builds_only_the_rows_it_reads(tiny_model, tiny_data, monk
                          fisher_noise_scale=1e-3, seed=8)
     run_baseline(tiny_model, tiny_data, forget_set, method, cfg)
     assert sides == built
+
+
+@pytest.mark.parametrize("method", ["fisher_forgetting", "synaptic_dampening"])
+def test_fisher_baselines_leave_a_writeable_split_unchanged(tiny_model, tiny_data, method):
+    """A manifest split is writeable; only the rows an estimate gathers
+    itself may be squared in place."""
+    data = tiny_data.subset(np.arange(tiny_data.n_samples))
+    assert data.features.flags.writeable
+    before = [a.copy() for a in (data.features, data.labels, data.original_classes)]
+    run_baseline(tiny_model, data, {1, 3}, method,
+                 BaselineConfig(fisher_noise_scale=1e-3, seed=8))
+    for a, b in zip((data.features, data.labels, data.original_classes), before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fisher_request_peaks_below_one_and_a_half_retain_copies(desk):
+    """The retain rows are gathered once and squared in place: one desk
+    `fisher` request never holds a second retain-sized array beside them.
+    The desk split is cached and read-only, so a write into it raises."""
+    cfg, data = desk["cfg"], desk["train"]
+    retain_bytes = data.features[~data.forgotten(set(cfg.unlearn.forget_set))].nbytes
+    model = desk["model"].copy()
+    tracemalloc.start()
+    try:
+        harness.forget(model, data, "fisher", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * retain_bytes, peak / retain_bytes

@@ -461,9 +461,10 @@ def _with(key, value):
     lambda text: "{nope", _with("ra", None), lambda text: "[1, 2]",
     _with("fa", "x"), _with("ra", "x"), _with("fa", float("inf")),
     _with("per_class", [50.0]), _with("confusion", [[1, -1], [0, 1]]),
-    _with("flags", [0]),
+    _with("flags", [0]), _with("fa", 5e-324), _with("ra", 12.5), _with("forget_set", [10]),
 ], ids=["not_json", "missing_key", "not_an_object", "fa_string", "ra_string",
-        "fa_infinity", "per_class_short", "confusion_negative", "flags_not_strings"])
+        "fa_infinity", "per_class_short", "confusion_negative", "flags_not_strings",
+        "fa_subnormal", "ra_not_counted", "forget_set_past_k"])
 def test_report_that_is_no_report_exits_3(cfg_path, tmp_path, capsys, spoil):
     """`evaluate --original-report` and `report` refuse it with one line on
     stderr, before they write anything."""

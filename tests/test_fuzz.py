@@ -1,7 +1,7 @@
 """Fuzzing of the readers of files from outside the program: byte
 mutations of WAV files, checkpoints and manifests, and reports with
-fields swapped for JSON values of other kinds. Each may only fail with
-its own error types."""
+fields swapped for JSON values of other kinds or moved one ulp off their
+recount. Each may only fail with its own error types."""
 
 import json
 import struct
@@ -158,3 +158,16 @@ def test_report_from_json_raises_only_report_errors(seeds, swap):
     if (report.forget_set, report.num_classes) == (original.forget_set, 2):
         compare_reports(original, report)
         compare_reports(report, original)
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf], ids=["down", "up"])
+@pytest.mark.parametrize("key", ["fa", "ra", "far", "frr", "erb", "per_class.0",
+                                 "per_class.1"])
+def test_a_recounted_field_one_ulp_off_raises_report_error(seeds, key, toward):
+    """A report read back must agree with its own confusion matrix to the bit."""
+    raw = json.loads(seeds["report"])
+    name, _, index = key.partition(".")
+    holder, slot = (raw[name], int(index)) if index else (raw, name)
+    holder[slot] = float(np.nextafter(holder[slot], toward))
+    with pytest.raises(ReportError, match=f"{name} disagrees with confusion"):
+        report_from_json(json.dumps(raw))

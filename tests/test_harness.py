@@ -17,7 +17,7 @@ from qpae.files import FIELD_KINDS
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
                           emit_table, load_config)
-from qpae.metrics import report_from_json
+from qpae.metrics import report_from_json, report_to_json
 from qpae.model import Classifier, TrainConfig
 from qpae.rng import Rng, derive_seed
 
@@ -541,3 +541,15 @@ def test_accent_style_run_on_overlap_profile(tmp_path):
     assert original.ra >= 75.0
     assert report.fa == 0.0
     assert report.ra >= original.ra - 10.0
+
+
+@pytest.mark.parametrize("scenario", harness.SCENARIOS)
+def test_every_report_a_scenario_writes_reads_back_unchanged(tmp_path, scenario):
+    """Each report agrees with its own confusion matrix, so reading it back
+    refuses nothing and writing it again gives the same bytes."""
+    ws = harness.run_scenario(harness.default_config(scenario, output_dir=str(tmp_path)))
+    paths = [p for p in ws.out.glob("report_*.json") if not p.stem.endswith("_deltas")]
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        assert report_to_json(report_from_json(text)) + "\n" == text, path.name

@@ -338,6 +338,25 @@ class TestSerialization:
         with pytest.raises(ReportError, match="not an evaluation report"):
             report_from_json(json.dumps(raw))
 
+    @pytest.mark.parametrize("forget_set", [[], [1, 0], [0, 0], [2], [-1, 0]],
+                             ids=["empty", "unsorted", "repeated", "past_k", "negative"])
+    def test_forget_set_that_names_no_classes_in_order_raises_report_error(self, forget_set):
+        model, data = prediction_set([[1.0, 0.0], [0.0, 1.0]], [0, 1], 2)
+        raw = json.loads(report_to_json(evaluate(model, data, {0})))
+        raw["forget_set"] = forget_set
+        with pytest.raises(ReportError, match="forget_set must list classes of 0..1"):
+            report_from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("key, value", [("fa", 5e-324), ("ra", 12.5), ("far", 0.0),
+                                            ("n_eval", 4), ("flags", ["empty_forget_split"]),
+                                            ("per_class", [100.0, None])])
+    def test_field_the_confusion_does_not_give_raises_report_error(self, key, value):
+        model, data = prediction_set([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [0, 1, 1], 2)
+        raw = json.loads(report_to_json(evaluate(model, data, {0})))
+        raw[key] = value
+        with pytest.raises(ReportError, match=f"{key} disagrees with confusion"):
+            report_from_json(json.dumps(raw))
+
     def test_fixed_json_field_names(self):
         import json
         model, data = prediction_set([[1.0, 0.0], [0.0, 1.0]], [0, 1], 2)
