@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Verbs: run, train, unlearn, evaluate, sequential, ablation, synth, report.
+`sequential` and `ablation` are `run` of that scenario with `--config`:
+each runs `harness.run_scenario` and prints the scenario's table.
 Exit codes: 0 success, 2 config error, 3 IO or parse error, 4 numeric failure.
 """
 
@@ -110,48 +112,38 @@ def _run(args) -> int:
         print(f"wrote manifest dataset to {path}")
         return EXIT_OK
 
-    if args.verb == "run":
+    if args.verb in ("run", "sequential", "ablation"):
+        if args.verb != "run":
+            cfg.scenario = args.verb
         ws = harness.run_scenario(cfg)
-        stem = {"sequential": "sequential_table",
-                "ablation": "ablation_table"}.get(cfg.scenario, "table")
-        print((ws.out / f"{stem}.md").read_text(), end="")
+        print((ws.out / f"{harness.table_stem(cfg.scenario)}.md").read_text(), end="")
         print(f"artifacts in {ws.out}")
         return EXIT_OK
 
-    if args.verb in ("unlearn", "evaluate"):
-        # the inputs are read and checked before the dataset is built;
-        # --out is the directory `train` filled, so it is not made here
-        ws = Workspace.open(cfg, args.out)
-    else:
-        ws = Workspace.create(cfg, args.out)
     if args.verb == "train":
-        path, report = harness.cmd_train(ws)
+        path, report = harness.cmd_train(Workspace.create(cfg, args.out))
         print(f"checkpoint: {path}")
         print(f"original report: FA={format_metric(report.fa)} "
               f"RA={format_metric(report.ra)}")
-    elif args.verb == "unlearn":
+        return EXIT_OK
+
+    # unlearn and evaluate read and check their inputs before the dataset is
+    # built; --out is the directory `train` filled, so it is not made here
+    ws = Workspace.open(cfg, args.out)
+    if args.verb == "unlearn":
         path, phase_log = harness.cmd_unlearn(ws, args.method)
         print(f"unlearned checkpoint: {path}")
         for entry in phase_log:
             state = "skipped" if entry["skipped"] else f"{entry['wall_ms']:.1f} ms"
             print(f"  {entry['phase']}: FA={entry['forget_accuracy']:.2f} "
                   f"RA={entry['retain_accuracy']:.2f} ({state})")
-    elif args.verb == "evaluate":
+    else:
         original = None
         if args.original_report:
             original = report_from_json(Path(args.original_report).read_text())
         report = harness.cmd_evaluate(ws, args.model, original_report=original)
         print(f"FA={format_metric(report.fa)} RA={format_metric(report.ra)} "
               f"IL={report.il:.4f} PER={format_metric(report.per)}")
-    elif args.verb == "sequential":
-        series = harness.cmd_sequential(ws)
-        for entry in series:
-            print(f"step {entry['step']}: union={entry['forgotten_union']} "
-                  f"FA={format_metric(entry['fa'])} RA={format_metric(entry['ra'])}")
-    elif args.verb == "ablation":
-        reports = harness.cmd_ablation(ws)
-        for name, rep in reports.items():
-            print(f"{name}: FA={format_metric(rep.fa)} RA={format_metric(rep.ra)}")
     return EXIT_OK
 
 

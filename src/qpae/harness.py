@@ -177,6 +177,9 @@ def check_ranges(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{what} holds {bad}, not class ids in [0, {k})")
     if len(set(cfg.unlearn.forget_set)) >= k:
         raise ConfigError("unlearn.forget_set must leave at least one class retained")
+    if len(set().union(*cfg.sequential_requests)) >= k:
+        raise ConfigError("sequential_requests together must leave at least one "
+                          "class retained")
     max_mels = audio.DEFAULT_N_FFT // 2
     if not 1 <= cfg.dataset.n_mels <= max_mels:
         raise ConfigError(f"dataset.n_mels must be in [1, {max_mels}], "
@@ -527,22 +530,20 @@ def write_table(out: Path, rows: list[tuple[str, EvaluationReport]],
     return md_path, csv_path
 
 
-def run_standard_scenario(ws: Workspace) -> dict[str, EvaluationReport]:
-    """train -> unlearn with every method -> evaluate -> emit table."""
-    _, original_report = cmd_train(ws)
-    reports: dict[str, EvaluationReport] = {"original": original_report}
-    rows = [("Original", original_report)]
+def table_stem(scenario: str) -> str:
+    """The stem of the table a scenario writes: `<stem>.md` and `<stem>.csv`."""
+    return f"{scenario}_table" if scenario in ("sequential", "ablation") else "table"
+
+
+def _standard_step(ws: Workspace, original_report: EvaluationReport) -> None:
+    """unlearn with every method -> evaluate -> assemble the table."""
     for mid in METHOD_IDS:
         path, _ = cmd_unlearn(ws, mid)
-        report = cmd_evaluate(ws, path, original_report=original_report,
-                              name=mid)
-        reports[mid] = report
-        rows.append((METHOD_LABELS[mid], report))
-    write_table(ws.out, rows)
-    return reports
+        cmd_evaluate(ws, path, original_report=original_report, name=mid)
+    cmd_report(ws.out)
 
 
-def cmd_sequential(ws: Workspace) -> list[dict]:
+def _sequential_step(ws: Workspace) -> None:
     """Apply the pipeline per forget request to the evolving model.
 
     After each step the model is scored with the forget set equal to the
@@ -551,9 +552,6 @@ def cmd_sequential(ws: Workspace) -> list[dict]:
     being reinforced rather than re-learned.
     """
     cfg = ws.cfg
-    if not cfg.sequential_requests:
-        raise ConfigError("sequential scenario requires non-empty sequential_requests")
-    _, _ = cmd_train(ws)
     original = load_checkpoint(ws.original_path())
     model = original.copy()
     current = ws.train_data
@@ -583,8 +581,7 @@ def cmd_sequential(ws: Workspace) -> list[dict]:
                        "fa": report.fa, "ra": report.ra, "per": report.per,
                        "retained_classes": ws.eval_data.num_classes - len(forgotten)})
     write_atomic(ws.out / "sequential_series.json", json.dumps(series, indent=2) + "\n")
-    write_table(ws.out, rows, stem="sequential_table")
-    return series
+    write_table(ws.out, rows, stem=table_stem(cfg.scenario))
 
 
 ABLATION_VARIANTS: list[tuple[str, dict]] = [
@@ -597,10 +594,8 @@ ABLATION_VARIANTS: list[tuple[str, dict]] = [
 ]
 
 
-def cmd_ablation(ws: Workspace) -> dict[str, EvaluationReport]:
+def _ablation_step(ws: Workspace, original_report: EvaluationReport) -> None:
     """Run the five ablated variants plus the full method from one seed."""
-    _, original_report = cmd_train(ws)
-    reports: dict[str, EvaluationReport] = {"original": original_report}
     rows = [("Original", original_report)]
     original = load_checkpoint(ws.original_path())
     for name, tweaks in ABLATION_VARIANTS:
@@ -611,25 +606,28 @@ def cmd_ablation(ws: Workspace) -> dict[str, EvaluationReport]:
         report = evaluate(model, ws.eval_data, ws.forget_set,
                           original_fa=original_report.fa)
         ws.write_report(f"ablation_{name}", report)
-        reports[name] = report
         rows.append((name, report))
-    write_table(ws.out, rows, stem="ablation_table")
-    return reports
+    write_table(ws.out, rows, stem=table_stem(ws.cfg.scenario))
 
 
 def run_scenario(cfg: ExperimentConfig, out: str | Path | None = None) -> Workspace:
-    """Dispatch on cfg.scenario; returns the workspace with artifacts written."""
-    if cfg.scenario in ("single", "accent") and len(cfg.unlearn.forget_set) != 1:
+    """Check cfg.scenario's shape before anything is built, train once, then
+    run the scenario's step; returns the workspace with artifacts written."""
+    classes = len(set(cfg.unlearn.forget_set))
+    if cfg.scenario in ("single", "accent") and classes != 1:
         raise ConfigError(f"{cfg.scenario} scenario requires exactly one forget class")
-    if cfg.scenario == "multi" and len(cfg.unlearn.forget_set) < 2:
+    if cfg.scenario == "multi" and classes < 2:
         raise ConfigError("multi scenario requires at least two forget classes")
+    if cfg.scenario == "sequential" and not cfg.sequential_requests:
+        raise ConfigError("sequential scenario requires non-empty sequential_requests")
     ws = Workspace.create(cfg, out)
-    if cfg.scenario in ("single", "multi", "accent"):
-        run_standard_scenario(ws)
-    elif cfg.scenario == "sequential":
-        cmd_sequential(ws)
+    _, original_report = cmd_train(ws)
+    if cfg.scenario == "sequential":
+        _sequential_step(ws)
+    elif cfg.scenario == "ablation":
+        _ablation_step(ws, original_report)
     else:
-        cmd_ablation(ws)
+        _standard_step(ws, original_report)
     return ws
 
 

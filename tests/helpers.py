@@ -198,9 +198,10 @@ def reference_read_wav(path) -> WavClip:
         samples = raw.astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(data[:len(data) - len(data) % 4], dtype="<f4")
-        samples = raw.astype(np.float64)
-        if not np.all(np.isfinite(samples)):
+        # checked before the cast, which warns on a signalling NaN
+        if not np.all(np.isfinite(raw)):
             raise WavParseError("float samples must be finite")
+        samples = raw.astype(np.float64)
     else:
         raise UnsupportedCodecError(
             f"unsupported codec: format tag {audio_format}, {bits}-bit")

@@ -7,6 +7,7 @@ session fixture; scenario-level criteria run the real harness commands
 against fresh output directories.
 """
 
+import json
 import math
 import shutil
 import time
@@ -18,7 +19,7 @@ from qpae import harness
 from qpae.checkpoint import (ChecksumError, load_checkpoint, save_checkpoint)
 from qpae.eraser import QuantumLoss, build_mixing_matrix, interference_transform
 from qpae.harness import Workspace
-from qpae.metrics import erb_score, evaluate
+from qpae.metrics import erb_score, evaluate, report_from_json
 from qpae.model import Classifier, forward_batch, softmax
 from qpae.rng import Rng
 
@@ -277,8 +278,8 @@ def test_criterion_09_sequential_run(tmp_path):
     t0 = time.perf_counter()
     cfg = harness.default_config("sequential",
                                  output_dir=str(tmp_path / "seq"))
-    ws = Workspace.create(cfg)
-    series = harness.cmd_sequential(ws)
+    ws = harness.run_scenario(cfg)
+    series = json.loads((ws.out / "sequential_series.json").read_text())
     elapsed = time.perf_counter() - t0
     all_zero = all(step["fa"] == 0.0 for step in series)
     final_ra = series[-1]["ra"]
@@ -289,8 +290,10 @@ def test_criterion_09_sequential_run(tmp_path):
 
 def test_criterion_10_ablation_grid(tmp_path):
     cfg = harness.default_config("ablation", output_dir=str(tmp_path / "abl"))
-    ws = Workspace.create(cfg)
-    reports = harness.cmd_ablation(ws)
+    ws = harness.run_scenario(cfg)
+    reports = {name: report_from_json(
+                   (ws.out / f"report_ablation_{name}.json").read_text())
+               for name, _ in harness.ABLATION_VARIANTS}
     full = reports["full"]
     ablated = {name: reports[name] for name, _ in harness.ABLATION_VARIANTS
                if name != "full"}

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -113,6 +114,8 @@ def test_retired_config_shape_exits_2(cfg_path, tmp_path, capsys, edit):
     ("sequential", [], {"scenario": "sequential", "sequential_requests": [[1.5]]}),
     # an empty request would train first and fail only at that step
     ("sequential", [], {"scenario": "sequential", "sequential_requests": [[0], []]}),
+    # together the requests would forget every class
+    ("sequential", [], {"scenario": "sequential", "sequential_requests": [[0, 1], [2, 3]]}),
     # the master seed is a u64: Rng would alias any other value to one
     ("train", ["--seed", "-1"], {}),
     ("train", ["--seed", "18446744073709551616"], {}),
@@ -152,6 +155,24 @@ def test_inputs_are_read_before_the_dataset(cfg_path, tmp_path, monkeypatch, cap
                  "--original-report", str(bad)]
     assert main([verb, "--config", str(cfg_path), "--out", str(out), *extra]) == 3
     assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    assert builds == []
+
+
+@pytest.mark.parametrize("verb", ["run", "sequential"])
+def test_scenario_shape_is_checked_before_the_dataset(cfg_path, tmp_path, monkeypatch,
+                                                      capsys, verb):
+    """A sequential scenario with no requests, or a single one with two
+    forget classes, exits 2 before any dataset is built, and leaves no
+    --out behind."""
+    builds = []
+    monkeypatch.setattr(harness, "_last_splits", {})
+    monkeypatch.setattr(harness, "build_dataset", builds.append)
+    out = tmp_path / "fresh"
+    flags = ["--forget", "0,1"] if verb == "run" else []
+    assert main([verb, "--config", str(cfg_path), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
     assert not out.exists()
     assert builds == []
 
@@ -224,29 +245,37 @@ def test_synth_writes_manifest(cfg_path, tmp_path):
     assert len(lines) == 1 + 4 * 15
 
 
-def test_sequential_and_ablation_verbs(tmp_path):
+@pytest.mark.parametrize("verb", ["sequential", "ablation"])
+def test_sequential_and_ablation_verbs(tmp_path, capsys, verb):
+    """`qpae <verb> --config c` is `qpae run` on c with its scenario set to
+    the verb: the same files with the same bytes, bar output_dir, and the
+    scenario's table on stdout."""
     cfg = default_config(
-        "sequential", seed=5, output_dir=str(tmp_path / "seq"),
+        "single", seed=5,
         dataset=DatasetSpec(kind="synthetic", num_classes=4, per_class=15,
                             n_mels=8, n_frames=8),
         model=harness.ModelSection([16]), sequential_requests=[[0], [1]],
         train=TrainConfig(learning_rate=0.05, epochs=10))
-    cfg_path = tmp_path / "seq.json"
-    harness.save_config(cfg, cfg_path)
-    assert main(["sequential", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "seq" / "sequential_series.json").exists()
-
-    cfg2 = default_config(
-        "ablation", seed=5, output_dir=str(tmp_path / "abl"),
-        dataset=DatasetSpec(kind="synthetic", num_classes=4, per_class=15,
-                            n_mels=8, n_frames=8),
-        model=harness.ModelSection([16]),
-        train=TrainConfig(learning_rate=0.05, epochs=10))
-    cfg2.unlearn.epochs = 1
-    cfg_path2 = tmp_path / "abl.json"
-    harness.save_config(cfg2, cfg_path2)
-    assert main(["ablation", "--config", str(cfg_path2)]) == 0
-    assert (tmp_path / "abl" / "ablation_table.csv").exists()
+    cfg.unlearn.epochs = 1
+    harness.save_config(cfg, tmp_path / "verb.json")
+    harness.save_config(replace(cfg, scenario=verb), tmp_path / "run.json")
+    outputs = {}
+    for name, argv in (("verb", [verb]), ("run", ["run"])):
+        out = tmp_path / f"{name}_out"
+        capsys.readouterr()
+        assert main([*argv, "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        table = (out / f"{verb}_table.md").read_text()
+        assert table in capsys.readouterr().out
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        recorded = json.loads(files.pop("config.json"))
+        assert recorded.pop("output_dir") == str(out)
+        assert recorded["scenario"] == verb
+        outputs[name] = files, recorded
+    assert outputs["verb"] == outputs["run"]
+    files = outputs["verb"][0]
+    assert ("sequential_series.json" if verb == "sequential"
+            else "unlearned_ablation_full.qpae") in files
 
 
 def _edit(cfg_path, tmp_path, name, **sections):

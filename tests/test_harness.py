@@ -293,47 +293,56 @@ class TestForget:
 
     def test_full_ablation_variant_is_the_qp_request(self, small_cfg):
         small_cfg.unlearn.epochs = 1
-        ws = Workspace.create(small_cfg)
-        harness.cmd_ablation(ws)
+        small_cfg.scenario = "ablation"
+        ws = harness.run_scenario(small_cfg)
         path, _ = harness.cmd_unlearn(ws, "qp")
         assert path.read_bytes() == \
             (ws.out / "unlearned_ablation_full.qpae").read_bytes()
+
+
+def sequential_series(ws: Workspace) -> list[dict]:
+    return json.loads((ws.out / "sequential_series.json").read_text())
 
 
 class TestSequentialScenario:
     def test_retained_class_count_shrinks(self, small_cfg):
         small_cfg.scenario = "sequential"
         small_cfg.sequential_requests = [[0], [1]]
-        ws = Workspace.create(small_cfg)
-        series = harness.cmd_sequential(ws)
+        series = sequential_series(harness.run_scenario(small_cfg))
         assert [s["retained_classes"] for s in series] == [3, 2]
         assert [s["forgotten_union"] for s in series] == [[0], [0, 1]]
 
     def test_overlapping_requests_union_semantics(self, small_cfg, caplog):
         small_cfg.scenario = "sequential"
         small_cfg.sequential_requests = [[0], [0, 1]]
-        ws = Workspace.create(small_cfg)
         with caplog.at_level("WARNING", logger="qpae"):
-            series = harness.cmd_sequential(ws)
+            series = sequential_series(harness.run_scenario(small_cfg))
         assert series[-1]["forgotten_union"] == [0, 1]
         assert any("union semantics" in r.message for r in caplog.records)
 
-    def test_empty_requests_rejected(self, small_cfg):
+    def test_empty_requests_rejected(self, small_cfg, monkeypatch):
         small_cfg.scenario = "sequential"
         small_cfg.sequential_requests = []
-        ws = Workspace.create(small_cfg)
+        builds = []
+        monkeypatch.setattr(harness, "_last_splits", {})
+        monkeypatch.setattr(harness, "build_dataset", builds.append)
         with pytest.raises(ConfigError):
-            harness.cmd_sequential(ws)
+            harness.run_scenario(small_cfg)
+        assert builds == []
+        assert not Path(small_cfg.output_dir).exists()
 
 
 class TestAblationScenario:
     def test_grid_has_six_variants_and_shared_original(self, small_cfg):
         small_cfg.unlearn.epochs = 1
-        ws = Workspace.create(small_cfg)
-        reports = harness.cmd_ablation(ws)
-        assert set(reports) == {"original", "no_weight_transform",
-                                "no_uncertainty_maximization", "no_matrix_m",
-                                "lambda_0.5", "lambda_2.0", "full"}
+        small_cfg.scenario = "ablation"
+        ws = harness.run_scenario(small_cfg)
+        reports = {p.stem[len("report_"):]: report_from_json(p.read_text())
+                   for p in ws.out.glob("report_*.json")}
+        assert set(reports) == {"original", "ablation_no_weight_transform",
+                                "ablation_no_uncertainty_maximization",
+                                "ablation_no_matrix_m", "ablation_lambda_0.5",
+                                "ablation_lambda_2.0", "ablation_full"}
         table = (ws.out / "ablation_table.csv").read_text()
         assert table.count("\n") == 8  # header + original + six variants
 
@@ -525,8 +534,10 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             harness.run_scenario(small_cfg)
 
-    def test_multi_needs_two_classes(self, small_cfg):
+    @pytest.mark.parametrize("forget_set", [[0], [0, 0]], ids=["one", "repeated"])
+    def test_multi_needs_two_classes(self, small_cfg, forget_set):
         small_cfg.scenario = "multi"
+        small_cfg.unlearn.forget_set = forget_set
         with pytest.raises(ConfigError):
             harness.run_scenario(small_cfg)
 
