@@ -31,23 +31,7 @@ DEFAULT_N_FRAMES = 32
 
 
 class WavParseError(ValueError):
-    """Base class for WAV parsing failures."""
-
-
-class NotWavError(WavParseError):
-    pass
-
-
-class UnsupportedCodecError(WavParseError):
-    pass
-
-
-class MissingChunkError(WavParseError):
-    pass
-
-
-class TruncatedWavError(WavParseError):
-    pass
+    """A WAV file that cannot be parsed."""
 
 
 @dataclass
@@ -70,11 +54,11 @@ def read_wav(path: str | Path) -> WavClip:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12:
-        raise TruncatedWavError("file too short for a RIFF header")
+        raise WavParseError("file too short for a RIFF header")
     if blob[:4] == b"RIFX":
-        raise NotWavError("big-endian RIFX files are not supported")
+        raise WavParseError("big-endian RIFX files are not supported")
     if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise NotWavError("not a RIFF/WAVE file")
+        raise WavParseError("not a RIFF/WAVE file")
 
     fmt = None
     data = None  # (offset, size) of the data chunk's body in blob
@@ -84,19 +68,19 @@ def read_wav(path: str | Path) -> WavClip:
         (size,) = struct.unpack_from("<I", blob, pos + 4)
         body_start = pos + 8
         if body_start + size > len(blob):
-            raise TruncatedWavError(f"chunk {cid!r} extends past end of file")
+            raise WavParseError(f"chunk {cid!r} extends past end of file")
         if cid == b"fmt ":
             if size < 16:
-                raise TruncatedWavError("fmt chunk too small")
+                raise WavParseError("fmt chunk too small")
             fmt = struct.unpack_from("<HHIIHH", blob, body_start)
         elif cid == b"data":
             data = (body_start, size)
         pos = body_start + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
-        raise MissingChunkError("missing fmt chunk")
+        raise WavParseError("missing fmt chunk")
     if data is None:
-        raise MissingChunkError("missing data chunk")
+        raise WavParseError("missing data chunk")
 
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels < 1:
@@ -114,11 +98,10 @@ def read_wav(path: str | Path) -> WavClip:
             raise WavParseError("float samples must be finite")
         samples = raw.astype(np.float64)
     else:
-        raise UnsupportedCodecError(
-            f"unsupported codec: format tag {audio_format}, {bits}-bit")
+        raise WavParseError(f"unsupported codec: format tag {audio_format}, {bits}-bit")
 
     if samples.size < channels or samples.size == 0:
-        raise TruncatedWavError("data chunk holds no complete frame")
+        raise WavParseError("data chunk holds no complete frame")
     if channels > 1:
         frames = samples.size // channels
         samples = samples[:frames * channels].reshape(frames, channels).mean(axis=1)
@@ -367,7 +350,6 @@ def _synth_chunks(classes: np.ndarray, clips: np.ndarray, seed: int,
 
 def synth_dataset(num_classes: int, per_class: int, seed: int,
                   n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
-                  n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP,
                   profile: SynthProfile | None = None, rows=None) -> LabeledDataset:
     """Deterministic synthetic dataset: per_class tones for each class.
 
@@ -384,7 +366,7 @@ def synth_dataset(num_classes: int, per_class: int, seed: int,
 
     def featurize(first: int, waves: np.ndarray) -> None:
         features[first:first + len(waves)] = log_mel_batch(
-            waves, p.sample_rate, n_fft=n_fft, hop=hop, n_mels=n_mels,
+            waves, p.sample_rate, n_mels=n_mels,
             target_frames=n_frames).reshape(len(waves), -1)
 
     _synth_chunks(classes, clips, seed, p, featurize)
@@ -468,7 +450,6 @@ def read_labels(dataset_dir: str | Path, num_classes: int) -> tuple[list[str], n
 
 def load_manifest(dataset_dir: str | Path, num_classes: int,
                   n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
-                  n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP,
                   rows=None) -> LabeledDataset:
     """Load a labels.csv manifest directory into a feature dataset.
 
@@ -485,7 +466,7 @@ def load_manifest(dataset_dir: str | Path, num_classes: int,
         # one read_wav and one log_mel_spectrogram per clip, looked up in
         # this module at call time, where the benchmark counts them
         clip = read_wav(os.path.join(root, paths[row]))
-        features[i] = log_mel_spectrogram(clip, n_fft=n_fft, hop=hop, n_mels=n_mels,
+        features[i] = log_mel_spectrogram(clip, n_mels=n_mels,
                                           target_frames=n_frames).reshape(-1)
     classes = classes[clips]
     return LabeledDataset(features, np.eye(num_classes)[classes], classes, num_classes)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .model import (Classifier, CrossEntropyLoss, LossFn, TrainConfig,
-                    backprop, forward_batch, softmax, train)
+from .model import (Classifier, TrainConfig, backprop, cross_entropy_loss,
+                    forward_batch, softmax, train)
 from .rng import Rng, derive_seed
 
 FISHER_EPS = 1e-8
@@ -42,6 +42,8 @@ class BaselineConfig:
             raise ValueError("fisher_noise_scale must be >= 0")
         if self.ssd_threshold <= 0:
             raise ValueError("ssd_threshold must be positive")
+        if self.ssd_dampening_floor < 0:
+            raise ValueError("ssd_dampening_floor must be >= 0")
 
     def train_config(self, phase: str) -> TrainConfig:
         """SGD settings of the "ascent" or the "finetune" pass."""
@@ -51,15 +53,13 @@ class BaselineConfig:
                            batch_size=self.batch_size, seed=derive_seed(self.seed, stage))
 
 
-class NegatedCrossEntropyLoss(LossFn):
+def negated_cross_entropy_loss(probs, targets, classes):
     """Cross-entropy with flipped sign: SGD on it *ascends* the CE surface.
 
     IEEE negation is exact, so this is bit for bit -CE.
     """
-
-    def batch(self, probs, targets, classes):
-        values, dlogits = CrossEntropyLoss().batch(probs, targets, classes)
-        return -values, -dlogits
+    values, dlogits = cross_entropy_loss(probs, targets, classes)
+    return -values, -dlogits
 
 
 def _ascend(model: Classifier, data: LabeledDataset, forget_set: set[int],
@@ -67,7 +67,7 @@ def _ascend(model: Classifier, data: LabeledDataset, forget_set: set[int],
     forgotten = data.forgotten(forget_set)
     if forgotten.any():
         train(model, data.subset(forgotten), cfg.train_config("ascent"),
-              NegatedCrossEntropyLoss())
+              negated_cross_entropy_loss)
     return model
 
 
@@ -78,7 +78,7 @@ def gradient_ascent_unlearn(model: Classifier, data: LabeledDataset,
     retained = ~data.forgotten(forget_set)
     if retained.any() and cfg.finetune_epochs:
         train(model, data.subset(retained), cfg.train_config("finetune"),
-              CrossEntropyLoss())
+              cross_entropy_loss)
     return model
 
 

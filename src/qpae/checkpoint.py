@@ -32,27 +32,7 @@ _MAX_ELEMS = 1 << 26        # per-array element bound
 
 
 class CheckpointError(Exception):
-    """Base class for checkpoint load failures."""
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class BadVersionError(CheckpointError):
-    pass
-
-
-class TruncatedError(CheckpointError):
-    pass
-
-
-class DimensionError(CheckpointError):
-    pass
-
-
-class ChecksumError(CheckpointError):
-    pass
+    """A checkpoint file that cannot be loaded."""
 
 
 def save_checkpoint(model: Classifier, path: str | Path) -> None:
@@ -80,7 +60,7 @@ class _Reader:
 
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.blob):
-            raise TruncatedError(f"file ends inside {what}")
+            raise CheckpointError(f"file ends inside {what}")
         chunk = self.blob[self.pos:self.pos + n]
         self.pos += n
         return chunk
@@ -100,10 +80,10 @@ def load_checkpoint(path: str | Path) -> Classifier:
     blob = Path(path).read_bytes()
     r = _Reader(blob)
     if r.take(4, "magic") != MAGIC:
-        raise BadMagicError("not a QPAE checkpoint (bad magic)")
+        raise CheckpointError("not a QPAE checkpoint (bad magic)")
     version = r.u16("version")
     if version != VERSION:
-        raise BadVersionError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version}")
     layer_count = r.u16("layer count")
 
     layers: list[tuple[np.ndarray, np.ndarray]] = []
@@ -112,7 +92,7 @@ def load_checkpoint(path: str | Path) -> Classifier:
         cols = r.u32(f"layer {i} cols")
         if rows < 1 or cols < 1 or rows > _MAX_DIM or cols > _MAX_DIM \
                 or rows * cols > _MAX_ELEMS:
-            raise DimensionError(f"layer {i} dimensions {rows}x{cols} out of range")
+            raise CheckpointError(f"layer {i} dimensions {rows}x{cols} out of range")
         w = r.f32_array(rows * cols, f"layer {i} weights").reshape(rows, cols)
         b = r.f32_array(r.u32(f"layer {i} bias length"), f"layer {i} bias")
         layers.append((w, b))
@@ -121,12 +101,12 @@ def load_checkpoint(path: str | Path) -> Classifier:
     if r.pos != len(blob):
         raise CheckpointError("trailing bytes after checksum")
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise ChecksumError("CRC32 mismatch")
+        raise CheckpointError("CRC32 mismatch")
 
     try:  # layer count, chain widths and bias lengths
         Classifier.validate(layers)
     except ValueError as exc:
-        raise DimensionError(str(exc)) from exc
+        raise CheckpointError(str(exc)) from exc
     # on the stored float32 values: casting a signalling NaN makes numpy warn
     if not all(np.all(np.isfinite(p)) for layer in layers for p in layer):
         raise NumericError("non-finite model parameter detected")

@@ -16,17 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .data import LabeledDataset
-from .model import (Classifier, CrossEntropyLoss, LossFn, TrainConfig,
-                    forward_batch, train)
+from .model import Classifier, TrainConfig, cross_entropy_loss, forward_batch, train
 from .timing import stage
-
-
-class InvalidClassError(ValueError):
-    """A forget-set index that does not exist in the model."""
 
 
 @dataclass
@@ -54,7 +50,7 @@ class UnlearnConfig:
         if not self.forget_set:
             raise ValueError("forget_set must be non-empty")
         if min(self.forget_set) < 0:
-            raise InvalidClassError("negative class index in forget_set")
+            raise ValueError("negative class index in forget_set")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.entropy_lambda <= 0.0:
@@ -73,9 +69,9 @@ def _check_forget_set(forget_set: frozenset[int] | set[int], num_classes: int) -
         raise ValueError("forget_set must be non-empty")
     bad = [c for c in forget_set if c < 0 or c >= num_classes]
     if bad:
-        raise InvalidClassError(f"class indices {sorted(bad)} out of range [0, {num_classes})")
+        raise ValueError(f"class indices {sorted(bad)} out of range [0, {num_classes})")
     if len(forget_set) >= num_classes:
-        raise InvalidClassError("forget_set must leave at least one retained class")
+        raise ValueError("forget_set must leave at least one retained class")
 
 
 def interference_transform(model: Classifier, forget_set: set[int],
@@ -109,24 +105,21 @@ def superpose_labels(data: LabeledDataset, forget_set: set[int]) -> LabeledDatas
                           data.num_classes)
 
 
-class QuantumLoss(LossFn):
-    """Batch form of the dual-branch loss, keyed on original class."""
-
-    def __init__(self, forget_set: set[int], entropy_lambda: float):
-        self.forget_set = frozenset(forget_set)
-        self.entropy_lambda = float(entropy_lambda)
-        self._forget_ids = np.array(sorted(self.forget_set), dtype=np.int64)
-
-    def batch(self, probs, targets, classes):
-        forgotten = np.zeros(probs.shape[1], dtype=bool)
-        forgotten[self._forget_ids] = True
-        forget_rows = forgotten[classes]
-        plogp = np.where(probs > 0.0, probs * np.log(np.maximum(probs, 1e-300)), 0.0)
-        sum_plogp = np.sum(plogp, axis=1)
-        ce, retain_grad = CrossEntropyLoss().batch(probs, targets, classes)
-        values = np.where(forget_rows, self.entropy_lambda * sum_plogp, ce)
-        forget_grad = self.entropy_lambda * (plogp + probs * -sum_plogp[:, None])
-        return values, np.where(forget_rows[:, None], forget_grad, retain_grad)
+def quantum_loss(probs, targets, classes, forget_set: frozenset[int] | set[int],
+                 entropy_lambda: float):
+    """The dual-branch loss, keyed on original class: cross-entropy on
+    retained samples, lambda times the negated entropy on forgotten ones.
+    Phase 3 binds the last two arguments to make it a `Loss`."""
+    forgotten = np.zeros(probs.shape[1], dtype=bool)
+    forgotten[np.array(sorted(forget_set), dtype=np.int64)] = True
+    forget_rows = forgotten[classes]
+    plogp = np.where(probs > 0.0, probs * np.log(np.maximum(probs, 1e-300)), 0.0)
+    sum_plogp = np.sum(plogp, axis=1)
+    ce, retain_grad = cross_entropy_loss(probs, targets, classes)
+    lam = float(entropy_lambda)
+    values = np.where(forget_rows, lam * sum_plogp, ce)
+    forget_grad = lam * (plogp + probs * -sum_plogp[:, None])
+    return values, np.where(forget_rows[:, None], forget_grad, retain_grad)
 
 
 def build_mixing_matrix(num_classes: int, forget_set: set[int],
@@ -217,7 +210,8 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
     if cfg.skip_uncertainty_max:
         record("optimization", None)
     else:
-        loss = QuantumLoss(forget, cfg.entropy_lambda)
+        loss = partial(quantum_loss, forget_set=forget,
+                       entropy_lambda=cfg.entropy_lambda)
         with stage() as span:
             train(model, relabeled, cfg.train_config(), loss)
         # SGD updated the hidden arrays in place
@@ -237,7 +231,7 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
 
 
 __all__ = [
-    "InvalidClassError", "UnlearnConfig", "interference_transform",
-    "superpose_labels", "QuantumLoss", "build_mixing_matrix",
+    "UnlearnConfig", "interference_transform",
+    "superpose_labels", "quantum_loss", "build_mixing_matrix",
     "apply_mixing", "run_qp_audio_eraser", "penultimate", "accuracy_snapshot",
 ]

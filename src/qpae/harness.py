@@ -26,7 +26,7 @@ from .files import FIELD_KINDS, write_atomic
 from .metrics import (TABLE_COLUMNS, EvaluationReport, compare_reports,
                       evaluate, report_csv_row, report_from_json,
                       report_to_json)
-from .model import Classifier, CrossEntropyLoss, TrainConfig, train
+from .model import Classifier, TrainConfig, cross_entropy_loss, train
 from .rng import Rng, derive_seed
 from .timing import stage
 
@@ -436,7 +436,7 @@ def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
     model = Classifier.random_init(ws.train_data.feature_dim, cfg.model.hidden,
                                    ws.train_data.num_classes,
                                    Rng(derive_seed(cfg.seed, _SEED_INIT)))
-    train(model, ws.train_data, _train_config(cfg), CrossEntropyLoss())
+    train(model, ws.train_data, _train_config(cfg), cross_entropy_loss)
     save_checkpoint(model, ws.original_path())
     save_config(cfg, ws.out / "config.json")
     report = evaluate(model, ws.eval_data, ws.forget_set)

@@ -8,7 +8,7 @@ so the representation is kept deliberately transparent.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -177,31 +177,20 @@ def backward_batch(model: Classifier, acts: list[np.ndarray],
     return grads_rev[::-1]
 
 
-class LossFn:
-    """A loss on softmax outputs, with its gradient in logit space.
-
-    `classes` holds the class each sample carried before any label
-    rewriting; losses that do not care about it ignore the argument.
-    A single sample is a batch of one.
-    """
-
-    def batch(self, probs: np.ndarray, targets: np.ndarray,
-              classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample loss values (n,) and d(loss)/d(logits) (n, K).
-
-        Neither carries batch averaging; terms the two share are
-        computed once.
-        """
-        raise NotImplementedError
+# A loss on softmax outputs, with its gradient in logit space:
+# (probs, targets, classes) -> per-sample values (n,) and d(loss)/d(logits)
+# (n, K), neither with batch averaging. `classes` holds the class each
+# sample carried before any label rewriting; losses that do not care
+# about it ignore the argument. A single sample is a batch of one.
+Loss = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-class CrossEntropyLoss(LossFn):
-    def batch(self, probs, targets, classes):
-        return -np.sum(targets * np.log(probs + LOG_EPS), axis=1), probs - targets
+def cross_entropy_loss(probs, targets, classes):
+    return -np.sum(targets * np.log(probs + LOG_EPS), axis=1), probs - targets
 
 
 def train(model: Classifier, data: "LabeledDataset", cfg: TrainConfig,
-          loss: LossFn) -> TrainLog:
+          loss: Loss) -> TrainLog:
     """Mini-batch SGD on the given loss; mutates the model in place.
 
     Deterministic: the same seed, data and config always produce
@@ -225,7 +214,7 @@ def train(model: Classifier, data: "LabeledDataset", cfg: TrainConfig,
             cs = data.original_classes[idx]
             acts, logits = forward_batch(model, xs)
             probs = softmax(logits)
-            values, dlogits = loss.batch(probs, ts, cs)
+            values, dlogits = loss(probs, ts, cs)
             total += float(np.sum(values))
             grads = backward_batch(model, acts, dlogits / len(idx))
             if cfg.learning_rate != 0.0:

@@ -8,7 +8,7 @@ from qpae import harness
 from qpae.checkpoint import save_checkpoint
 from qpae.data import LabeledDataset
 from qpae.metrics import evaluate
-from qpae.model import Classifier, CrossEntropyLoss, train
+from qpae.model import Classifier, cross_entropy_loss, train
 from qpae.rng import Rng, derive_seed
 
 from helpers import one_hot
@@ -38,7 +38,7 @@ def tiny_model(tiny_data):
                                    tiny_data.num_classes, Rng(5))
     from qpae.model import TrainConfig
     train(model, tiny_data, TrainConfig(learning_rate=0.05, epochs=12, seed=9),
-          CrossEntropyLoss())
+          cross_entropy_loss)
     return model
 
 
@@ -51,7 +51,7 @@ def desk(tmp_path_factory):
     model = Classifier.random_init(train_data.feature_dim, cfg.model.hidden,
                                    train_data.num_classes,
                                    Rng(derive_seed(cfg.seed, 3)))
-    train(model, train_data, harness._train_config(cfg), CrossEntropyLoss())
+    train(model, train_data, harness._train_config(cfg), cross_entropy_loss)
     path = tmp_path_factory.mktemp("desk") / "original.qpae"
     save_checkpoint(model, path)
     report = evaluate(model, eval_data, set(cfg.unlearn.forget_set))

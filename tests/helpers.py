@@ -11,9 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qpae.audio import (POWER_FLOOR, MissingChunkError, NotWavError, TruncatedWavError,
-                        UnsupportedCodecError, WavClip, WavParseError, _clip_path,
-                        _write_labels, mel_filterbank, write_wav)
+from qpae.audio import (POWER_FLOOR, WavClip, WavParseError, _clip_path, _write_labels,
+                        mel_filterbank, write_wav)
 from qpae.metrics import EvaluationReport, erb_score
 from qpae.model import (LOG_EPS, NumericError, backprop, backward_batch, forward_batch,
                         softmax)
@@ -43,15 +42,15 @@ def predict_classes(model, xs) -> np.ndarray:
 
 
 # Per-sample forms of the losses: the oracles the batch forms
-# (`CrossEntropyLoss.batch`, `QuantumLoss.batch`) are compared against.
+# (`model.cross_entropy_loss`, `eraser.quantum_loss`) are compared against.
 
-def cross_entropy(pred, target) -> float:
+def reference_cross_entropy(pred, target) -> float:
     """-sum target_j * log(pred_j + eps) with the package's eps clamp."""
     return float(-np.sum(target * np.log(pred + LOG_EPS)))
 
 
-def quantum_loss(pred, target, original_class: int, forget_set: set[int],
-                 entropy_lambda: float) -> float:
+def reference_quantum_loss(pred, target, original_class: int, forget_set: set[int],
+                           entropy_lambda: float) -> float:
     """Cross-entropy on retained samples; -lambda * entropy on forgotten ones.
 
     The forget branch is the *negative* scaled entropy, so minimizing the
@@ -59,15 +58,16 @@ def quantum_loss(pred, target, original_class: int, forget_set: set[int],
     is -lambda * log K, attained exactly at uniform.
     """
     if original_class not in forget_set:
-        return cross_entropy(pred, target)
+        return reference_cross_entropy(pred, target)
     p = np.asarray(pred, dtype=np.float64)
     nz = p > 0.0
     return float(entropy_lambda * np.sum(p[nz] * np.log(p[nz])))
 
 
-def quantum_loss_logit_grad(pred, target, original_class: int,
-                            forget_set: set[int], entropy_lambda: float) -> np.ndarray:
-    """Gradient of quantum_loss with respect to the logits feeding `pred`.
+def reference_quantum_loss_logit_grad(pred, target, original_class: int,
+                                      forget_set: set[int],
+                                      entropy_lambda: float) -> np.ndarray:
+    """Gradient of reference_quantum_loss with respect to the logits feeding `pred`.
 
     Forget branch: lambda * p_k * (log p_k + H(p)), which vanishes at the
     uniform distribution and always sums to zero. Retained branch: p - target.
@@ -82,9 +82,9 @@ def quantum_loss_logit_grad(pred, target, original_class: int,
 
 def sample_gradient(model, x, target, loss, original_class: int) -> list[np.ndarray]:
     """The package's analytic gradient of one sample's loss, per parameter
-    block: `forward_batch`, `loss.batch` and `backward_batch` on a batch of one."""
+    block: `forward_batch`, `loss` and `backward_batch` on a batch of one."""
     acts, logits = forward_batch(model, x[None, :])
-    _, dlogits = loss.batch(softmax(logits), target[None, :], np.array([original_class]))
+    _, dlogits = loss(softmax(logits), target[None, :], np.array([original_class]))
     return backward_batch(model, acts, dlogits)
 
 
@@ -102,8 +102,7 @@ def gradient_check(model, x, target, loss, original_class: int | None = None,
 
     def loss_at() -> float:
         _, logits = forward_batch(model, x[None, :])
-        values, _ = loss.batch(softmax(logits), target[None, :],
-                               np.array([original_class]))
+        values, _ = loss(softmax(logits), target[None, :], np.array([original_class]))
         return float(values[0])
 
     analytic = sample_gradient(model, x, target, loss, original_class)
@@ -159,11 +158,11 @@ def reference_read_wav(path) -> WavClip:
     """Parse a RIFF/WAVE file (PCM16 or float32; stereo averaged to mono)."""
     blob = Path(path).read_bytes()
     if len(blob) < 12:
-        raise TruncatedWavError("file too short for a RIFF header")
+        raise WavParseError("file too short for a RIFF header")
     if blob[:4] == b"RIFX":
-        raise NotWavError("big-endian RIFX files are not supported")
+        raise WavParseError("big-endian RIFX files are not supported")
     if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise NotWavError("not a RIFF/WAVE file")
+        raise WavParseError("not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -173,20 +172,20 @@ def reference_read_wav(path) -> WavClip:
         size = struct.unpack("<I", blob[pos + 4:pos + 8])[0]
         body_start = pos + 8
         if body_start + size > len(blob):
-            raise TruncatedWavError(f"chunk {cid!r} extends past end of file")
+            raise WavParseError(f"chunk {cid!r} extends past end of file")
         body = blob[body_start:body_start + size]
         if cid == b"fmt ":
             if size < 16:
-                raise TruncatedWavError("fmt chunk too small")
+                raise WavParseError("fmt chunk too small")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif cid == b"data":
             data = body
         pos = body_start + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
-        raise MissingChunkError("missing fmt chunk")
+        raise WavParseError("missing fmt chunk")
     if data is None:
-        raise MissingChunkError("missing data chunk")
+        raise WavParseError("missing data chunk")
 
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels < 1:
@@ -203,11 +202,10 @@ def reference_read_wav(path) -> WavClip:
             raise WavParseError("float samples must be finite")
         samples = raw.astype(np.float64)
     else:
-        raise UnsupportedCodecError(
-            f"unsupported codec: format tag {audio_format}, {bits}-bit")
+        raise WavParseError(f"unsupported codec: format tag {audio_format}, {bits}-bit")
 
     if samples.size < channels or samples.size == 0:
-        raise TruncatedWavError("data chunk holds no complete frame")
+        raise WavParseError("data chunk holds no complete frame")
     frames = samples.size // channels
     samples = samples[:frames * channels].reshape(frames, channels).mean(axis=1)
     return WavClip(sample_rate=sample_rate, samples=samples)

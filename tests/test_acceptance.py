@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from qpae import harness
-from qpae.checkpoint import (ChecksumError, load_checkpoint, save_checkpoint)
-from qpae.eraser import QuantumLoss, build_mixing_matrix, interference_transform
+from qpae.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from qpae.eraser import build_mixing_matrix, interference_transform, quantum_loss
 from qpae.harness import Workspace
 from qpae.metrics import erb_score, evaluate, report_from_json
 from qpae.model import Classifier, forward_batch, softmax
@@ -134,10 +134,9 @@ def test_criterion_04_gradient_oracle():
     rng = Rng(1234)
 
     def grad(p, lam):
-        """QuantumLoss's logit gradient for one forgotten sample."""
+        """quantum_loss's logit gradient for one forgotten sample."""
         k = len(p)
-        _, g = QuantumLoss({0}, lam).batch(p[None, :], one_hot(0, k)[None, :],
-                                           np.array([0]))
+        _, g = quantum_loss(p[None, :], one_hot(0, k)[None, :], np.array([0]), {0}, lam)
         return g[0]
 
     def fd(p, lam, h=1e-6):
@@ -323,8 +322,8 @@ def test_criterion_11_checkpoint_round_trip(desk, tmp_path):
     crc_caught = False
     try:
         load_checkpoint(corrupt)
-    except ChecksumError:
-        crc_caught = True
+    except CheckpointError as exc:
+        crc_caught = str(exc) == "CRC32 mismatch"
     ok = bytes_stable and round_trip_exact and crc_caught
     crit(11, ok, f"save-load-save byte-stable: {bytes_stable}; reload "
                  f"bit-exact: {round_trip_exact}; single-byte corruption "

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from qpae import harness
-from qpae.baselines import (BaselineConfig, NegatedCrossEntropyLoss,
-                            estimate_diag_fisher, fisher_forgetting,
-                            gradient_ascent_unlearn, negative_gradient_unlearn,
-                            run_baseline, synaptic_dampening)
+from qpae.baselines import (BaselineConfig, estimate_diag_fisher, fisher_forgetting,
+                            gradient_ascent_unlearn, negated_cross_entropy_loss,
+                            negative_gradient_unlearn, run_baseline, synaptic_dampening)
 from qpae.data import LabeledDataset
-from qpae.model import Classifier, CrossEntropyLoss, forward_batch, softmax
+from qpae.model import Classifier, cross_entropy_loss, forward_batch, softmax
 from qpae.rng import Rng
 
 from helpers import equals_bits, one_hot, reference_diag_fisher, sample_gradient
@@ -46,6 +45,8 @@ class TestConfig:
             BaselineConfig(ascent_epochs=-1)
         with pytest.raises(ValueError):
             BaselineConfig(ssd_threshold=0.0)
+        with pytest.raises(ValueError, match="ssd_dampening_floor must be >= 0"):
+            BaselineConfig(ssd_dampening_floor=-0.01)
 
 
 class TestGradientAscent:
@@ -79,8 +80,8 @@ class TestGradientAscent:
         probs /= probs.sum(axis=1, keepdims=True)
         classes = np.array([2, 0, 3, 1, 2, 2])
         targets = np.stack([one_hot(int(c), 4) for c in classes])
-        neg_values, neg_grads = NegatedCrossEntropyLoss().batch(probs, targets, classes)
-        ce_values, ce_grads = CrossEntropyLoss().batch(probs, targets, classes)
+        neg_values, neg_grads = negated_cross_entropy_loss(probs, targets, classes)
+        ce_values, ce_grads = cross_entropy_loss(probs, targets, classes)
         assert np.array_equal(neg_values, -ce_values)
         assert np.array_equal(neg_grads, -ce_grads)
         # and equal to the sign-flipped formulas written out
@@ -125,7 +126,7 @@ class TestFisherEstimate:
         slow = [np.zeros_like(p) for p in tiny_model.parameters()]
         for i in range(sub.n_samples):
             grads = sample_gradient(tiny_model, sub.features[i], sub.labels[i],
-                                    CrossEntropyLoss(), int(sub.original_classes[i]))
+                                    cross_entropy_loss, int(sub.original_classes[i]))
             for acc, g in zip(slow, grads):
                 acc += g ** 2
         for f, s in zip(fast, slow):
@@ -187,9 +188,10 @@ class TestSynapticDampening:
         synaptic_dampening(tiny_model, tiny_data, {0}, cfg)
         assert equals_bits(tiny_model, before)
 
-    def test_never_amplifies(self, tiny_model, tiny_data):
+    @pytest.mark.parametrize("floor", [0.0, 0.01, 5.0])
+    def test_never_amplifies(self, tiny_model, tiny_data, floor):
         before = tiny_model.copy()
-        cfg = BaselineConfig(ssd_threshold=0.01, ssd_dampening_floor=0.01, seed=5)
+        cfg = BaselineConfig(ssd_threshold=0.01, ssd_dampening_floor=floor, seed=5)
         synaptic_dampening(tiny_model, tiny_data, {2}, cfg)
         for p_new, p_old in zip(tiny_model.parameters(), before.parameters()):
             assert np.all(np.abs(p_new) <= np.abs(p_old) + 1e-15)

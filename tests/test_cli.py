@@ -420,6 +420,7 @@ def test_manifest_with_a_bad_clip_exits_3(cfg_path, tmp_path, capsys, bad):
     ("unlearn", {"baselines": {"learning_rate": -1}}),
     ("unlearn", {"baselines": {"batch_size": 0}}),
     ("unlearn", {"baselines": {"ascent_epochs": 1.5}}),
+    ("unlearn", {"baselines": {"ssd_dampening_floor": -5}}),
     # strings are not coerced: a number or null is no path
     ("train", {"dataset": {"kind": "manifest", "path": 5}}),
     ("train", {"output_dir": None}),

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpae.data import LabeledDataset
-from qpae.eraser import (InvalidClassError, QuantumLoss, UnlearnConfig,
-                         apply_mixing, build_mixing_matrix,
-                         interference_transform, run_qp_audio_eraser,
+from qpae.eraser import (UnlearnConfig, apply_mixing, build_mixing_matrix,
+                         interference_transform, quantum_loss, run_qp_audio_eraser,
                          superpose_labels)
 from qpae.harness import ABLATION_VARIANTS
 from qpae.model import Classifier, TrainConfig, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import (equals_bits, one_hot, predict_probs, quantum_loss,
-                     quantum_loss_logit_grad)
+from helpers import (equals_bits, one_hot, predict_probs, reference_quantum_loss,
+                     reference_quantum_loss_logit_grad)
 
 distributions = st.lists(st.floats(min_value=1e-6, max_value=1.0),
                          min_size=2, max_size=12).map(
@@ -72,9 +72,9 @@ class TestInterferenceTransform:
 
     def test_invalid_class(self):
         m = linear_model([[1.0, 0.0]], [0.0, 0.0])
-        with pytest.raises(InvalidClassError):
+        with pytest.raises(ValueError, match=r"class indices \[5\] out of range"):
             interference_transform(m, {5}, math.pi)
-        with pytest.raises(InvalidClassError):
+        with pytest.raises(ValueError, match="at least one retained class"):
             interference_transform(m, {0, 1}, math.pi)  # nothing retained
 
 
@@ -157,17 +157,17 @@ class TestSuperposeLabels:
 class TestQuantumLoss:
     def test_retained_branch_is_cross_entropy(self):
         pred = np.full(10, 0.1)
-        val = quantum_loss(pred, one_hot(3, 10), 3, {7}, 1.0)
+        val = reference_quantum_loss(pred, one_hot(3, 10), 3, {7}, 1.0)
         assert val == pytest.approx(math.log(10), abs=1e-9)
 
     def test_forget_branch_minimum_at_uniform(self):
         pred = np.full(10, 0.1)
-        val = quantum_loss(pred, one_hot(7, 10), 7, {7}, 1.0)
+        val = reference_quantum_loss(pred, one_hot(7, 10), 7, {7}, 1.0)
         assert val == pytest.approx(-math.log(10), abs=1e-12)
 
     def test_forget_branch_near_onehot_is_near_zero(self):
         pred = np.array([1.0 - 9e-9] + [1e-9] * 9)
-        val = quantum_loss(pred, one_hot(0, 10), 0, {0}, 1.0)
+        val = reference_quantum_loss(pred, one_hot(0, 10), 0, {0}, 1.0)
         assert -1e-6 < val <= 0.0
         assert val > -math.log(10)
 
@@ -178,17 +178,17 @@ class TestQuantumLoss:
         for _ in range(500):
             p = rng.uniform(k) + 1e-9
             p /= p.sum()
-            val = quantum_loss(p, one_hot(0, k), 0, {0}, 1.0)
+            val = reference_quantum_loss(p, one_hot(0, k), 0, {0}, 1.0)
             assert val >= floor - 1e-12
             if abs(val - floor) < 1e-9:
                 assert np.max(np.abs(p - 1.0 / k)) < 1e-4
-        at_uniform = quantum_loss(np.full(k, 1.0 / k), one_hot(0, k), 0, {0}, 1.0)
+        at_uniform = reference_quantum_loss(np.full(k, 1.0 / k), one_hot(0, k), 0, {0}, 1.0)
         assert at_uniform == pytest.approx(floor, abs=1e-12)
 
     def test_lambda_scales_forget_branch(self):
         p = np.array([0.6, 0.3, 0.1])
-        v1 = quantum_loss(p, one_hot(0, 3), 0, {0}, 1.0)
-        v2 = quantum_loss(p, one_hot(0, 3), 0, {0}, 2.5)
+        v1 = reference_quantum_loss(p, one_hot(0, 3), 0, {0}, 1.0)
+        v2 = reference_quantum_loss(p, one_hot(0, 3), 0, {0}, 2.5)
         assert v2 == pytest.approx(2.5 * v1, rel=1e-12)
 
 
@@ -211,19 +211,21 @@ def fd_entropy_grad(p, lam=1.0, h=1e-6):
 class TestQuantumLossLogitGrad:
     def test_uniform_is_exactly_stationary(self):
         for k in (2, 5, 10):
-            g = quantum_loss_logit_grad(np.full(k, 1.0 / k), one_hot(0, k), 0, {0}, 1.0)
+            uniform = np.full(k, 1.0 / k)
+            g = reference_quantum_loss_logit_grad(uniform, one_hot(0, k), 0, {0}, 1.0)
             assert np.max(np.abs(g)) <= 1e-15
 
     def test_frozen_oracle_value_07_03(self):
         # frozen from the central-difference oracle of -H(softmax(z))
-        g = quantum_loss_logit_grad(np.array([0.7, 0.3]), one_hot(0, 2), 0, {0}, 1.0)
+        p = np.array([0.7, 0.3])
+        g = reference_quantum_loss_logit_grad(p, one_hot(0, 2), 0, {0}, 1.0)
         assert g == pytest.approx([0.17793255, -0.17793255], abs=1e-7)
         assert g == pytest.approx(fd_entropy_grad(np.array([0.7, 0.3])), abs=1e-9)
 
     def test_retained_branch_is_softmax_minus_target(self):
         p = np.array([0.2, 0.5, 0.3])
         t = one_hot(1, 3)
-        g = quantum_loss_logit_grad(p, t, 1, {0}, 1.0)
+        g = reference_quantum_loss_logit_grad(p, t, 1, {0}, 1.0)
         assert np.allclose(g, p - t, atol=1e-15)
 
     def test_matches_finite_differences_1000_random(self):
@@ -234,7 +236,7 @@ class TestQuantumLossLogitGrad:
             lam = 0.25 + rng.uniform()
             p = rng.uniform(k) + 1e-4
             p /= p.sum()
-            g = quantum_loss_logit_grad(p, one_hot(0, k), 0, {0}, lam)
+            g = reference_quantum_loss_logit_grad(p, one_hot(0, k), 0, {0}, lam)
             fd = fd_entropy_grad(p, lam)
             err = np.max(np.abs(g - fd) / np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd))))
             worst = max(worst, float(err))
@@ -243,24 +245,23 @@ class TestQuantumLossLogitGrad:
     @given(distributions)
     @settings(max_examples=200)
     def test_gradient_sums_to_zero(self, p):
-        g = quantum_loss_logit_grad(p, one_hot(0, len(p)), 0, {0}, 1.0)
+        g = reference_quantum_loss_logit_grad(p, one_hot(0, len(p)), 0, {0}, 1.0)
         assert abs(float(np.sum(g))) <= 1e-12
 
     def test_batch_forms_match_scalar_ops(self):
         rng = Rng(21)
-        loss = QuantumLoss({0, 2}, entropy_lambda=1.7)
+        loss = partial(quantum_loss, forget_set={0, 2}, entropy_lambda=1.7)
         k = 5
         probs = rng.uniform(8 * k).reshape(8, k) + 1e-4
         probs /= probs.sum(axis=1, keepdims=True)
         targets = np.stack([one_hot(int(rng.randbelow(k)), k) for _ in range(8)])
         classes = np.array([int(rng.randbelow(k)) for _ in range(8)])
-        values, grads = loss.batch(probs, targets, classes)
+        values, grads = loss(probs, targets, classes)
         for i in range(8):
-            assert values[i] == pytest.approx(
-                quantum_loss(probs[i], targets[i], int(classes[i]), {0, 2}, 1.7), abs=1e-9)
-            assert grads[i] == pytest.approx(
-                quantum_loss_logit_grad(probs[i], targets[i], int(classes[i]), {0, 2}, 1.7),
-                abs=1e-12)
+            args = (probs[i], targets[i], int(classes[i]), {0, 2}, 1.7)
+            assert values[i] == pytest.approx(reference_quantum_loss(*args), abs=1e-9)
+            assert grads[i] == pytest.approx(reference_quantum_loss_logit_grad(*args),
+                                             abs=1e-12)
 
 
 class TestMixing:
@@ -345,7 +346,7 @@ class TestUnlearnConfig:
             UnlearnConfig(forget_set={0}, alpha=1.5)
         with pytest.raises(ValueError):
             UnlearnConfig(forget_set={0}, entropy_lambda=0.0)
-        with pytest.raises(InvalidClassError):
+        with pytest.raises(ValueError, match="negative class index"):
             UnlearnConfig(forget_set={-1})
 
 
@@ -368,11 +369,11 @@ class TestPipeline:
     def test_sequential_two_requests(self):
         from qpae.audio import synth_dataset
         from qpae.eraser import accuracy_snapshot
-        from qpae.model import CrossEntropyLoss, train
+        from qpae.model import cross_entropy_loss, train
         data = synth_dataset(6, 20, seed=13, n_mels=8, n_frames=8)
         model = Classifier.random_init(data.feature_dim, [24], 6, Rng(2))
         train(model, data, TrainConfig(learning_rate=0.01, epochs=3, seed=5),
-              CrossEntropyLoss())
+              cross_entropy_loss)
         cfg1 = UnlearnConfig(forget_set={0}, epochs=5, learning_rate=0.1, seed=3)
         model, _ = run_qp_audio_eraser(model, data, cfg1)
         data2 = superpose_labels(data, {0})
@@ -384,7 +385,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("forget", [[0], [5], [3, 7]])
     def test_superposition_is_inert_in_a_single_request(self, desk, monkeypatch, forget):
-        # QuantumLoss keys on the original class and never reads a forgotten
+        # quantum_loss keys on the original class and never reads a forgotten
         # row's target, so one request ends in the same parameters when
         # phase 2 leaves the labels as they are
         from qpae import eraser, harness

@@ -1,19 +1,21 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpae.baselines import NegatedCrossEntropyLoss
+from qpae.baselines import negated_cross_entropy_loss
 from qpae.data import LabeledDataset
-from qpae.eraser import QuantumLoss, superpose_labels
-from qpae.model import (Classifier, CrossEntropyLoss, TrainConfig,
-                        backward_batch, forward_batch, softmax, train)
+from qpae.eraser import quantum_loss, superpose_labels
+from qpae.model import (Classifier, TrainConfig, backward_batch, cross_entropy_loss,
+                        forward_batch, softmax, train)
 from qpae.rng import Rng
 
-from helpers import (cross_entropy, equals_bits, gradient_check, one_hot,
-                     predict_classes, quantum_loss, quantum_loss_logit_grad)
+from helpers import (equals_bits, gradient_check, one_hot, predict_classes,
+                     reference_cross_entropy, reference_quantum_loss,
+                     reference_quantum_loss_logit_grad)
 
 
 def linear_model(w, b):
@@ -106,23 +108,24 @@ class TestSoftmax:
 
 
 def entropy(pred):
-    """Shannon entropy in nats, read off quantum_loss's forget branch, which
-    is -lambda * H(p)."""
-    return -quantum_loss(pred, pred, 0, {0}, 1.0)
+    """Shannon entropy in nats, read off reference_quantum_loss's forget
+    branch, which is -lambda * H(p)."""
+    return -reference_quantum_loss(pred, pred, 0, {0}, 1.0)
 
 
 class TestEntropyAndCrossEntropy:
     def test_ce_uniform_vs_onehot(self):
         pred = np.full(10, 0.1)
-        assert cross_entropy(pred, one_hot(3, 10)) == pytest.approx(math.log(10), abs=1e-9)
+        ce = reference_cross_entropy(pred, one_hot(3, 10))
+        assert ce == pytest.approx(math.log(10), abs=1e-9)
 
     def test_ce_perfect_prediction_near_zero(self):
         t = one_hot(1, 4)
-        assert cross_entropy(t.copy(), t) < 1e-11
+        assert reference_cross_entropy(t.copy(), t) < 1e-11
 
     def test_ce_binary_symmetric(self):
         half = np.array([0.5, 0.5])
-        assert cross_entropy(half, half) == pytest.approx(math.log(2), abs=1e-9)
+        assert reference_cross_entropy(half, half) == pytest.approx(math.log(2), abs=1e-9)
 
     def test_entropy_uniform_and_onehot(self):
         assert entropy(np.full(10, 0.1)) == pytest.approx(math.log(10), abs=1e-12)
@@ -159,14 +162,14 @@ class TestTrain:
     def test_zero_epochs_is_identity(self, tiny_data):
         m = Classifier.random_init(tiny_data.feature_dim, [8], 4, Rng(1))
         before = m.copy()
-        train(m, tiny_data, TrainConfig(epochs=0, seed=2), CrossEntropyLoss())
+        train(m, tiny_data, TrainConfig(epochs=0, seed=2), cross_entropy_loss)
         assert equals_bits(m, before)
 
     def test_zero_learning_rate_is_identity(self, tiny_data):
         m = Classifier.random_init(tiny_data.feature_dim, [8], 4, Rng(1))
         before = m.copy()
         train(m, tiny_data, TrainConfig(learning_rate=0.0, epochs=5, seed=2),
-              CrossEntropyLoss())
+              cross_entropy_loss)
         assert equals_bits(m, before)
 
     def test_separable_set_reaches_100_percent(self):
@@ -175,7 +178,7 @@ class TestTrain:
         data = separable_two_class()
         m = Classifier.random_init(2, [], 2, Rng(8))
         train(m, data, TrainConfig(learning_rate=0.1, epochs=50, seed=3),
-              CrossEntropyLoss())
+              cross_entropy_loss)
         preds = predict_classes(m, data.features)
         assert np.all(preds == data.original_classes)
 
@@ -184,7 +187,7 @@ class TestTrain:
                               np.zeros(0, dtype=np.int64), 2)
         m = Classifier.random_init(3, [], 2, Rng(4))
         before = m.copy()
-        log = train(m, data, TrainConfig(epochs=3, seed=1), CrossEntropyLoss())
+        log = train(m, data, TrainConfig(epochs=3, seed=1), cross_entropy_loss)
         assert log.warnings and equals_bits(m, before) and log.epoch_losses == []
 
     def test_same_seed_bit_identical(self, tiny_data):
@@ -192,14 +195,14 @@ class TestTrain:
         for _ in range(2):
             m = Classifier.random_init(tiny_data.feature_dim, [8], 4, Rng(1))
             train(m, tiny_data, TrainConfig(learning_rate=0.05, epochs=4, seed=77),
-                  CrossEntropyLoss())
+                  cross_entropy_loss)
             results.append(m)
         assert equals_bits(results[0], results[1])
 
     def test_loss_decreases(self, tiny_data):
         m = Classifier.random_init(tiny_data.feature_dim, [8], 4, Rng(1))
         log = train(m, tiny_data, TrainConfig(learning_rate=0.05, epochs=6, seed=5),
-                    CrossEntropyLoss())
+                    cross_entropy_loss)
         assert log.epoch_losses[-1] < log.epoch_losses[0]
 
     def test_config_validation(self):
@@ -291,15 +294,15 @@ class TestBackward:
 
 class TestLossBatch:
     ORACLES = {
-        "cross_entropy": (CrossEntropyLoss(),
-                          lambda p, t, c: cross_entropy(p, t),
+        "cross_entropy": (cross_entropy_loss,
+                          lambda p, t, c: reference_cross_entropy(p, t),
                           lambda p, t, c: p - t),
-        "negated": (NegatedCrossEntropyLoss(),
-                    lambda p, t, c: -cross_entropy(p, t),
+        "negated": (negated_cross_entropy_loss,
+                    lambda p, t, c: -reference_cross_entropy(p, t),
                     lambda p, t, c: t - p),
-        "quantum": (QuantumLoss({1, 3}, 1.7),
-                    lambda p, t, c: quantum_loss(p, t, c, {1, 3}, 1.7),
-                    lambda p, t, c: quantum_loss_logit_grad(p, t, c, {1, 3}, 1.7)),
+        "quantum": (partial(quantum_loss, forget_set={1, 3}, entropy_lambda=1.7),
+                    lambda p, t, c: reference_quantum_loss(p, t, c, {1, 3}, 1.7),
+                    lambda p, t, c: reference_quantum_loss_logit_grad(p, t, c, {1, 3}, 1.7)),
     }
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
@@ -312,7 +315,7 @@ class TestLossBatch:
         classes = np.arange(n) % k
         targets = np.stack([one_hot(int(c), k) for c in classes])
         targets[classes == 3] = 1.0 / k      # a superposed label
-        values, grads = loss.batch(probs, targets, classes)
+        values, grads = loss(probs, targets, classes)
         assert values.shape == (n,) and grads.shape == (n, k)
         for i in range(n):
             c = int(classes[i])
@@ -324,13 +327,14 @@ class TestTrainStep:
     @pytest.mark.parametrize("name", ["cross_entropy", "quantum", "negated"])
     def test_bit_equal_to_reference_step_loop(self, tiny_data, name):
         if name == "cross_entropy":
-            data, loss, terms = tiny_data, CrossEntropyLoss(), reference_ce
+            data, loss, terms = tiny_data, cross_entropy_loss, reference_ce
         elif name == "quantum":
             data = superpose_labels(tiny_data, {1})
-            loss, terms = QuantumLoss({1}, 1.3), reference_quantum({1}, 1.3)
+            loss = partial(quantum_loss, forget_set={1}, entropy_lambda=1.3)
+            terms = reference_quantum({1}, 1.3)
         else:
             data = tiny_data.subset(tiny_data.forgotten({2}))
-            loss, terms = NegatedCrossEntropyLoss(), reference_negated_ce
+            loss, terms = negated_cross_entropy_loss, reference_negated_ce
         cfg = TrainConfig(learning_rate=0.07, epochs=3, batch_size=16, seed=19)
         model = Classifier.random_init(data.feature_dim, [16, 8], 4, Rng(13))
         oracle = model.copy()
@@ -351,11 +355,11 @@ class TestGradientCheck:
             m = small_random_model(s)
             x = rng.normal(6)
             target = one_hot(int(rng.randbelow(4)), 4)
-            assert gradient_check(m, x, target, CrossEntropyLoss()) <= 1e-4
+            assert gradient_check(m, x, target, cross_entropy_loss) <= 1e-4
 
     def test_quantum_loss_forget_branch(self):
         rng = Rng(202)
-        loss = QuantumLoss({1}, entropy_lambda=1.3)
+        loss = partial(quantum_loss, forget_set={1}, entropy_lambda=1.3)
         for s in range(5):
             m = small_random_model(s + 50)
             x = rng.normal(6)
@@ -364,11 +368,11 @@ class TestGradientCheck:
 
     def test_twenty_random_models_both_losses(self):
         rng = Rng(303)
-        q = QuantumLoss({0}, entropy_lambda=0.7)
+        q = partial(quantum_loss, forget_set={0}, entropy_lambda=0.7)
         for s in range(20):
             m = small_random_model(1000 + s)
             x = rng.normal(6)
-            assert gradient_check(m, x, one_hot(2, 4), CrossEntropyLoss()) <= 1e-4
+            assert gradient_check(m, x, one_hot(2, 4), cross_entropy_loss) <= 1e-4
             branch_class = 0 if s % 2 == 0 else 2  # alternate forget/retain
             err = gradient_check(m, x, one_hot(2, 4), q, original_class=branch_class)
             assert err <= 1e-4
@@ -376,7 +380,7 @@ class TestGradientCheck:
     def test_constant_loss_both_gradients_zero(self):
         # lambda = 0 makes the forget branch constant in every parameter
         m = small_random_model(9)
-        loss = QuantumLoss({3}, entropy_lambda=0.0)
+        loss = partial(quantum_loss, forget_set={3}, entropy_lambda=0.0)
         err = gradient_check(m, Rng(1).normal(6), one_hot(3, 4), loss,
                              original_class=3)
         assert err <= 1e-12
@@ -384,7 +388,7 @@ class TestGradientCheck:
     def test_refuses_large_models(self):
         m = Classifier.random_init(100, [100], 10, Rng(0))
         with pytest.raises(ValueError):
-            gradient_check(m, np.zeros(100), one_hot(0, 10), CrossEntropyLoss())
+            gradient_check(m, np.zeros(100), one_hot(0, 10), cross_entropy_loss)
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=12))
