@@ -161,13 +161,6 @@ def hann_window(n: int) -> np.ndarray:
     return window
 
 
-def _check_fft(n_fft: int, hop: int) -> None:
-    if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
-        raise ValueError("n_fft must be a power of two")
-    if hop < 1:
-        raise ValueError("hop must be >= 1")
-
-
 def _framed_power(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     """Hann-windowed |rfft|^2 of each row's frames, (m, frames, n_fft//2 + 1).
 
@@ -183,10 +176,10 @@ def _framed_power(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     return spec.real ** 2 + spec.imag ** 2
 
 
-def log_mel_batch(x: np.ndarray, sample_rate: int, n_fft: int = DEFAULT_N_FFT,
-                  hop: int = DEFAULT_HOP, n_mels: int = DEFAULT_N_MELS,
+def log_mel_batch(x: np.ndarray, sample_rate: int, n_mels: int = DEFAULT_N_MELS,
                   target_frames: int = DEFAULT_N_FRAMES) -> np.ndarray:
-    """Log mel-band power of the m equal-length clips in x (m, n).
+    """Log mel-band power of the m equal-length clips in x (m, n), in
+    DEFAULT_N_FFT-sample frames DEFAULT_HOP samples apart.
 
     Returns shape (m, n_mels, target_frames). Each clip is zero-padded to
     fill target_frames, then its frames are center-cropped to
@@ -195,28 +188,26 @@ def log_mel_batch(x: np.ndarray, sample_rate: int, n_fft: int = DEFAULT_N_FFT,
     same whichever batch it is computed in; one product over all clips'
     frames at once would not be (BLAS sums depend on the column count).
     """
-    _check_fft(n_fft, hop)
-    if n_mels > n_fft // 2:
-        raise ValueError("n_mels must be <= n_fft / 2")
+    if n_mels > DEFAULT_N_FFT // 2:
+        raise ValueError(f"n_mels must be <= {DEFAULT_N_FFT // 2}")
     if target_frames < 1:
         raise ValueError("target_frames must be >= 1")
     x = np.asarray(x, dtype=np.float64)
-    needed = n_fft + (target_frames - 1) * hop
+    needed = DEFAULT_N_FFT + (target_frames - 1) * DEFAULT_HOP
     if x.shape[1] < needed:
         x = np.concatenate([x, np.zeros((x.shape[0], needed - x.shape[1]))], axis=1)
-    power = _framed_power(x, n_fft, hop).transpose(0, 2, 1)
-    mel_power = np.matmul(mel_filterbank(sample_rate, n_fft, n_mels), power)
+    power = _framed_power(x, DEFAULT_N_FFT, DEFAULT_HOP).transpose(0, 2, 1)
+    mel_power = np.matmul(mel_filterbank(sample_rate, DEFAULT_N_FFT, n_mels), power)
     start = (mel_power.shape[2] - target_frames) // 2
     return np.log(POWER_FLOOR + mel_power[:, :, start:start + target_frames])
 
 
-def log_mel_spectrogram(clip: WavClip, n_fft: int = DEFAULT_N_FFT,
-                        hop: int = DEFAULT_HOP, n_mels: int = DEFAULT_N_MELS,
+def log_mel_spectrogram(clip: WavClip, n_mels: int = DEFAULT_N_MELS,
                         target_frames: int = DEFAULT_N_FRAMES) -> np.ndarray:
     """Log mel-band power of one clip, (n_mels, target_frames):
     `log_mel_batch` of a batch of one."""
-    return log_mel_batch(clip.samples[None, :], clip.sample_rate, n_fft=n_fft,
-                         hop=hop, n_mels=n_mels, target_frames=target_frames)[0]
+    return log_mel_batch(clip.samples[None, :], clip.sample_rate, n_mels=n_mels,
+                         target_frames=target_frames)[0]
 
 
 @dataclass
@@ -243,18 +234,18 @@ OVERLAP_PROFILE = SynthProfile(class_spacing=50.0, freq_jitter=0.05)
 PROFILES = {"default": SynthProfile(), "overlap": OVERLAP_PROFILE}
 
 
-def synth_draws(profile: SynthProfile | None = None) -> int:
+def synth_draws(profile: SynthProfile = PROFILES["default"]) -> int:
     """How far one `synth_clip` call advances its Rng's stream.
 
     One draw for the frequency jitter, then, if the profile adds noise,
     2 * ceil(n / 2) for the Box-Muller pairs of its n samples. Clip j of
     a stream therefore starts at draw j * synth_draws(profile).
     """
-    p = profile or SynthProfile()
-    return 1 + (2 * ((p.n_samples + 1) // 2) if p.noise_sigma > 0.0 else 0)
+    return 1 + (2 * ((profile.n_samples + 1) // 2) if profile.noise_sigma > 0.0 else 0)
 
 
-def synth_waves(class_ids, raw: np.ndarray, profile: SynthProfile | None = None) -> np.ndarray:
+def synth_waves(class_ids, raw: np.ndarray,
+                profile: SynthProfile = PROFILES["default"]) -> np.ndarray:
     """Waveforms (m, n) of m seeded harmonic tones, row i of class class_ids[i].
 
     raw holds the m clips' stream draws, synth_draws(profile) per clip and
@@ -262,31 +253,31 @@ def synth_waves(class_ids, raw: np.ndarray, profile: SynthProfile | None = None)
     sample goes through the same IEEE operations whatever m is, so a row
     does not depend on the chunk it is built in.
     """
-    p = profile or SynthProfile()
     class_ids = np.asarray(class_ids, dtype=np.int64)
-    m, n = class_ids.size, p.n_samples
-    raw = raw.reshape(m, synth_draws(p))
-    low, high = -p.freq_jitter, p.freq_jitter
+    m, n = class_ids.size, profile.n_samples
+    raw = raw.reshape(m, synth_draws(profile))
+    low, high = -profile.freq_jitter, profile.freq_jitter
     jitter = low + (high - low) * unit_interval(raw[:, 0])
-    f0 = (p.base_freq + p.class_spacing * class_ids) * (1.0 + jitter)
-    t = np.arange(n) / p.sample_rate
+    f0 = (profile.base_freq + profile.class_spacing * class_ids) * (1.0 + jitter)
+    t = np.arange(n) / profile.sample_rate
     x = np.zeros((m, n))
-    for k, amp in enumerate(p.harmonic_amps, start=1):
+    for k, amp in enumerate(profile.harmonic_amps, start=1):
         f = k * f0
-        keep = f < 0.45 * p.sample_rate  # keep harmonics clear of Nyquist
+        keep = f < 0.45 * profile.sample_rate  # keep harmonics clear of Nyquist
         x[keep] += amp * np.sin(2.0 * np.pi * f[keep, None] * t)
-    if p.noise_sigma > 0.0:
-        x += 0.0 + p.noise_sigma * box_muller(raw[:, 1:], n)
+    if profile.noise_sigma > 0.0:
+        x += 0.0 + profile.noise_sigma * box_muller(raw[:, 1:], n)
     return np.clip(x, -1.0, 1.0)
 
 
-def synth_clip(class_id: int, rng: Rng, profile: SynthProfile | None = None) -> WavClip:
+def synth_clip(class_id: int, rng: Rng,
+               profile: SynthProfile = PROFILES["default"]) -> WavClip:
     """One seeded harmonic tone for the class, with jitter and noise.
 
     Takes exactly `synth_draws(profile)` draws from rng.
     """
-    p = profile or SynthProfile()
-    return WavClip(p.sample_rate, synth_waves([class_id], rng.fill_u64(synth_draws(p)), p)[0])
+    raw = rng.fill_u64(synth_draws(profile))
+    return WavClip(profile.sample_rate, synth_waves([class_id], raw, profile)[0])
 
 
 SYNTH_CHUNK = 8  # clips per unit of work in synth_dataset
@@ -350,7 +341,7 @@ def _synth_chunks(classes: np.ndarray, clips: np.ndarray, seed: int,
 
 def synth_dataset(num_classes: int, per_class: int, seed: int,
                   n_mels: int = DEFAULT_N_MELS, n_frames: int = DEFAULT_N_FRAMES,
-                  profile: SynthProfile | None = None, rows=None) -> LabeledDataset:
+                  profile: SynthProfile = PROFILES["default"], rows=None) -> LabeledDataset:
     """Deterministic synthetic dataset: per_class tones for each class.
 
     The tones are those of `_synth_chunks`; each chunk writes its log-mel
@@ -359,17 +350,16 @@ def synth_dataset(num_classes: int, per_class: int, seed: int,
     `synth_classes` layout); row i of the result is row rows[i] of the
     whole dataset, bit for bit.
     """
-    p = profile or SynthProfile()
     classes = synth_classes(num_classes, per_class)
     clips = _clip_rows(rows, classes.size)
     features = np.empty((clips.size, n_mels * n_frames))
 
     def featurize(first: int, waves: np.ndarray) -> None:
         features[first:first + len(waves)] = log_mel_batch(
-            waves, p.sample_rate, n_mels=n_mels,
+            waves, profile.sample_rate, n_mels=n_mels,
             target_frames=n_frames).reshape(len(waves), -1)
 
-    _synth_chunks(classes, clips, seed, p, featurize)
+    _synth_chunks(classes, clips, seed, profile, featurize)
     classes = classes[clips]
     return LabeledDataset(features, np.eye(num_classes)[classes], classes, num_classes)
 
@@ -390,23 +380,22 @@ def _write_labels(root: Path, classes) -> None:
 
 
 def synth_manifest(dataset_dir: str | Path, num_classes: int, per_class: int, seed: int,
-                   profile: SynthProfile | None = None) -> None:
+                   profile: SynthProfile = PROFILES["default"]) -> None:
     """Write the tones of synth_dataset as a load_manifest directory:
     wavs/clip_<i>.wav files plus labels.csv.
 
     Each chunk writes its own WAV files on the pool of `_synth_chunks`, so
     no more waveforms are held at once than the workers' chunks.
     """
-    p = profile or SynthProfile()
     classes = synth_classes(num_classes, per_class)
     root = Path(dataset_dir)
     (root / "wavs").mkdir(parents=True, exist_ok=True)
 
     def write(first: int, waves: np.ndarray) -> None:
         for i, wave in enumerate(waves, start=first):
-            write_wav(WavClip(p.sample_rate, wave), root / _clip_path(i))
+            write_wav(WavClip(profile.sample_rate, wave), root / _clip_path(i))
 
-    _synth_chunks(classes, np.arange(classes.size), seed, p, write)
+    _synth_chunks(classes, np.arange(classes.size), seed, profile, write)
     _write_labels(root, classes)
 
 

@@ -36,8 +36,8 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ascent_epochs < 0 or self.finetune_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
+        for phase in ("ascent", "finetune"):
+            self.train_config(phase)  # the SGD settings, by TrainConfig's rules
         if self.fisher_noise_scale < 0:
             raise ValueError("fisher_noise_scale must be >= 0")
         if self.ssd_threshold <= 0:

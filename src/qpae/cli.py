@@ -135,12 +135,12 @@ def _run(args) -> int:
         print(f"unlearned checkpoint: {path}")
         for entry in phase_log:
             state = "skipped" if entry["skipped"] else f"{entry['wall_ms']:.1f} ms"
-            print(f"  {entry['phase']}: FA={entry['forget_accuracy']:.2f} "
-                  f"RA={entry['retain_accuracy']:.2f} ({state})")
+            print(f"  {entry['phase']}: FA={format_metric(entry['forget_accuracy'])} "
+                  f"RA={format_metric(entry['retain_accuracy'])} ({state})")
     else:
         original = None
         if args.original_report:
-            original = report_from_json(Path(args.original_report).read_text())
+            original = report_from_json(Path(args.original_report).read_bytes())
         report = harness.cmd_evaluate(ws, args.model, original_report=original)
         print(f"FA={format_metric(report.fa)} RA={format_metric(report.ra)} "
               f"IL={report.il:.4f} PER={format_metric(report.per)}")

@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 
 from .data import LabeledDataset
+from .metrics import confusion_matrix, confusion_scores
 from .model import Classifier, TrainConfig, cross_entropy_loss, forward_batch, train
 from .timing import stage
 
@@ -55,8 +56,7 @@ class UnlearnConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.entropy_lambda <= 0.0:
             raise ValueError("entropy_lambda must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        self.train_config()  # the SGD settings, by TrainConfig's rules
 
     def train_config(self) -> TrainConfig:
         """SGD settings of phase 3."""
@@ -156,8 +156,9 @@ def penultimate(model: Classifier, data: LabeledDataset) -> np.ndarray:
 
 def accuracy_snapshot(model: Classifier, data: LabeledDataset,
                       forget_set: frozenset[int],
-                      hidden: np.ndarray | None = None) -> tuple[float, float]:
-    """Forget and retain accuracy (%) of the model on `data`.
+                      hidden: np.ndarray | None = None) -> tuple[float | None, float | None]:
+    """Forget and retain accuracy (%) of the model on `data`, counted as a
+    report counts them; a side with no rows is None.
 
     `hidden` is `penultimate(model, data)`, for callers that score several
     final layers on one set of hidden layers; it is computed when omitted.
@@ -165,11 +166,9 @@ def accuracy_snapshot(model: Classifier, data: LabeledDataset,
     if hidden is None:
         hidden = penultimate(model, data)
     preds = np.argmax(hidden @ model.final_w + model.final_b, axis=1)
-    correct = preds == data.original_classes
-    mask = data.forgotten(forget_set)
-    fa = 100.0 * float(np.mean(correct[mask])) if mask.any() else 0.0
-    ra = 100.0 * float(np.mean(correct[~mask])) if (~mask).any() else 0.0
-    return fa, ra
+    confusion = confusion_matrix(data.original_classes, preds, model.num_classes)
+    scores = confusion_scores(confusion, sorted(forget_set))
+    return scores["fa"], scores["ra"]
 
 
 def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,

@@ -61,6 +61,11 @@ def _share(hits, rows) -> float | None:
     return 100.0 * (int(hits) / int(rows)) if rows else None
 
 
+def confusion_matrix(classes: np.ndarray, preds: np.ndarray, k: int) -> np.ndarray:
+    """(k, k) int64 counts of (true class, predicted class) pairs."""
+    return np.bincount(classes * k + preds, minlength=k * k).astype(np.int64).reshape(k, k)
+
+
 def confusion_scores(confusion: np.ndarray, forget_set: list[int]) -> dict:
     """The report fields that are counts of `confusion` split by the sorted
     `forget_set`: fa, ra, far, frr, erb, per_class, n_eval and flags.
@@ -106,8 +111,7 @@ def evaluate(model: Classifier, data: LabeledDataset, forget_set: set[int],
     probs = softmax(logits)
     if not np.all(np.isfinite(probs)):
         raise NumericError("non-finite prediction encountered during evaluation")
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (data.original_classes, np.argmax(logits, axis=1)), 1)
+    confusion = confusion_matrix(data.original_classes, np.argmax(logits, axis=1), k)
     forget = sorted(forget_set)
     scores = confusion_scores(confusion, forget)
     il = 0.0
@@ -164,13 +168,13 @@ class ReportError(ValueError):
     """Text that does not hold a report as `report_to_json` writes it."""
 
 
-def report_from_json(text: str) -> EvaluationReport:
-    """The report `report_to_json` wrote. Every field must hold its
-    annotation, and every field `confusion_scores` gives must equal its
-    recount from `confusion` and `forget_set` bit for bit."""
+def report_from_json(text: str | bytes) -> EvaluationReport:
+    """The report `report_to_json` wrote, as text or UTF-8 bytes. Every
+    field must hold its annotation, and every field `confusion_scores` gives
+    must equal its recount from `confusion` and `forget_set` bit for bit."""
     try:
-        raw = json.loads(text)
-    except ValueError as exc:
+        raw = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # a decode error is a ValueError
         raise ReportError(f"not an evaluation report ({exc})") from exc
     if not isinstance(raw, dict):
         raise ReportError("not an evaluation report (no JSON object)")

@@ -41,8 +41,15 @@ class TestConfig:
         assert equals_bits(tiny_model, before)
 
     def test_negative_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
             BaselineConfig(ascent_epochs=-1)
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            BaselineConfig(finetune_epochs=-1)
+        # the SGD settings both passes share
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            BaselineConfig(batch_size=0)
+        with pytest.raises(ValueError, match="learning_rate must be >= 0"):
+            BaselineConfig(learning_rate=-1)
         with pytest.raises(ValueError):
             BaselineConfig(ssd_threshold=0.0)
         with pytest.raises(ValueError, match="ssd_dampening_floor must be >= 0"):

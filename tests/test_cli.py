@@ -10,6 +10,7 @@ from qpae.baselines import BaselineConfig
 from qpae.cli import main
 from qpae.data import train_eval_split
 from qpae.harness import DatasetSpec, default_config
+from qpae.metrics import format_metric
 from qpae.model import TrainConfig
 from qpae.rng import derive_seed
 
@@ -47,13 +48,19 @@ def test_train_then_unlearn_then_evaluate(cfg_path, tmp_path, capsys):
     assert "FA=" in capsys.readouterr().out
 
 
-def test_forget_override(cfg_path, tmp_path):
+def test_forget_override(cfg_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
     assert main(["unlearn", "--config", str(cfg_path), "--method", "qp",
                  "--forget", "2"]) == 0
     report = json.loads((out / "phase_log_qp.json").read_text())
     assert report  # ran with the overridden class
+    # each phase prints its FA and RA as the tables do
+    printed = capsys.readouterr().out
+    for entry in report:
+        assert (f"  {entry['phase']}: FA={format_metric(entry['forget_accuracy'])} "
+                f"RA={format_metric(entry['retain_accuracy'])} (") in printed
     assert main(["evaluate", "--config", str(cfg_path), "--forget", "2",
                  "--model", str(out / "unlearned_qp.qpae")]) == 0
     rep = json.loads((out / "report_unlearned_qp.json").read_text())
@@ -66,10 +73,17 @@ def test_usage_error_exits_2(cfg_path):
     assert exc.value.code == 2
 
 
-def test_config_error_exits_2(tmp_path):
+@pytest.mark.parametrize("content", [
+    json.dumps({"sed": 1}).encode(), b"\xff{}", "{}".encode("utf-16"), b"[" * 200000,
+], ids=["unknown_key", "not_utf8", "utf16", "deep_nesting"])
+def test_config_error_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"sed": 1}))
-    assert main(["train", "--config", str(bad)]) == 2
+    bad.write_bytes(content)
+    out = tmp_path / "fresh"
+    assert main(["train", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit", [
@@ -311,14 +325,24 @@ def test_stale_original_is_refused(cfg_path, tmp_path, capsys, verb, flags, edit
 
 
 @pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
-def test_original_without_its_config_is_refused(cfg_path, tmp_path, capsys, verb):
+@pytest.mark.parametrize("spoiled", [None, b"{nope", b"\xff{}", b"[" * 200000],
+                         ids=["missing", "not_json", "not_utf8", "deep_nesting"])
+def test_original_without_its_config_is_refused(cfg_path, tmp_path, capsys, verb,
+                                                spoiled):
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
-    (out / "config.json").unlink()
+    if spoiled is None:
+        (out / "config.json").unlink()
+    else:
+        (out / "config.json").write_bytes(spoiled)
     extra = (["--method", "qp"] if verb == "unlearn"
              else ["--model", str(out / "original.qpae")])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
     assert main([verb, "--config", str(cfg_path), *extra]) == 2
-    assert "config.json" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "config.json" in err[0]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
@@ -483,18 +507,19 @@ def _with(key, value):
             del raw[key]
         else:
             raw[key] = value
-        return json.dumps(raw)
+        return json.dumps(raw).encode()
     return spoil
 
 
 @pytest.mark.parametrize("spoil", [
-    lambda text: "{nope", _with("ra", None), lambda text: "[1, 2]",
+    lambda text: b"{nope", _with("ra", None), lambda text: b"[1, 2]",
     _with("fa", "x"), _with("ra", "x"), _with("fa", float("inf")),
     _with("per_class", [50.0]), _with("confusion", [[1, -1], [0, 1]]),
     _with("flags", [0]), _with("fa", 5e-324), _with("ra", 12.5), _with("forget_set", [10]),
+    lambda text: b"\xff" + text.encode(), lambda text: b"[" * 200000,
 ], ids=["not_json", "missing_key", "not_an_object", "fa_string", "ra_string",
         "fa_infinity", "per_class_short", "confusion_negative", "flags_not_strings",
-        "fa_subnormal", "ra_not_counted", "forget_set_past_k"])
+        "fa_subnormal", "ra_not_counted", "forget_set_past_k", "not_utf8", "deep_nesting"])
 def test_report_that_is_no_report_exits_3(cfg_path, tmp_path, capsys, spoil):
     """`evaluate --original-report` and `report` refuse it with one line on
     stderr, before they write anything."""
@@ -503,8 +528,8 @@ def test_report_that_is_no_report_exits_3(cfg_path, tmp_path, capsys, spoil):
     assert main(["unlearn", "--config", str(cfg_path), "--method", "qp"]) == 0
     original = out / "report_original.json"
     bad = tmp_path / "bad.json"
-    bad.write_text(spoil(original.read_text()))
-    original.write_text(bad.read_text())
+    bad.write_bytes(spoil(original.read_text()))
+    original.write_bytes(bad.read_bytes())
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg_path), "--model",

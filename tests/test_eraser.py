@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpae.data import LabeledDataset
-from qpae.eraser import (UnlearnConfig, apply_mixing, build_mixing_matrix,
-                         interference_transform, quantum_loss, run_qp_audio_eraser,
-                         superpose_labels)
+from qpae.eraser import (UnlearnConfig, accuracy_snapshot, apply_mixing,
+                         build_mixing_matrix, interference_transform, quantum_loss,
+                         run_qp_audio_eraser, superpose_labels)
 from qpae.harness import ABLATION_VARIANTS
+from qpae.metrics import evaluate
 from qpae.model import Classifier, TrainConfig, forward_batch, softmax
 from qpae.rng import Rng
 
@@ -348,6 +349,11 @@ class TestUnlearnConfig:
             UnlearnConfig(forget_set={0}, entropy_lambda=0.0)
         with pytest.raises(ValueError, match="negative class index"):
             UnlearnConfig(forget_set={-1})
+        # phase 3's SGD settings, refused before any phase runs
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            UnlearnConfig(forget_set={0}, batch_size=0)
+        with pytest.raises(ValueError, match="learning_rate must be >= 0"):
+            UnlearnConfig(forget_set={0}, learning_rate=-0.1)
 
 
 class TestPipeline:
@@ -405,6 +411,13 @@ class TestPipeline:
                                             second)
         one_hot_kept, _ = run_qp_audio_eraser(model.copy(), tiny_data, second)
         assert not equals_bits(superposed, one_hot_kept)
+
+    def test_snapshot_of_a_side_with_no_rows_is_none(self, tiny_model, tiny_data):
+        # as in a report: an empty forget side is absent, not 0% accurate
+        retained = tiny_data.subset(~tiny_data.forgotten({0}))
+        fa, ra = accuracy_snapshot(tiny_model, retained, frozenset({0}))
+        assert fa is None
+        assert ra == evaluate(tiny_model, retained, {0}).ra
 
     def test_phase_log_schema(self, tiny_model, tiny_data):
         cfg = UnlearnConfig(forget_set={2}, epochs=1, learning_rate=0.05, seed=2)

@@ -17,7 +17,7 @@ from qpae.files import FIELD_KINDS
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
                           emit_table, load_config)
-from qpae.metrics import report_from_json, report_to_json
+from qpae.metrics import evaluate, report_from_json, report_to_json
 from qpae.model import Classifier, TrainConfig
 from qpae.rng import Rng, derive_seed
 
@@ -281,6 +281,17 @@ class TestForget:
         on_disk = json.loads((ws.out / f"phase_log_{method_id}.json").read_text())
         assert without_wall_ms(phase_log) == without_wall_ms(on_disk) == \
             without_wall_ms(written_log)
+
+    @pytest.mark.parametrize("method_id", sorted(harness.METHOD_IDS))
+    def test_phase_log_ends_on_what_evaluate_counts(self, small_cfg, method_id):
+        # the phase log and a report count FA and RA by one rule
+        ws = Workspace.create(small_cfg)
+        harness.cmd_train(ws)
+        model, phase_log = harness.forget(load_checkpoint(ws.original_path()),
+                                          ws.train_data, method_id, ws.cfg)
+        report = evaluate(model, ws.train_data, ws.forget_set)
+        last = phase_log[-1]
+        assert (last["forget_accuracy"], last["retain_accuracy"]) == (report.fa, report.ra)
 
     def test_unknown_method_leaves_the_model_untouched(self, small_cfg):
         ws = Workspace.create(small_cfg)

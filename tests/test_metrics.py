@@ -313,7 +313,9 @@ class TestSerialization:
         assert np.array_equal(back.confusion, rep.confusion)
         assert back.per_class == rep.per_class
 
-    @pytest.mark.parametrize("text", ["{nope", '{"fa": 0.0}', "[1, 2]", "5"])
+    @pytest.mark.parametrize("text", [
+        "{nope", '{"fa": 0.0}', "[1, 2]", "5",
+        pytest.param(b"\xff{}", id="not_utf8"), pytest.param("[" * 100000, id="deep_nesting")])
     def test_text_that_is_no_report_raises_report_error(self, text):
         with pytest.raises(ReportError, match="not an evaluation report"):
             report_from_json(text)
