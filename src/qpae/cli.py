@@ -47,7 +47,7 @@ def _parse_forget(text: str) -> list[int]:
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
-    cfg = (harness.load_config(args.config) if args.config
+    cfg = (harness.load_config(args.config) if args.config is not None
            else harness.default_config(getattr(args, "scenario", None) or "single"))
     if args.seed is not None:
         cfg.seed = args.seed
@@ -107,7 +107,7 @@ def _run(args) -> int:
     cfg = _resolve_config(args)
 
     if args.verb == "synth":
-        out = Path(args.out) if args.out else Path(cfg.output_dir) / "dataset"
+        out = Path(args.out) if args.out is not None else Path(cfg.output_dir) / "dataset"
         path = harness.cmd_synth(cfg, out)
         print(f"wrote manifest dataset to {path}")
         return EXIT_OK
@@ -121,7 +121,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.verb == "train":
-        path, report = harness.cmd_train(Workspace.create(cfg, args.out))
+        path, report = harness.cmd_train(Workspace.create(cfg))
         print(f"checkpoint: {path}")
         print(f"original report: FA={format_metric(report.fa)} "
               f"RA={format_metric(report.ra)}")
@@ -129,7 +129,7 @@ def _run(args) -> int:
 
     # unlearn and evaluate read and check their inputs before the dataset is
     # built; --out is the directory `train` filled, so it is not made here
-    ws = Workspace.open(cfg, args.out)
+    ws = Workspace(cfg)
     if args.verb == "unlearn":
         path, phase_log = harness.cmd_unlearn(ws, args.method)
         print(f"unlearned checkpoint: {path}")
@@ -139,7 +139,7 @@ def _run(args) -> int:
                   f"RA={format_metric(entry['retain_accuracy'])} ({state})")
     else:
         original = None
-        if args.original_report:
+        if args.original_report is not None:
             original = report_from_json(Path(args.original_report).read_bytes())
         report = harness.cmd_evaluate(ws, args.model, original_report=original)
         print(f"FA={format_metric(report.fa)} RA={format_metric(report.ra)} "

@@ -133,10 +133,7 @@ def _merge(prefix: str, base, raw):
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """The defaults of `ExperimentConfig()` with a JSON config laid over them."""
-    cfg = _merge("", ExperimentConfig(), raw)
-    if cfg.scenario == "sequential" and not cfg.sequential_requests:
-        raise ConfigError("sequential scenario requires non-empty sequential_requests")
-    return cfg
+    return _merge("", ExperimentConfig(), raw)
 
 
 def _splits_both_sides(n: int) -> bool:
@@ -148,12 +145,17 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     """Reject values of the wrong type, class ids, sizes and section values
     the run cannot use, before any work.
 
-    `Workspace.open` and `cmd_synth` call it, so it sees the config after
-    command-line overrides, which can change the forget set once the file
-    is parsed.
+    The `Workspace` constructor and `cmd_synth` call it, so it sees the
+    config after command-line overrides, which can change the forget set
+    or the output directory once the file is parsed.
     """
     # every field and section against its own rules, by the walk that parses a file
     _merge("", ExperimentConfig(), config_to_dict(cfg))
+    if cfg.scenario == "sequential" and not cfg.sequential_requests:
+        raise ConfigError("sequential scenario requires non-empty sequential_requests")
+    # "" would be the working directory
+    if not cfg.output_dir:
+        raise ConfigError("output_dir must name a directory, got ''")
     # Rng and derive_seed read a seed modulo 2**64, so -1 would alias 2**64 - 1
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError(f"seed must be in [0, 2**64), got {cfg.seed}")
@@ -198,7 +200,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        # a directory, "" (the working directory) included, is no config file
         raise ConfigError(f"config file not found: {path}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -228,9 +231,6 @@ def default_config(scenario: str = "single", **overrides) -> ExperimentConfig:
         fields["train"] = TrainConfig(learning_rate=0.01, epochs=8)
         fields["unlearn"] = UnlearnConfig(learning_rate=0.02)
     fields.update(overrides)
-    unknown = set(fields) - {f.name for f in dataclass_fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config attributes {sorted(unknown)}")
     return ExperimentConfig(**fields)
 
 
@@ -329,31 +329,26 @@ def _baseline_config(cfg: ExperimentConfig, name: str) -> BaselineConfig:
 
 
 class Workspace:
-    """One experiment's config, its output directory and its data splits.
+    """One checked experiment config, its output directory and its data splits.
 
     Each side is built on first use, from only that side's clips, unless
-    the sides are passed in: a workspace from `open` lets a command refuse
-    its inputs before it pays for the dataset, and read no clip it does
-    not use. `create` builds both sides before it makes the directory.
+    the sides are passed in, so a command can refuse its inputs before it
+    pays for the dataset, and read no clip it does not use. `create`
+    builds both sides before it makes the directory.
     """
 
-    def __init__(self, cfg: ExperimentConfig, out: str | Path,
+    def __init__(self, cfg: ExperimentConfig, out: str | Path | None = None,
                  train_data: LabeledDataset | None = None,
                  eval_data: LabeledDataset | None = None):
+        check_ranges(cfg)
         self.cfg = cfg
-        self.out = Path(out)
+        self.out = Path(out if out is not None else cfg.output_dir)
         self._sides = [train_data, eval_data]
 
     @classmethod
-    def open(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
-        """A workspace on a checked config; nothing is built or made yet."""
-        check_ranges(cfg)
-        return cls(cfg, out if out is not None else cfg.output_dir)
-
-    @classmethod
     def create(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
-        """`open`, then build both sides, then make the output directory."""
-        ws = cls.open(cfg, out)
+        """A workspace with both sides built, then its output directory made."""
+        ws = cls(cfg, out)
         # a dataset that fails to build leaves no directory behind
         for side in (0, 1):
             ws._side(side)
@@ -380,24 +375,27 @@ class Workspace:
     def original_path(self) -> Path:
         return self.out / "original.qpae"
 
-    def check_provenance(self) -> None:
-        """Refuse an `original.qpae` that `cmd_train` wrote under another config.
+    def load(self, path: str | Path, side: int) -> Classifier:
+        """The checkpoint at `path`, if this run may use it on split `side`.
 
-        `cmd_train` writes config.json beside the checkpoint. Its seed,
+        `cmd_train` writes config.json beside `original.qpae`. Its seed,
         dataset, model and train sections must equal this run's; the forget
         set and the baselines may differ, since one trained model serves
-        many forget requests.
+        many forget requests. The model must then fit the side. A bad
+        checkpoint is refused before config.json is read, and config.json
+        before the side is built.
         """
-        path = self.out / "config.json"
+        model = load_checkpoint(path)
+        config_path = self.out / "config.json"
         try:
-            recorded = json.loads(path.read_text(encoding="utf-8"))
+            recorded = json.loads(config_path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
-            raise ConfigError(f"no {path}: train into this output directory "
+            raise ConfigError(f"no {config_path}: train into this output directory "
                               "first") from exc
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"{config_path} is not valid JSON: {exc}") from exc
         if not isinstance(recorded, dict):
-            raise ConfigError(f"{path} does not hold a config object")
+            raise ConfigError(f"{config_path} does not hold a config object")
         # compared as save_config writes it: tuples become lists in JSON
         current = json.loads(json.dumps(config_to_dict(self.cfg)))
         for key in PROVENANCE_KEYS:
@@ -405,20 +403,15 @@ class Workspace:
                 raise ConfigError(
                     f"the original model in {self.out} was trained with another "
                     f"{key} ({recorded.get(key)!r}; this run: {current[key]!r})")
-
-    def check_fits(self, model: Classifier, data: LabeledDataset) -> None:
+        data = self._side(side)
         if (model.feature_dim, model.num_classes) != (data.feature_dim, data.num_classes):
             raise ConfigError(
                 f"model takes {model.feature_dim} features into {model.num_classes} "
                 f"classes; the dataset has {data.feature_dim} and {data.num_classes}")
+        return model
 
-    def report_path(self, name: str) -> Path:
-        return self.out / f"report_{name}.json"
-
-    def write_report(self, name: str, report: EvaluationReport) -> Path:
-        path = self.report_path(name)
-        write_atomic(path, report_to_json(report) + "\n")
-        return path
+    def write_report(self, name: str, report: EvaluationReport) -> None:
+        write_atomic(self.out / f"report_{name}.json", report_to_json(report) + "\n")
 
 
 def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
@@ -462,9 +455,7 @@ def forget(model: Classifier, data: LabeledDataset, method_id: str,
 
 def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
     """`forget` on the original checkpoint; write the result and its phase log."""
-    model = load_checkpoint(ws.original_path())
-    ws.check_provenance()
-    ws.check_fits(model, ws.train_data)
+    model = ws.load(ws.original_path(), 0)
     model, phase_log = forget(model, ws.train_data, method_id, ws.cfg)
     path = ws.out / f"unlearned_{method_id}.qpae"
     save_checkpoint(model, path)
@@ -484,9 +475,7 @@ def cmd_evaluate(ws: Workspace, model_path: str | Path,
             raise ConfigError(
                 f"the original report covers forget set {theirs[0]} of "
                 f"{theirs[1]} classes; this run forgets {ours[0]} of {ours[1]}")
-    model = load_checkpoint(model_path)
-    ws.check_provenance()
-    ws.check_fits(model, ws.eval_data)
+    model = ws.load(model_path, 1)
     original_fa = original_report.fa if original_report is not None else None
     report = evaluate(model, ws.eval_data, ws.forget_set, original_fa=original_fa)
     stem = name if name is not None else Path(model_path).stem
@@ -601,7 +590,7 @@ def _ablation_step(ws: Workspace, original_report: EvaluationReport) -> None:
     write_table(ws.out, rows, stem=table_stem(ws.cfg.scenario))
 
 
-def run_scenario(cfg: ExperimentConfig, out: str | Path | None = None) -> Workspace:
+def run_scenario(cfg: ExperimentConfig) -> Workspace:
     """Check cfg.scenario's shape before anything is built, train once, then
     run the scenario's step; returns the workspace with artifacts written."""
     classes = len(set(cfg.unlearn.forget_set))
@@ -609,9 +598,7 @@ def run_scenario(cfg: ExperimentConfig, out: str | Path | None = None) -> Worksp
         raise ConfigError(f"{cfg.scenario} scenario requires exactly one forget class")
     if cfg.scenario == "multi" and classes < 2:
         raise ConfigError("multi scenario requires at least two forget classes")
-    if cfg.scenario == "sequential" and not cfg.sequential_requests:
-        raise ConfigError("sequential scenario requires non-empty sequential_requests")
-    ws = Workspace.create(cfg, out)
+    ws = Workspace.create(cfg)
     _, original_report = cmd_train(ws)
     if cfg.scenario == "sequential":
         _sequential_step(ws)
@@ -635,15 +622,25 @@ def cmd_synth(cfg: ExperimentConfig, out: str | Path) -> Path:
 
 
 def cmd_report(out: str | Path) -> tuple[Path, Path]:
-    """Assemble a table from the report JSONs already in a directory."""
+    """Assemble a table from the report JSONs already in a directory; each
+    must cover the forget set and class count of the first one found."""
+    if not str(out):
+        raise ConfigError("--out must name a directory, got ''")
     out_dir = Path(out)
-    rows = []
+    rows, first = [], None
     for stem, label in [("original", "Original"), *METHOD_LABELS.items()]:
         # `evaluate` names a report after its checkpoint, unlearned_<id>
         for path in (out_dir / f"report_{stem}.json",
                      out_dir / f"report_unlearned_{stem}.json"):
             if path.exists():
-                rows.append((label, report_from_json(path.read_bytes())))
+                report = report_from_json(path.read_bytes())
+                request = (report.forget_set, report.num_classes)
+                first = first or (path, request)
+                if request != first[1]:
+                    raise ConfigError(
+                        f"{path} covers forget set {request[0]} of {request[1]} "
+                        f"classes; {first[0]} covers {first[1][0]} of {first[1][1]}")
+                rows.append((label, report))
                 break
     if not rows:
         raise FileNotFoundError(f"no report_*.json files found in {out_dir}")

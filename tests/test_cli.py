@@ -75,12 +75,18 @@ def test_usage_error_exits_2(cfg_path):
 
 @pytest.mark.parametrize("content", [
     json.dumps({"sed": 1}).encode(), b"\xff{}", "{}".encode("utf-16"), b"[" * 200000,
-], ids=["unknown_key", "not_utf8", "utf16", "deep_nesting"])
+    # a path that names no file is no config, and no request for the defaults
+    "directory", "empty path",
+], ids=["unknown_key", "not_utf8", "utf16", "deep_nesting", "directory", "empty_path"])
 def test_config_error_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
+    if content == "directory":
+        bad.mkdir()
+    elif content != "empty path":
+        bad.write_bytes(content)
     out = tmp_path / "fresh"
-    assert main(["train", "--config", str(bad), "--out", str(out)]) == 2
+    config = "" if content == "empty path" else str(bad)
+    assert main(["train", "--config", config, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not out.exists()
@@ -137,14 +143,25 @@ def test_retired_config_shape_exits_2(cfg_path, tmp_path, capsys, edit):
     # an empty --forget names no class; it is not "no override"
     ("unlearn", ["--method", "qp", "--forget", ""], {}),
     ("evaluate", ["--model", "original.qpae", "--forget", ""], {}),
+    # an empty --out is no directory; it is not the working directory
+    ("train", ["--out", ""], {}),
+    ("unlearn", ["--method", "qp", "--out", ""], {}),
+    ("evaluate", ["--model", "original.qpae", "--out", ""], {}),
+    ("run", ["--out", ""], {}),
+    ("sequential", ["--out", ""], {"sequential_requests": [[0]]}),
+    ("ablation", ["--out", ""], {}),
+    ("synth", ["--out", ""], {}),
 ])
-def test_out_of_range_config_exits_2(cfg_path, tmp_path, capsys, verb, flags, edit):
+def test_out_of_range_config_exits_2(cfg_path, tmp_path, monkeypatch, capsys, verb,
+                                     flags, edit):
     raw = json.loads(cfg_path.read_text())
     for key, value in edit.items():
         raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
     cfg_path.write_text(json.dumps(raw))
     out = tmp_path / "fresh"
     out.mkdir()
+    # whatever lands in the working directory lands in out too
+    monkeypatch.chdir(out)
     assert main([verb, "--config", str(cfg_path), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
@@ -171,6 +188,63 @@ def test_inputs_are_read_before_the_dataset(cfg_path, tmp_path, monkeypatch, cap
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
     assert builds == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"], ["unlearn", "--method", "qp"], ["evaluate", "--model", "original.qpae"],
+    ["run"], ["synth"],
+])
+def test_empty_output_dir_in_the_config_exits_2(cfg_path, tmp_path, monkeypatch, capsys,
+                                                argv):
+    """An output_dir of "" in the config file is refused as an empty --out
+    is, with nothing written in the working directory."""
+    raw = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**raw, "output_dir": ""}))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([*argv, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert list(cwd.iterdir()) == []
+
+
+def test_report_with_an_empty_out_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "report_original.json").write_text("{}")
+    assert main(["report", "--out", ""]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report_original.json"]
+
+
+def test_empty_original_report_exits_3(cfg_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path), "--model",
+                 str(out / "original.qpae"), "--original-report", ""]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("io error: ")
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+def test_report_refuses_reports_of_another_request(cfg_path, tmp_path, capsys):
+    """`report` tabulates one forget request: a method's report for another
+    forget set than the original's exits 2, naming both, with no table."""
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["unlearn", "--config", str(cfg_path), "--method", "qp",
+                 "--forget", "3"]) == 0
+    assert main(["evaluate", "--config", str(cfg_path), "--forget", "3",
+                 "--model", str(out / "unlearned_qp.qpae")]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "report_original.json" in err[0] and "report_unlearned_qp.json" in err[0]
+    assert not (out / "table.md").exists() and not (out / "table.csv").exists()
 
 
 @pytest.mark.parametrize("verb", ["run", "sequential"])
@@ -322,6 +396,24 @@ def test_stale_original_is_refused(cfg_path, tmp_path, capsys, verb, flags, edit
     assert "config error" in err and "trained with another" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
+def test_stale_config_is_refused_before_the_dataset(cfg_path, tmp_path, monkeypatch,
+                                                    capsys, verb):
+    """A checkpoint is read first, then config.json; a stale config.json
+    exits 2 before either side of the split is built."""
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    builds = []
+    monkeypatch.setattr(harness, "_last_splits", {})
+    monkeypatch.setattr(harness, "build_dataset", builds.append)
+    extra = (["--method", "qp"] if verb == "unlearn"
+             else ["--model", str(out / "original.qpae")])
+    capsys.readouterr()
+    assert main([verb, "--config", str(cfg_path), "--seed", "8", *extra]) == 2
+    assert "trained with another seed" in capsys.readouterr().err
+    assert builds == []
 
 
 @pytest.mark.parametrize("verb", ["unlearn", "evaluate"])

@@ -151,7 +151,7 @@ class TestConfig:
 
     def test_sequential_requires_requests(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"scenario": "sequential"})
+            harness.check_ranges(config_from_dict({"scenario": "sequential"}))
 
     def test_manifest_requires_path(self):
         with pytest.raises(ConfigError):
@@ -181,13 +181,29 @@ class TestConfig:
                 harness.check_ranges(cfg)
 
 
+class TestWorkspace:
+    @pytest.mark.parametrize("section, key, value", [
+        ("unlearn", "forget_set", [10]), ("dataset", "per_class", 2),
+        (None, "seed", -1), (None, "output_dir", "")],
+        ids=["forget_set", "per_class", "seed", "output_dir"])
+    def test_a_directly_built_workspace_is_checked(self, small_cfg, tmp_path,
+                                                   section, key, value):
+        """The constructor refuses a config the run cannot use, even with
+        both sides passed in and the output directory named."""
+        sides = harness.prepare_splits(small_cfg)
+        setattr(getattr(small_cfg, section) if section else small_cfg, key, value)
+        with pytest.raises(ConfigError):
+            Workspace(cfg=small_cfg, out=tmp_path / "out", train_data=sides[0],
+                      eval_data=sides[1])
+
+
 class TestCommands:
     def test_train_writes_checkpoint_and_report(self, small_cfg):
         ws = Workspace.create(small_cfg)
         path, report = harness.cmd_train(ws)
         assert path.exists()
         assert report.fa is not None
-        on_disk = report_from_json(ws.report_path("original").read_text())
+        on_disk = report_from_json((ws.out / "report_original.json").read_text())
         assert on_disk.fa == report.fa
 
     def test_train_rerun_identical_checkpoint(self, small_cfg, tmp_path):
