@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, check_forget_set
 from .model import (Classifier, TrainConfig, backprop, cross_entropy_loss,
                     forward_batch, softmax, train)
 from .rng import Rng, derive_seed
@@ -163,6 +163,7 @@ def run_baseline(model: Classifier, data: LabeledDataset, forget_set: set[int],
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown baseline method {method!r}; expected one of "
                          f"{METHOD_NAMES}")
+    check_forget_set(forget_set, model.num_classes)
     # looked up at call time, so a wrapped module function is the one run
     fn = {
         "gradient_ascent": gradient_ascent_unlearn,

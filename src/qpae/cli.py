@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
 from .audio import ManifestError, WavParseError
 from .checkpoint import CheckpointError
@@ -150,7 +152,9 @@ def _run(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        # a non-finite value ends the run as one error line, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,18 @@ class LabeledDataset:
     def forgotten(self, forget_set: set[int]) -> np.ndarray:
         """Boolean row mask: True where the original class is in forget_set."""
         return np.isin(self.original_classes, sorted(forget_set))
+
+
+def check_forget_set(forget_set: Collection[int], num_classes: int,
+                     what: str = "forget_set") -> None:
+    """The one forget-set rule; `what` names the set in the ValueError it raises."""
+    if not forget_set:
+        raise ValueError(f"{what} must name at least one class")
+    bad = [c for c in forget_set if not 0 <= c < num_classes]
+    if bad:
+        raise ValueError(f"{what} holds {bad}, not class ids in [0, {num_classes})")
+    if len(set(forget_set)) >= num_classes:
+        raise ValueError(f"{what} must leave at least one class retained")
 
 
 def train_count(n: int, train_frac: float) -> int:

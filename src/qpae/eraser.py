@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, check_forget_set
 from .metrics import confusion_matrix, confusion_scores
 from .model import Classifier, TrainConfig, cross_entropy_loss, forward_batch, train
 from .timing import stage
@@ -32,7 +32,8 @@ class UnlearnConfig:
 
     `epochs`, `learning_rate` and `batch_size` are phase 3's SGD settings.
     The three skip flags ablate individual phases. `seed` is no config
-    key: the harness derives it from the master seed.
+    key: the harness derives it from the master seed. The forget set is
+    checked where the class count is known, by `data.check_forget_set`.
     """
 
     forget_set: list[int] = field(default_factory=lambda: [0])
@@ -48,10 +49,6 @@ class UnlearnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.forget_set:
-            raise ValueError("forget_set must be non-empty")
-        if min(self.forget_set) < 0:
-            raise ValueError("negative class index in forget_set")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.entropy_lambda <= 0.0:
@@ -64,22 +61,12 @@ class UnlearnConfig:
                            batch_size=self.batch_size, seed=self.seed)
 
 
-def _check_forget_set(forget_set: frozenset[int] | set[int], num_classes: int) -> None:
-    if not forget_set:
-        raise ValueError("forget_set must be non-empty")
-    bad = [c for c in forget_set if c < 0 or c >= num_classes]
-    if bad:
-        raise ValueError(f"class indices {sorted(bad)} out of range [0, {num_classes})")
-    if len(forget_set) >= num_classes:
-        raise ValueError("forget_set must leave at least one retained class")
-
-
 def interference_transform(model: Classifier, forget_set: set[int],
                            phi: float) -> Classifier:
     """Phase 1: scale each forgotten column by cos(phi)/sqrt(2), its bias
     by cos(phi). Everything else is untouched.
     """
-    _check_forget_set(forget_set, model.num_classes)
+    check_forget_set(forget_set, model.num_classes)
     c = math.cos(phi)
     if abs(c) < 4e-16:
         c = 0.0  # phi at an odd multiple of pi/2 must zero the column exactly
@@ -98,7 +85,7 @@ def superpose_labels(data: LabeledDataset, forget_set: set[int]) -> LabeledDatas
     shared with the input (datasets are treated as immutable), keeping the
     relabeling cost independent of the feature width.
     """
-    _check_forget_set(forget_set, data.num_classes)
+    check_forget_set(forget_set, data.num_classes)
     labels = data.labels.copy()
     labels[data.forgotten(forget_set)] = 1.0 / data.num_classes
     return LabeledDataset(data.features, labels, data.original_classes,
@@ -127,7 +114,7 @@ def build_mixing_matrix(num_classes: int, forget_set: set[int],
     """Phase-4 mixing matrix: unit diagonal, alpha between a forgotten and
     a retained class, zero between two forgotten classes.
     """
-    _check_forget_set(forget_set, num_classes)
+    check_forget_set(forget_set, num_classes)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     forgotten = np.isin(np.arange(num_classes), sorted(forget_set))
@@ -182,10 +169,8 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
     on `data` is computed before phase 1 and again after phase 3 runs;
     the other snapshots score just the final layer on it.
     """
+    check_forget_set(cfg.forget_set, model.num_classes)
     forget = frozenset(cfg.forget_set)
-    _check_forget_set(forget, model.num_classes)
-    if data.feature_dim != model.feature_dim:
-        raise ValueError("dataset feature_dim does not match model")
     log: list[dict] = []
     hidden = penultimate(model, data)
 

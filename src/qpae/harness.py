@@ -19,7 +19,7 @@ import numpy as np
 from . import audio
 from .baselines import METHOD_NAMES, BaselineConfig, run_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import LabeledDataset, train_count, train_eval_split
+from .data import LabeledDataset, check_forget_set, train_count, train_eval_split
 from .eraser import (UnlearnConfig, accuracy_snapshot,
                      run_qp_audio_eraser, superpose_labels)
 from .files import FIELD_KINDS, write_atomic
@@ -171,14 +171,11 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     requests = {"unlearn.forget_set": cfg.unlearn.forget_set}
     requests.update((f"sequential_requests[{i}]", req)
                     for i, req in enumerate(cfg.sequential_requests))
-    for what, classes in requests.items():
-        if not classes:
-            raise ConfigError(f"{what} must name at least one class")
-        bad = [c for c in classes if not 0 <= c < k]
-        if bad:
-            raise ConfigError(f"{what} holds {bad}, not class ids in [0, {k})")
-    if len(set(cfg.unlearn.forget_set)) >= k:
-        raise ConfigError("unlearn.forget_set must leave at least one class retained")
+    try:
+        for what, classes in requests.items():
+            check_forget_set(classes, k, what)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if len(set().union(*cfg.sequential_requests)) >= k:
         raise ConfigError("sequential_requests together must leave at least one "
                           "class retained")

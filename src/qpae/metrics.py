@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, check_forget_set
 from .files import FIELD_KINDS
 from .model import Classifier, NumericError, forward_batch, softmax
 
@@ -103,9 +103,7 @@ def evaluate(model: Classifier, data: LabeledDataset, forget_set: set[int],
     if data.n_samples == 0:
         raise ValueError("evaluation data must be non-empty")
     k = data.num_classes
-    bad = [c for c in forget_set if c < 0 or c >= k]
-    if not forget_set or bad:
-        raise ValueError(f"invalid forget_set {sorted(forget_set)} for K={k}")
+    check_forget_set(forget_set, k)
 
     _, logits = forward_batch(model, data.features)
     probs = softmax(logits)

@@ -73,9 +73,9 @@ class TestInterferenceTransform:
 
     def test_invalid_class(self):
         m = linear_model([[1.0, 0.0]], [0.0, 0.0])
-        with pytest.raises(ValueError, match=r"class indices \[5\] out of range"):
+        with pytest.raises(ValueError, match=r"holds \[5\], not class ids in \[0, 2\)"):
             interference_transform(m, {5}, math.pi)
-        with pytest.raises(ValueError, match="at least one retained class"):
+        with pytest.raises(ValueError, match="must leave at least one class retained"):
             interference_transform(m, {0, 1}, math.pi)  # nothing retained
 
 
@@ -342,13 +342,9 @@ class TestMixing:
 class TestUnlearnConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            UnlearnConfig(forget_set=frozenset())
-        with pytest.raises(ValueError):
             UnlearnConfig(forget_set={0}, alpha=1.5)
         with pytest.raises(ValueError):
             UnlearnConfig(forget_set={0}, entropy_lambda=0.0)
-        with pytest.raises(ValueError, match="negative class index"):
-            UnlearnConfig(forget_set={-1})
         # phase 3's SGD settings, refused before any phase runs
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             UnlearnConfig(forget_set={0}, batch_size=0)
@@ -357,6 +353,19 @@ class TestUnlearnConfig:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("forget_set, message", [
+        ([], "must name at least one class"),
+        ([-1], r"holds \[-1\], not class ids in \[0, 4\)")], ids=["empty", "negative"])
+    def test_bad_forget_set_is_refused_before_the_model_changes(
+            self, tiny_model, tiny_data, forget_set, message):
+        """The config builds with any forget set; the run checks it against
+        the model's class count before the first phase."""
+        before = tiny_model.copy()
+        with pytest.raises(ValueError, match=message):
+            run_qp_audio_eraser(tiny_model, tiny_data,
+                                UnlearnConfig(forget_set=forget_set, seed=1))
+        assert equals_bits(tiny_model, before)
+
     def test_all_phases_disabled_is_bit_identical(self, tiny_model, tiny_data):
         before = tiny_model.copy()
         cfg = UnlearnConfig(forget_set={0}, skip_weight_transform=True,

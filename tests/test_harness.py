@@ -318,6 +318,18 @@ class TestForget:
             harness.forget(model, ws.train_data, "distillation", ws.cfg)
         assert equals_bits(model, before)
 
+    @pytest.mark.parametrize("method_id", sorted(harness.METHOD_IDS))
+    def test_bad_forget_set_leaves_the_model_untouched(self, small_cfg, method_id):
+        """Every method refuses a class past the split's 4 before it trains."""
+        ws = Workspace.create(small_cfg)
+        harness.cmd_train(ws)
+        model = load_checkpoint(ws.original_path())
+        before = model.copy()
+        cfg = replace(ws.cfg, unlearn=replace(ws.cfg.unlearn, forget_set=[7]))
+        with pytest.raises(ValueError, match=r"holds \[7\], not class ids in \[0, 4\)"):
+            harness.forget(model, ws.train_data, method_id, cfg)
+        assert equals_bits(model, before)
+
     def test_full_ablation_variant_is_the_qp_request(self, small_cfg):
         small_cfg.unlearn.epochs = 1
         small_cfg.scenario = "ablation"
