@@ -158,16 +158,23 @@ def accuracy_snapshot(model: Classifier, data: LabeledDataset,
     return scores["fa"], scores["ra"]
 
 
+def phase_entry(phase: str, span: dict | None, model: Classifier, data: LabeledDataset,
+                forget_set: frozenset[int], hidden: np.ndarray | None = None) -> dict:
+    """The phase log's entry for `phase`: `accuracy_snapshot` after it, and
+    the wall time of its `stage` span; a phase with no span was skipped."""
+    fa, ra = accuracy_snapshot(model, data, forget_set, hidden)
+    return {"phase": phase, "forget_accuracy": fa, "retain_accuracy": ra,
+            "wall_ms": span["wall_ms"] if span else 0.0, "skipped": span is None}
+
+
 def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
                         cfg: UnlearnConfig) -> tuple[Classifier, list[dict]]:
     """Run the four phases in order, mutating the model in place.
 
-    Returns the model and a phase log: one entry per phase with
-    forget/retain accuracy measured on `data` after the phase, the
-    phase's own wall time in ms, and whether it was skipped by an
-    ablation flag. Only phase 3 changes the hidden layers, so their output
-    on `data` is computed before phase 1 and again after phase 3 runs;
-    the other snapshots score just the final layer on it.
+    Returns the model and a phase log of one `phase_entry` per phase,
+    scored on `data`. Only phase 3 changes the hidden layers, so their
+    output on `data` is computed before phase 1 and again after phase 3
+    runs; the other snapshots score just the final layer on it.
     """
     check_forget_set(cfg.forget_set, model.num_classes)
     forget = frozenset(cfg.forget_set)
@@ -175,47 +182,41 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
     hidden = penultimate(model, data)
 
     def record(phase: str, span: dict | None) -> None:
-        """Score `data` after a phase; a phase without a span was skipped."""
-        fa, ra = accuracy_snapshot(model, data, forget, hidden)
-        log.append({"phase": phase, "forget_accuracy": fa, "retain_accuracy": ra,
-                    "wall_ms": span["wall_ms"] if span else 0.0, "skipped": span is None})
+        log.append(phase_entry(phase, span, model, data, forget, hidden))
 
-    if cfg.skip_weight_transform:
-        record("interference", None)
-    else:
+    span = None  # a phase that an ablation flag skips keeps no span
+    if not cfg.skip_weight_transform:
         with stage() as span:
             interference_transform(model, forget, cfg.phi)
-        record("interference", span)
+    record("interference", span)
 
     with stage() as span:
         relabeled = superpose_labels(data, forget)
     record("superposition", span)
 
-    if cfg.skip_uncertainty_max:
-        record("optimization", None)
-    else:
+    span = None
+    if not cfg.skip_uncertainty_max:
         loss = partial(quantum_loss, forget_set=forget,
                        entropy_lambda=cfg.entropy_lambda)
         with stage() as span:
             train(model, relabeled, cfg.train_config(), loss)
         # SGD updated the hidden arrays in place
         hidden = penultimate(model, data)
-        record("optimization", span)
+    record("optimization", span)
 
-    if cfg.skip_mixing:
-        record("mixing", None)
-    else:
+    span = None
+    if not cfg.skip_mixing:
         with stage() as span:
             mixing = build_mixing_matrix(model.num_classes, forget, cfg.alpha)
             apply_mixing(model, mixing)
-        record("mixing", span)
+    record("mixing", span)
 
     model.ensure_finite()
     return model, log
 
 
 __all__ = [
-    "UnlearnConfig", "interference_transform",
+    "UnlearnConfig", "interference_transform", "phase_entry",
     "superpose_labels", "quantum_loss", "build_mixing_matrix",
     "apply_mixing", "run_qp_audio_eraser", "penultimate", "accuracy_snapshot",
 ]

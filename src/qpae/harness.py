@@ -20,7 +20,7 @@ from . import audio
 from .baselines import METHOD_NAMES, BaselineConfig, run_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import LabeledDataset, check_forget_set, train_count, train_eval_split
-from .eraser import (UnlearnConfig, accuracy_snapshot,
+from .eraser import (UnlearnConfig, phase_entry,
                      run_qp_audio_eraser, superpose_labels)
 from .files import FIELD_KINDS, write_atomic
 from .metrics import (TABLE_COLUMNS, EvaluationReport, compare_reports,
@@ -194,15 +194,19 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return raw
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def _read_json(path: str | Path, missing: str):
+    """The JSON value in the UTF-8 file at `path`. No file there, as for a
+    directory or "" (the working directory), is ConfigError(missing)."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (FileNotFoundError, IsADirectoryError) as exc:
-        # a directory, "" (the working directory) included, is no config file
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise ConfigError(missing) from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return config_from_dict(_read_json(path, f"config file not found: {path}"))
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
@@ -328,9 +332,9 @@ def _baseline_config(cfg: ExperimentConfig, name: str) -> BaselineConfig:
 class Workspace:
     """One checked experiment config, its output directory and its data splits.
 
-    Each side is built on first use, from only that side's clips, unless
-    the sides are passed in, so a command can refuse its inputs before it
-    pays for the dataset, and read no clip it does not use. `create`
+    Each side is built on first use from only that side's clips, unless
+    the sides are passed in. `load` checks a stored model from files alone,
+    so a command refuses its inputs before it reads a clip. `create`
     builds both sides before it makes the directory.
     """
 
@@ -372,25 +376,20 @@ class Workspace:
     def original_path(self) -> Path:
         return self.out / "original.qpae"
 
-    def load(self, path: str | Path, side: int) -> Classifier:
-        """The checkpoint at `path`, if this run may use it on split `side`.
+    def load(self, path: str | Path) -> Classifier:
+        """The checkpoint at `path`, if this run may use it.
 
         `cmd_train` writes config.json beside `original.qpae`. Its seed,
         dataset, model and train sections must equal this run's; the forget
         set and the baselines may differ, since one trained model serves
-        many forget requests. The model must then fit the side. A bad
-        checkpoint is refused before config.json is read, and config.json
-        before the side is built.
+        many forget requests. The model must then take the dataset's
+        n_mels * n_frames features into num_classes, the sizes of every side
+        built from it. Checked in that order, from files alone: no clip is read.
         """
         model = load_checkpoint(path)
         config_path = self.out / "config.json"
-        try:
-            recorded = json.loads(config_path.read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"no {config_path}: train into this output directory "
-                              "first") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{config_path} is not valid JSON: {exc}") from exc
+        recorded = _read_json(config_path, f"no {config_path}: train into this "
+                                           "output directory first")
         if not isinstance(recorded, dict):
             raise ConfigError(f"{config_path} does not hold a config object")
         # compared as save_config writes it: tuples become lists in JSON
@@ -400,11 +399,12 @@ class Workspace:
                 raise ConfigError(
                     f"the original model in {self.out} was trained with another "
                     f"{key} ({recorded.get(key)!r}; this run: {current[key]!r})")
-        data = self._side(side)
-        if (model.feature_dim, model.num_classes) != (data.feature_dim, data.num_classes):
-            raise ConfigError(
-                f"model takes {model.feature_dim} features into {model.num_classes} "
-                f"classes; the dataset has {data.feature_dim} and {data.num_classes}")
+        spec = self.cfg.dataset
+        fit = (spec.n_mels * spec.n_frames, spec.num_classes)
+        if (model.feature_dim, model.num_classes) != fit:
+            raise ConfigError(f"model takes {model.feature_dim} features into "
+                              f"{model.num_classes} classes; the dataset has {fit[0]} "
+                              f"and {fit[1]}")
         return model
 
     def write_report(self, name: str, report: EvaluationReport) -> None:
@@ -445,14 +445,12 @@ def forget(model: Classifier, data: LabeledDataset, method_id: str,
     forget_set = set(cfg.unlearn.forget_set)
     with stage() as span:
         run_baseline(model, data, forget_set, name, _baseline_config(cfg, name))
-    fa, ra = accuracy_snapshot(model, data, frozenset(forget_set))
-    return model, [{"phase": name, "forget_accuracy": fa, "retain_accuracy": ra,
-                    "wall_ms": span["wall_ms"], "skipped": False}]
+    return model, [phase_entry(name, span, model, data, frozenset(forget_set))]
 
 
 def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
     """`forget` on the original checkpoint; write the result and its phase log."""
-    model = ws.load(ws.original_path(), 0)
+    model = ws.load(ws.original_path())
     model, phase_log = forget(model, ws.train_data, method_id, ws.cfg)
     path = ws.out / f"unlearned_{method_id}.qpae"
     save_checkpoint(model, path)
@@ -472,7 +470,7 @@ def cmd_evaluate(ws: Workspace, model_path: str | Path,
             raise ConfigError(
                 f"the original report covers forget set {theirs[0]} of "
                 f"{theirs[1]} classes; this run forgets {ours[0]} of {ours[1]}")
-    model = ws.load(model_path, 1)
+    model = ws.load(model_path)
     original_fa = original_report.fa if original_report is not None else None
     report = evaluate(model, ws.eval_data, ws.forget_set, original_fa=original_fa)
     stem = name if name is not None else Path(model_path).stem
@@ -529,7 +527,7 @@ def _sequential_step(ws: Workspace) -> None:
     being reinforced rather than re-learned.
     """
     cfg = ws.cfg
-    original = load_checkpoint(ws.original_path())
+    original = ws.load(ws.original_path())
     model = original.copy()
     current = ws.train_data
     forgotten: set[int] = set()
@@ -574,7 +572,7 @@ ABLATION_VARIANTS: list[tuple[str, dict]] = [
 def _ablation_step(ws: Workspace, original_report: EvaluationReport) -> None:
     """Run the five ablated variants plus the full method from one seed."""
     rows = [("Original", original_report)]
-    original = load_checkpoint(ws.original_path())
+    original = ws.load(ws.original_path())
     for name, tweaks in ABLATION_VARIANTS:
         model = original.copy()
         forget(model, ws.train_data, "qp",

@@ -450,40 +450,50 @@ def test_stale_config_is_refused_before_the_dataset(cfg_path, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
-@pytest.mark.parametrize("spoiled", [None, b"{nope", b"\xff{}", b"[" * 200000],
-                         ids=["missing", "not_json", "not_utf8", "deep_nesting"])
+@pytest.mark.parametrize("spoiled", [None, "dir", b"{nope", b"\xff{}", b"[" * 200000],
+                         ids=["missing", "directory", "not_json", "not_utf8",
+                              "deep_nesting"])
 def test_original_without_its_config_is_refused(cfg_path, tmp_path, capsys, verb,
                                                 spoiled):
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
-    if spoiled is None:
+    if not isinstance(spoiled, bytes):
         (out / "config.json").unlink()
+        if spoiled == "dir":
+            (out / "config.json").mkdir()
     else:
         (out / "config.json").write_bytes(spoiled)
     extra = (["--method", "qp"] if verb == "unlearn"
              else ["--model", str(out / "original.qpae")])
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     assert main([verb, "--config", str(cfg_path), *extra]) == 2
     assert "config.json" in _error_line(capsys, "config")
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
 @pytest.mark.parametrize("edit", [{"dataset": {"n_mels": 16}},
                                   {"dataset": {"num_classes": 5}}])
 def test_model_that_does_not_fit_the_dataset_is_refused(cfg_path, tmp_path, capsys,
-                                                        verb, edit):
+                                                        monkeypatch, verb, edit):
+    """The fit is checked against the config's sizes, before either side of
+    the split is built."""
     # a checkpoint trained elsewhere, copied over the one config.json describes
     out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
     other = _edit(cfg_path, tmp_path, "other.json", **edit)
     assert main(["train", "--config", str(cfg_path)]) == 0
     assert main(["train", "--config", str(other), "--out", str(elsewhere)]) == 0
     (out / "original.qpae").write_bytes((elsewhere / "original.qpae").read_bytes())
+    builds = []
+    monkeypatch.setattr(harness, "_last_splits", {})
+    monkeypatch.setattr(harness, "build_dataset", builds.append)
     extra = (["--method", "qp"] if verb == "unlearn"
              else ["--model", str(out / "original.qpae")])
+    capsys.readouterr()
     assert main([verb, "--config", str(cfg_path), *extra]) == 2
     assert "the dataset has" in _error_line(capsys, "config")
+    assert builds == []
 
 
 def test_forget_set_and_baselines_may_differ_from_training(cfg_path, tmp_path):

@@ -160,7 +160,7 @@ class TestConfig:
     def test_not_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{nope")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(f"{p} is not valid JSON")):
             load_config(p)
 
     def test_missing_file(self, tmp_path):
@@ -195,6 +195,20 @@ class TestWorkspace:
         with pytest.raises(ConfigError):
             Workspace(cfg=small_cfg, out=tmp_path / "out", train_data=sides[0],
                       eval_data=sides[1])
+
+
+    @pytest.mark.parametrize("scenario", ["sequential", "ablation"])
+    def test_scenarios_load_the_original_through_load(self, small_cfg, monkeypatch,
+                                                      scenario):
+        """`Workspace.load` is the one way a scenario reads a stored model."""
+        loads, real = [], Workspace.load
+        monkeypatch.setattr(Workspace, "load",
+                            lambda ws, path: loads.append(Path(path).name) or real(ws, path))
+        small_cfg.scenario = scenario
+        small_cfg.unlearn.epochs = 1
+        small_cfg.sequential_requests = [[0], [1]]
+        harness.run_scenario(small_cfg)
+        assert loads == ["original.qpae"]
 
 
 class TestCommands:
