@@ -24,8 +24,6 @@ from .rng import Rng, box_muller, draws_at, unit_interval
 POWER_FLOOR = 1e-6  # added inside log() so silence maps to log(1e-6) exactly
 
 DEFAULT_SAMPLE_RATE = 8000
-DEFAULT_N_FFT = 256
-DEFAULT_HOP = 128
 DEFAULT_N_MELS = 32
 DEFAULT_N_FRAMES = 32
 
@@ -131,14 +129,23 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int) -> np.ndarray:
-    """Triangular filters, (n_mels, n_fft//2 + 1), equally spaced in mel.
+# The one frame geometry: N_FFT-sample frames HOP samples apart, each
+# weighted by the periodic Hann window, the standard choice for
+# short-time analysis. Every caller shares the one read-only array.
+N_FFT = 256
+HOP = 128
+HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)
+HANN.flags.writeable = False
 
-    Cached per argument triple; every caller shares the one read-only array.
+
+@functools.lru_cache(maxsize=16)
+def mel_filterbank(sample_rate: int, n_mels: int) -> np.ndarray:
+    """Triangular filters, (n_mels, N_FFT//2 + 1), equally spaced in mel.
+
+    Cached per argument pair; every caller shares the one read-only array.
     """
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    bin_freqs = np.arange(N_FFT // 2 + 1) * (sample_rate / N_FFT)
     filt = np.zeros((n_mels, bin_freqs.size))
     for m in range(n_mels):
         lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
@@ -149,37 +156,25 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int) -> np.ndarray:
     return filt
 
 
-@functools.lru_cache(maxsize=16)
-def hann_window(n: int) -> np.ndarray:
-    """Periodic Hann window, the standard choice for short-time analysis.
+def _framed_power(x: np.ndarray) -> np.ndarray:
+    """Hann-windowed |rfft|^2 of each row's frames, (m, frames, N_FFT//2 + 1).
 
-    Cached per length, like `mel_filterbank`; every caller shares the one
-    read-only array.
-    """
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    window.flags.writeable = False
-    return window
-
-
-def _framed_power(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
-    """Hann-windowed |rfft|^2 of each row's frames, (m, frames, n_fft//2 + 1).
-
-    Rows must hold at least n_fft samples. The FFT of a frame does not
+    Rows must hold at least N_FFT samples. The FFT of a frame does not
     depend on how many frames or rows share the call.
     """
     m, n = x.shape
     row, step = x.strides
     frames = np.lib.stride_tricks.as_strided(
-        x, shape=(m, (n - n_fft) // hop + 1, n_fft), strides=(row, hop * step, step),
+        x, shape=(m, (n - N_FFT) // HOP + 1, N_FFT), strides=(row, HOP * step, step),
         writeable=False)
-    spec = np.fft.rfft(frames * hann_window(n_fft), axis=-1)
+    spec = np.fft.rfft(frames * HANN, axis=-1)
     return spec.real ** 2 + spec.imag ** 2
 
 
 def log_mel_batch(x: np.ndarray, sample_rate: int, n_mels: int = DEFAULT_N_MELS,
                   target_frames: int = DEFAULT_N_FRAMES) -> np.ndarray:
     """Log mel-band power of the m equal-length clips in x (m, n), in
-    DEFAULT_N_FFT-sample frames DEFAULT_HOP samples apart.
+    N_FFT-sample frames HOP samples apart.
 
     Returns shape (m, n_mels, target_frames). Each clip is zero-padded to
     fill target_frames, then its frames are center-cropped to
@@ -188,16 +183,16 @@ def log_mel_batch(x: np.ndarray, sample_rate: int, n_mels: int = DEFAULT_N_MELS,
     same whichever batch it is computed in; one product over all clips'
     frames at once would not be (BLAS sums depend on the column count).
     """
-    if n_mels > DEFAULT_N_FFT // 2:
-        raise ValueError(f"n_mels must be <= {DEFAULT_N_FFT // 2}")
+    if n_mels > N_FFT // 2:
+        raise ValueError(f"n_mels must be <= {N_FFT // 2}")
     if target_frames < 1:
         raise ValueError("target_frames must be >= 1")
     x = np.asarray(x, dtype=np.float64)
-    needed = DEFAULT_N_FFT + (target_frames - 1) * DEFAULT_HOP
+    needed = N_FFT + (target_frames - 1) * HOP
     if x.shape[1] < needed:
         x = np.concatenate([x, np.zeros((x.shape[0], needed - x.shape[1]))], axis=1)
-    power = _framed_power(x, DEFAULT_N_FFT, DEFAULT_HOP).transpose(0, 2, 1)
-    mel_power = np.matmul(mel_filterbank(sample_rate, DEFAULT_N_FFT, n_mels), power)
+    power = _framed_power(x).transpose(0, 2, 1)
+    mel_power = np.matmul(mel_filterbank(sample_rate, n_mels), power)
     start = (mel_power.shape[2] - target_frames) // 2
     return np.log(POWER_FLOOR + mel_power[:, :, start:start + target_frames])
 
@@ -237,11 +232,11 @@ PROFILES = {"default": SynthProfile(), "overlap": OVERLAP_PROFILE}
 def synth_draws(profile: SynthProfile = PROFILES["default"]) -> int:
     """How far one `synth_clip` call advances its Rng's stream.
 
-    One draw for the frequency jitter, then, if the profile adds noise,
-    2 * ceil(n / 2) for the Box-Muller pairs of its n samples. Clip j of
-    a stream therefore starts at draw j * synth_draws(profile).
+    One draw for the frequency jitter, then 2 * ceil(n / 2) for the
+    Box-Muller pairs of the noise on its n samples. Clip j of a stream
+    therefore starts at draw j * synth_draws(profile).
     """
-    return 1 + (2 * ((profile.n_samples + 1) // 2) if profile.noise_sigma > 0.0 else 0)
+    return 1 + 2 * ((profile.n_samples + 1) // 2)
 
 
 def synth_waves(class_ids, raw: np.ndarray,
@@ -265,8 +260,7 @@ def synth_waves(class_ids, raw: np.ndarray,
         f = k * f0
         keep = f < 0.45 * profile.sample_rate  # keep harmonics clear of Nyquist
         x[keep] += amp * np.sin(2.0 * np.pi * f[keep, None] * t)
-    if profile.noise_sigma > 0.0:
-        x += 0.0 + profile.noise_sigma * box_muller(raw[:, 1:], n)
+    x += 0.0 + profile.noise_sigma * box_muller(raw[:, 1:], n)
     return np.clip(x, -1.0, 1.0)
 
 

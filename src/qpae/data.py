@@ -11,6 +11,8 @@ from .rng import Rng
 
 LABEL_SUM_TOL = 1e-9
 
+TRAIN_FRACTION = 0.8  # of each class's samples; the rest are held out
+
 
 @dataclass
 class LabeledDataset:
@@ -76,28 +78,26 @@ def check_forget_set(forget_set: Collection[int], num_classes: int,
         raise ValueError(f"{what} must leave at least one class retained")
 
 
-def train_count(n: int, train_frac: float) -> int:
+def train_count(n: int) -> int:
     """How many of a class's n samples train_eval_split puts on the train side."""
-    return int(round(n * train_frac))
+    return int(round(n * TRAIN_FRACTION))
 
 
-def train_eval_split(classes: np.ndarray, num_classes: int, train_frac: float,
+def train_eval_split(classes: np.ndarray, num_classes: int,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded per-class split of row indices: (train rows, held-out rows),
-    each sorted, so both sides see every class.
+    """Seeded per-class TRAIN_FRACTION split of row indices: (train rows,
+    held-out rows), each sorted, so both sides see every class.
 
     Only each row's class is read, so the split is known before any
     features are built.
     """
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must be in (0, 1)")
     rng = Rng(seed)
     train_idx: list[int] = []
     eval_idx: list[int] = []
     for c in range(num_classes):
         idx = np.where(classes == c)[0]
         rng.shuffle(idx)
-        cut = train_count(len(idx), train_frac)
+        cut = train_count(len(idx))
         train_idx.extend(idx[:cut])
         eval_idx.extend(idx[cut:])
     return (np.array(sorted(train_idx), dtype=np.int64),

@@ -19,7 +19,8 @@ import numpy as np
 from . import audio
 from .baselines import METHOD_NAMES, BaselineConfig, run_baseline
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import LabeledDataset, check_forget_set, train_count, train_eval_split
+from .data import (TRAIN_FRACTION, LabeledDataset, check_forget_set, train_count,
+                   train_eval_split)
 from .eraser import (UnlearnConfig, phase_entry,
                      run_qp_audio_eraser, superpose_labels)
 from .files import FIELD_KINDS, write_atomic
@@ -44,8 +45,6 @@ METHOD_LABELS = {"qp": "QPAudioEraser", "ga": "Gradient Ascent",
 
 # stage keys for seed derivation
 _SEED_DATA, _SEED_SPLIT, _SEED_INIT, _SEED_TRAIN, _SEED_UNLEARN = 1, 2, 3, 4, 5
-
-TRAIN_FRACTION = 0.8  # of each class's samples; the rest are held out
 
 # config.json sections that must match for a run to reuse original.qpae
 PROVENANCE_KEYS = ("seed", "dataset", "model", "train")
@@ -138,7 +137,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def _splits_both_sides(n: int) -> bool:
     """True if a class of n samples keeps some on each side of the split."""
-    return 0 < train_count(n, TRAIN_FRACTION) < n
+    return 0 < train_count(n) < n
 
 
 def check_ranges(cfg: ExperimentConfig) -> None:
@@ -179,7 +178,7 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     if len(set().union(*cfg.sequential_requests)) >= k:
         raise ConfigError("sequential_requests together must leave at least one "
                           "class retained")
-    max_mels = audio.DEFAULT_N_FFT // 2
+    max_mels = audio.N_FFT // 2
     if not 1 <= cfg.dataset.n_mels <= max_mels:
         raise ConfigError(f"dataset.n_mels must be in [1, {max_mels}], "
                           f"got {cfg.dataset.n_mels}")
@@ -296,7 +295,7 @@ def prepare_split(cfg: ExperimentConfig, side: int) -> LabeledDataset:
     elif side in _last_splits[key]:
         return _last_splits[key][side]
     rows = train_eval_split(dataset_classes(cfg), cfg.dataset.num_classes,
-                            TRAIN_FRACTION, derive_seed(cfg.seed, _SEED_SPLIT))[side]
+                            derive_seed(cfg.seed, _SEED_SPLIT))[side]
     data = build_dataset(cfg, rows)
     if key is not None:
         for array in (data.features, data.labels, data.original_classes):
@@ -334,8 +333,8 @@ class Workspace:
 
     Each side is built on first use from only that side's clips, unless
     the sides are passed in. `load` checks a stored model from files alone,
-    so a command refuses its inputs before it reads a clip. `create`
-    builds both sides before it makes the directory.
+    so a command refuses its inputs before it reads a clip. `create` checks
+    the directory's provenance, then builds both sides before it makes it.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: str | Path | None = None,
@@ -348,8 +347,12 @@ class Workspace:
 
     @classmethod
     def create(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
-        """A workspace with both sides built, then its output directory made."""
+        """A workspace with both sides built, then its output directory made.
+        A config.json there must record this run's provenance: a retrain with
+        another would strand the artifacts derived from the old original."""
         ws = cls(cfg, out)
+        if (ws.out / "config.json").is_file():
+            ws.check_provenance()
         # a dataset that fails to build leaves no directory behind
         for side in (0, 1):
             ws._side(side)
@@ -376,17 +379,11 @@ class Workspace:
     def original_path(self) -> Path:
         return self.out / "original.qpae"
 
-    def load(self, path: str | Path) -> Classifier:
-        """The checkpoint at `path`, if this run may use it.
-
-        `cmd_train` writes config.json beside `original.qpae`. Its seed,
+    def check_provenance(self) -> None:
+        """`cmd_train` writes config.json beside `original.qpae`. Its seed,
         dataset, model and train sections must equal this run's; the forget
         set and the baselines may differ, since one trained model serves
-        many forget requests. The model must then take the dataset's
-        n_mels * n_frames features into num_classes, the sizes of every side
-        built from it. Checked in that order, from files alone: no clip is read.
-        """
-        model = load_checkpoint(path)
+        many forget requests."""
         config_path = self.out / "config.json"
         recorded = _read_json(config_path, f"no {config_path}: train into this "
                                            "output directory first")
@@ -399,6 +396,15 @@ class Workspace:
                 raise ConfigError(
                     f"the original model in {self.out} was trained with another "
                     f"{key} ({recorded.get(key)!r}; this run: {current[key]!r})")
+
+    def load(self, path: str | Path) -> Classifier:
+        """The checkpoint at `path`, if this run may use it: its file, then
+        `check_provenance`, then the fit. The model must take the dataset's
+        n_mels * n_frames features into num_classes, the sizes of every side
+        built from it. Checked from files alone: no clip is read.
+        """
+        model = load_checkpoint(path)
+        self.check_provenance()
         spec = self.cfg.dataset
         fit = (spec.n_mels * spec.n_frames, spec.num_classes)
         if (model.feature_dim, model.num_classes) != fit:

@@ -211,11 +211,11 @@ def reference_read_wav(path) -> WavClip:
     return WavClip(sample_rate=sample_rate, samples=samples)
 
 
-def reference_log_mel_batch(x, sample_rate, n_fft=256, hop=128, n_mels=32,
-                            target_frames=32) -> np.ndarray:
+def reference_log_mel_batch(x, sample_rate, n_mels=32, target_frames=32) -> np.ndarray:
     """Log mel-band power of the m equal-length clips in x (m, n), shape
     (m, n_mels, target_frames): zero-pad, frame with a sliding window view,
     a Hann window computed per call, one stacked mel matmul, crop, log."""
+    n_fft, hop = 256, 128
     x = np.asarray(x, dtype=np.float64)
     needed = n_fft + (target_frames - 1) * hop
     if x.shape[1] < needed:
@@ -224,7 +224,7 @@ def reference_log_mel_batch(x, sample_rate, n_fft=256, hop=128, n_mels=32,
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft, axis=1)[:, ::hop]
     spec = np.fft.rfft(frames * window, axis=-1)
     power = (spec.real ** 2 + spec.imag ** 2).transpose(0, 2, 1)
-    mel_power = np.matmul(mel_filterbank(sample_rate, n_fft, n_mels), power)
+    mel_power = np.matmul(mel_filterbank(sample_rate, n_mels), power)
     start = (mel_power.shape[2] - target_frames) // 2
     return np.log(POWER_FLOOR + mel_power[:, :, start:start + target_frames])
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import strategies as st
 
 from qpae import harness
-from qpae.audio import (OVERLAP_PROFILE, PROFILES, SYNTH_CHUNK, ManifestError,
-                        SynthProfile, WavClip, WavParseError, _framed_power,
-                        hann_window, hz_to_mel, load_manifest, log_mel_batch,
+from qpae.audio import (HANN, HOP, N_FFT, OVERLAP_PROFILE, PROFILES, SYNTH_CHUNK,
+                        ManifestError, SynthProfile, WavClip, WavParseError,
+                        _framed_power, hz_to_mel, load_manifest, log_mel_batch,
                         log_mel_spectrogram, mel_filterbank, mel_to_hz, read_wav,
                         synth_clip, synth_dataset, synth_draws, synth_waves, write_wav)
 from qpae.data import train_eval_split
@@ -25,14 +25,14 @@ from helpers import (one_hot, predict_classes, reference_log_mel_batch,
 SR = 8000
 
 
-def power_spectrogram(clip, n_fft, hop):
+def power_spectrogram(clip):
     """The framing `log_mel_batch` uses, for one clip: Hann-windowed
-    |rfft|^2 per frame, shape (n_fft//2 + 1, frames), a short clip
+    |rfft|^2 per frame, shape (N_FFT//2 + 1, frames), a short clip
     zero-padded to one frame."""
     x = clip.samples
-    if x.size < n_fft:
-        x = np.concatenate([x, np.zeros(n_fft - x.size)])
-    return _framed_power(x[None, :], n_fft, hop)[0].T
+    if x.size < N_FFT:
+        x = np.concatenate([x, np.zeros(N_FFT - x.size)])
+    return _framed_power(x[None, :])[0].T
 
 
 def wav_bytes(payload: bytes, fmt_tag: int, channels: int, sample_rate: int, bits: int,
@@ -144,9 +144,9 @@ class TestLogMel:
 
     def test_sine_energy_lands_in_its_mel_band(self):
         # oracle: direct O(n^2) DFT of one windowed frame, no fft call
-        n_fft, n_mels = 256, 32
-        filt = mel_filterbank(SR, n_fft, n_mels)
-        window = hann_window(n_fft)
+        n_fft, n_mels = N_FFT, 32
+        filt = mel_filterbank(SR, n_mels)
+        window = HANN
         for k_bin in (8, 16, 24, 40, 60):
             freq = k_bin * SR / n_fft
             clip = sine_clip(freq)
@@ -178,12 +178,12 @@ class TestLogMel:
     def test_parseval_energy_reaches_spectrum(self):
         # full-spectrum power (interior rfft bins doubled) vs windowed
         # time-domain energy; nothing should be lost
-        n_fft = 256
-        window = hann_window(n_fft)
+        n_fft = N_FFT
+        window = HANN
         for i in range(10):
             freq = 150.0 + 370.0 * i
             clip = sine_clip(freq, n=n_fft)
-            power = power_spectrogram(clip, n_fft, n_fft)[:, 0]
+            power = power_spectrogram(clip)[:, 0]
             spectral = power[0] + power[-1] + 2.0 * power[1:-1].sum()
             time_energy = n_fft * np.sum((clip.samples[:n_fft] * window) ** 2)
             assert spectral >= 0.9 * time_energy
@@ -193,33 +193,30 @@ class TestLogMel:
         freqs = np.array([100.0, 700.0, 3999.0])
         assert np.allclose(mel_to_hz(hz_to_mel(freqs)), freqs, rtol=1e-12)
 
-    @pytest.mark.parametrize("n, hop", [(100, 128), (256, 128), (257, 128),
-                                        (1000, 128), (6437, 128), (6400, 128),
-                                        (3001, 100), (700, 1)])
-    def test_power_spectrogram_matches_slice_loop(self, n, hop):
+    @pytest.mark.parametrize("n", [100, 256, 257, 1000, 6437, 6400, 3001, 700])
+    def test_power_spectrogram_matches_slice_loop(self, n):
         # reference: one slice per frame, stacked, as the framing was first written
         clip = WavClip(SR, Rng(n).normal(n, sigma=0.3))
-        n_fft = 256
+        n_fft, hop = N_FFT, HOP
         x = clip.samples
         if x.size < n_fft:
             x = np.concatenate([x, np.zeros(n_fft - x.size)])
         n_frames = 1 + (x.size - n_fft) // hop
         frames = np.stack([x[t * hop:t * hop + n_fft] for t in range(n_frames)])
-        spec = np.fft.rfft(frames * hann_window(n_fft), axis=1)
+        spec = np.fft.rfft(frames * HANN, axis=1)
         want = (spec.real ** 2 + spec.imag ** 2).T
-        got = power_spectrogram(clip, n_fft, hop)
+        got = power_spectrogram(clip)
         assert got.shape == want.shape == (n_fft // 2 + 1, n_frames)
         assert np.array_equal(got, want)
 
-    def test_mel_filterbank_is_one_read_only_array_per_triple(self):
-        a = mel_filterbank(SR, 256, 32)
-        assert mel_filterbank(SR, 256, 32) is a
+    def test_mel_filterbank_is_one_read_only_array_per_pair(self):
+        a = mel_filterbank(SR, 32)
+        assert mel_filterbank(SR, 32) is a
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
-        b = mel_filterbank(SR, 256, 16)
+        b = mel_filterbank(SR, 16)
         assert b is not a and b.shape == (16, 129)
-        assert mel_filterbank(SR, 512, 32).shape == (32, 257)
 
     def test_validation(self):
         clip = sine_clip(440.0)
@@ -262,17 +259,19 @@ class TestSynth:
             assert np.max(np.abs(clip.samples)) <= 1.0
 
 
-def reference_log_mel(clip, n_fft=256, hop=128, n_mels=32, target_frames=32):
+def reference_log_mel(clip, n_mels=32, target_frames=32):
     """Log-mel of one clip as first written: pad, frame, one 2-D mel product,
     log, then crop."""
+    n_fft, hop = 256, 128
     x = clip.samples
     needed = n_fft + (target_frames - 1) * hop
     if x.size < needed:
         x = np.concatenate([x, np.zeros(needed - x.size)])
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop]
-    spec = np.fft.rfft(frames * hann_window(n_fft), axis=1)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    spec = np.fft.rfft(frames * window, axis=1)
     power = (spec.real ** 2 + spec.imag ** 2).T
-    values = np.log(1e-6 + mel_filterbank(clip.sample_rate, n_fft, n_mels) @ power)
+    values = np.log(1e-6 + mel_filterbank(clip.sample_rate, n_mels) @ power)
     start = (values.shape[1] - target_frames) // 2
     return values[:, start:start + target_frames]
 
@@ -290,15 +289,14 @@ def reference_synth_clip(class_id, rng, profile=None):
         f = k * f0
         if f < 0.45 * p.sample_rate:
             x += amp * np.sin(2.0 * np.pi * f * t)
-    if p.noise_sigma > 0.0:
-        pairs = (n + 1) // 2
-        raw = rng.fill_u64(2 * pairs)
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        x += 0.0 + p.noise_sigma * z
+    pairs = (n + 1) // 2
+    raw = rng.fill_u64(2 * pairs)
+    u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    x += 0.0 + p.noise_sigma * z
     return WavClip(p.sample_rate, np.clip(x, -1.0, 1.0))
 
 
@@ -352,7 +350,6 @@ class TestBatchedFrontEnd:
 
     def test_draw_counts(self):
         assert synth_draws() == 1 + 6400
-        assert synth_draws(SynthProfile(noise_sigma=0.0)) == 1
         assert synth_draws(SynthProfile(duration_s=0.000625)) == 1 + 6
 
 
@@ -531,7 +528,7 @@ def test_overlap_profile_is_harder_but_learnable():
     data = synth_dataset(6, 30, seed=9, n_mels=16, n_frames=8,
                          profile=SynthProfile(class_spacing=50.0, freq_jitter=0.05))
     tr, ev = (data.subset(rows) for rows in
-              train_eval_split(data.original_classes, 6, 0.8, seed=2))
+              train_eval_split(data.original_classes, 6, seed=2))
     m = Classifier.random_init(data.feature_dim, [32], 6, Rng(3))
     train(m, tr, TrainConfig(learning_rate=0.01, epochs=6, seed=4), cross_entropy_loss)
     acc = float(np.mean(predict_classes(m, ev.features) == ev.original_classes))
@@ -597,13 +594,12 @@ class TestLeanFrontEnd:
             got = log_mel_batch(x, rate, **kwargs)
             assert got.tobytes() == reference_log_mel_batch(x, rate, **kwargs).tobytes()
 
-    def test_hann_window_is_one_read_only_array_per_length(self):
-        a = hann_window(256)
-        assert hann_window(256) is a
-        assert not a.flags.writeable
+    def test_hann_is_the_read_only_periodic_window_of_n_fft(self):
+        assert not HANN.flags.writeable
         with pytest.raises(ValueError):
-            a[0] = 1.0
-        assert hann_window(512).shape == (512,)
+            HANN[0] = 1.0
+        periodic = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)
+        assert HANN.tobytes() == periodic.tobytes()
 
     @pytest.mark.parametrize("blob", [
         b"", b"RIFF", b"RIFX" + bytes(40), b"RIFF\0\0\0\0WAVE",
@@ -652,7 +648,7 @@ class TestLeanFrontEnd:
 def _subsets(classes, num_classes):
     """Row lists a command or a caller builds: each side of the split, one
     row, the first and last clips, and a run across a chunk boundary."""
-    train, held_out = train_eval_split(classes, num_classes, 0.8, seed=3)
+    train, held_out = train_eval_split(classes, num_classes, seed=3)
     n = len(classes)
     return {"train": train, "held_out": held_out, "one": [n // 2],
             "first_last": [0, n - 1],

@@ -412,7 +412,13 @@ def _edit(cfg_path, tmp_path, name, **sections):
     return path
 
 
-@pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
+def _verb_args(verb, out):
+    """The flags beyond --config that each verb needs on a trained --out."""
+    return {"unlearn": ["--method", "qp"],
+            "evaluate": ["--model", str(out / "original.qpae")]}.get(verb, [])
+
+
+@pytest.mark.parametrize("verb", ["train", "run", "unlearn", "evaluate"])
 @pytest.mark.parametrize("flags, edit", [
     (["--seed", "8"], {}),
     ([], {"dataset": {"n_mels": 16}}),
@@ -420,18 +426,29 @@ def _edit(cfg_path, tmp_path, name, **sections):
     ([], {"model": {"hidden": [8]}}),
 ])
 def test_stale_original_is_refused(cfg_path, tmp_path, capsys, verb, flags, edit):
+    """An --out trained with another provenance is refused by every verb
+    that reads or rewrites its original, and nothing in it changes."""
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
     other = _edit(cfg_path, tmp_path, "other.json", **edit)
-    extra = (["--method", "qp"] if verb == "unlearn"
-             else ["--model", str(out / "original.qpae")])
     before = sorted(p.name for p in out.iterdir())
-    assert main([verb, "--config", str(other), *flags, *extra]) == 2
+    original = (out / "original.qpae").read_bytes()
+    capsys.readouterr()
+    assert main([verb, "--config", str(other), *flags, *_verb_args(verb, out)]) == 2
     assert "trained with another" in _error_line(capsys, "config")
     assert sorted(p.name for p in out.iterdir()) == before
+    assert (out / "original.qpae").read_bytes() == original
 
 
-@pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
+def test_retrain_with_the_same_provenance_is_byte_identical(cfg_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    original = (out / "original.qpae").read_bytes()
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert (out / "original.qpae").read_bytes() == original
+
+
+@pytest.mark.parametrize("verb", ["train", "run", "unlearn", "evaluate"])
 def test_stale_config_is_refused_before_the_dataset(cfg_path, tmp_path, monkeypatch,
                                                     capsys, verb):
     """A checkpoint is read first, then config.json; a stale config.json
@@ -441,10 +458,9 @@ def test_stale_config_is_refused_before_the_dataset(cfg_path, tmp_path, monkeypa
     builds = []
     monkeypatch.setattr(harness, "_last_splits", {})
     monkeypatch.setattr(harness, "build_dataset", builds.append)
-    extra = (["--method", "qp"] if verb == "unlearn"
-             else ["--model", str(out / "original.qpae")])
     capsys.readouterr()
-    assert main([verb, "--config", str(cfg_path), "--seed", "8", *extra]) == 2
+    assert main([verb, "--config", str(cfg_path), "--seed", "8",
+                 *_verb_args(verb, out)]) == 2
     assert "trained with another seed" in _error_line(capsys, "config")
     assert builds == []
 
@@ -463,11 +479,9 @@ def test_original_without_its_config_is_refused(cfg_path, tmp_path, capsys, verb
             (out / "config.json").mkdir()
     else:
         (out / "config.json").write_bytes(spoiled)
-    extra = (["--method", "qp"] if verb == "unlearn"
-             else ["--model", str(out / "original.qpae")])
     before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
-    assert main([verb, "--config", str(cfg_path), *extra]) == 2
+    assert main([verb, "--config", str(cfg_path), *_verb_args(verb, out)]) == 2
     assert "config.json" in _error_line(capsys, "config")
     assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
 
@@ -488,10 +502,8 @@ def test_model_that_does_not_fit_the_dataset_is_refused(cfg_path, tmp_path, caps
     builds = []
     monkeypatch.setattr(harness, "_last_splits", {})
     monkeypatch.setattr(harness, "build_dataset", builds.append)
-    extra = (["--method", "qp"] if verb == "unlearn"
-             else ["--model", str(out / "original.qpae")])
     capsys.readouterr()
-    assert main([verb, "--config", str(cfg_path), *extra]) == 2
+    assert main([verb, "--config", str(cfg_path), *_verb_args(verb, out)]) == 2
     assert "the dataset has" in _error_line(capsys, "config")
     assert builds == []
 
@@ -679,7 +691,7 @@ def manifest(cfg_path, tmp_path, capsys):
                  dataset={"kind": "manifest", "path": str(dataset)})
     cfg = harness.load_config(path)
     rows = train_eval_split(harness.dataset_classes(cfg), cfg.dataset.num_classes,
-                            harness.TRAIN_FRACTION, derive_seed(cfg.seed, harness._SEED_SPLIT))
+                            derive_seed(cfg.seed, harness._SEED_SPLIT))
     capsys.readouterr()
     return {"config": path, "dataset": dataset,
             "clips": [[dataset / "wavs" / f"clip_{i:05d}.wav" for i in side] for side in rows]}

@@ -170,7 +170,7 @@ class TestConfig:
     @pytest.mark.parametrize("per_class", range(1, 9))
     def test_per_class_accepted_iff_split_keeps_both_sides(self, per_class):
         classes = np.repeat(np.arange(3), per_class)
-        sides = train_eval_split(classes, 3, harness.TRAIN_FRACTION, seed=1)
+        sides = train_eval_split(classes, 3, seed=1)
         both_sides = all(np.any(classes[rows] == c) for rows in sides for c in range(3))
         cfg = default_config(dataset=harness.DatasetSpec(num_classes=3,
                                                          per_class=per_class))
@@ -535,7 +535,6 @@ class TestOneSide:
         monkeypatch.setattr(harness, "_last_splits", {})
         full = harness.build_dataset(cfg)
         sides = train_eval_split(full.original_classes, cfg.dataset.num_classes,
-                                 harness.TRAIN_FRACTION,
                                  derive_seed(cfg.seed, harness._SEED_SPLIT))
         for side, rows in enumerate(sides):
             want = full.subset(rows)
