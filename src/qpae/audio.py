@@ -171,29 +171,58 @@ def _framed_power(x: np.ndarray) -> np.ndarray:
     return spec.real ** 2 + spec.imag ** 2
 
 
-def log_mel_batch(x: np.ndarray, sample_rate: int, n_mels: int = DEFAULT_N_MELS,
-                  target_frames: int = DEFAULT_N_FRAMES) -> np.ndarray:
-    """Log mel-band power of the m equal-length clips in x (m, n), in
-    N_FFT-sample frames HOP samples apart.
+def _frame_layout(n_samples: int, n_frames: int) -> tuple[int, int]:
+    """(frames of an n_samples clip once zero-padded to fill n_frames,
+    index of the first of the n_frames center-cropped ones)."""
+    total = max(n_frames, (n_samples - N_FFT) // HOP + 1)
+    return total, (total - n_frames) // 2
 
-    Returns shape (m, n_mels, target_frames). Each clip is zero-padded to
-    fill target_frames, then its frames are center-cropped to
-    target_frames. The mel projection is one stacked matmul, a
-    (n_mels, bins) @ (bins, frames) product per clip, so a row is the
-    same whichever batch it is computed in; one product over all clips'
-    frames at once would not be (BLAS sums depend on the column count).
+
+def crop_span(n_samples: int, n_frames: int) -> tuple[int, int]:
+    """The samples [lo, hi) that the n_frames center-cropped frames of an
+    n_samples clip read: from the first kept frame's start, N_FFT + (n_frames
+    - 1) * HOP samples, clipped to the clip. A clip that is zero-padded to
+    fill n_frames is read whole."""
+    lo = _frame_layout(n_samples, n_frames)[1] * HOP
+    return lo, min(n_samples, lo + N_FFT + (n_frames - 1) * HOP)
+
+
+def log_mel_batch(x: np.ndarray, sample_rate: int, n_mels: int = DEFAULT_N_MELS,
+                  target_frames: int = DEFAULT_N_FRAMES,
+                  n_samples: int | None = None) -> np.ndarray:
+    """Log mel-band power of m equal-length clips, in N_FFT-sample frames
+    HOP samples apart.
+
+    x (m, n) holds the whole clips, or, if n_samples is given, the
+    `crop_span(n_samples, target_frames)` of clips n_samples long: all
+    that the kept frames read. Returns shape (m, n_mels, target_frames).
+    Each clip is zero-padded to fill target_frames, then its frames are
+    center-cropped to target_frames; only the kept frames are Fourier-
+    transformed. The mel projection is one stacked matmul, a (n_mels,
+    bins) @ (bins, frames) product per clip over all of the clip's frames,
+    the dropped ones as zero power: BLAS sums depend on the column count,
+    so a product over the kept frames alone, or one over all clips' frames
+    at once, would change the last bits of a row.
     """
     if n_mels > N_FFT // 2:
         raise ValueError(f"n_mels must be <= {N_FFT // 2}")
     if target_frames < 1:
         raise ValueError("target_frames must be >= 1")
     x = np.asarray(x, dtype=np.float64)
+    n = x.shape[1] if n_samples is None else n_samples
+    lo, hi = crop_span(n, target_frames)
+    if x.shape[1] == n:
+        x = x[:, lo:hi]
+    elif x.shape[1] != hi - lo:
+        raise ValueError(f"x must hold clips of {n} samples or their {hi - lo}-sample "
+                         f"crop span, got {x.shape[1]}")
     needed = N_FFT + (target_frames - 1) * HOP
     if x.shape[1] < needed:
         x = np.concatenate([x, np.zeros((x.shape[0], needed - x.shape[1]))], axis=1)
-    power = _framed_power(x).transpose(0, 2, 1)
-    mel_power = np.matmul(mel_filterbank(sample_rate, n_mels), power)
-    start = (mel_power.shape[2] - target_frames) // 2
+    total, start = _frame_layout(n, target_frames)
+    power = np.zeros((x.shape[0], total, N_FFT // 2 + 1))
+    power[:, start:start + target_frames] = _framed_power(x)
+    mel_power = np.matmul(mel_filterbank(sample_rate, n_mels), power.transpose(0, 2, 1))
     return np.log(POWER_FLOOR + mel_power[:, :, start:start + target_frames])
 
 
@@ -239,28 +268,32 @@ def synth_draws(profile: SynthProfile = PROFILES["default"]) -> int:
     return 1 + 2 * ((profile.n_samples + 1) // 2)
 
 
-def synth_waves(class_ids, raw: np.ndarray,
-                profile: SynthProfile = PROFILES["default"]) -> np.ndarray:
-    """Waveforms (m, n) of m seeded harmonic tones, row i of class class_ids[i].
+def synth_waves(class_ids, raw: np.ndarray, profile: SynthProfile = PROFILES["default"],
+                span: tuple[int, int] | None = None) -> np.ndarray:
+    """Samples [lo, hi) = span of m seeded harmonic tones, (m, hi - lo), row
+    i of class class_ids[i]; the whole clips if span is None.
 
     raw holds the m clips' stream draws, synth_draws(profile) per clip and
-    clip after clip, as `Rng.fill_u64` or `draws_at` return them. Every
-    sample goes through the same IEEE operations whatever m is, so a row
-    does not depend on the chunk it is built in.
+    clip after clip, as `Rng.fill_u64` or `draws_at` return them. Only the
+    span's samples are computed. Every sample goes through the same IEEE
+    operations whatever m and the span are, so a row does not depend on
+    the chunk it is built in, and a span equals those columns of the
+    whole clips, bit for bit.
     """
     class_ids = np.asarray(class_ids, dtype=np.int64)
-    m, n = class_ids.size, profile.n_samples
+    m = class_ids.size
+    lo, hi = (0, profile.n_samples) if span is None else span
     raw = raw.reshape(m, synth_draws(profile))
     low, high = -profile.freq_jitter, profile.freq_jitter
     jitter = low + (high - low) * unit_interval(raw[:, 0])
     f0 = (profile.base_freq + profile.class_spacing * class_ids) * (1.0 + jitter)
-    t = np.arange(n) / profile.sample_rate
-    x = np.zeros((m, n))
+    t = np.arange(lo, hi) / profile.sample_rate
+    x = np.zeros((m, hi - lo))
     for k, amp in enumerate(profile.harmonic_amps, start=1):
         f = k * f0
         keep = f < 0.45 * profile.sample_rate  # keep harmonics clear of Nyquist
         x[keep] += amp * np.sin(2.0 * np.pi * f[keep, None] * t)
-    x += 0.0 + profile.noise_sigma * box_muller(raw[:, 1:], n)
+    x += 0.0 + profile.noise_sigma * box_muller(raw[:, 1:], hi, lo)
     return np.clip(x, -1.0, 1.0)
 
 
@@ -305,8 +338,10 @@ def _clip_rows(rows, n: int) -> np.ndarray:
 
 
 def _synth_chunks(classes: np.ndarray, clips: np.ndarray, seed: int,
-                  profile: SynthProfile, work: Callable[[int, np.ndarray], None]) -> None:
-    """Synthesise the listed clips and hand them to work in chunks.
+                  profile: SynthProfile, work: Callable[[int, np.ndarray], None],
+                  span: tuple[int, int] | None = None) -> None:
+    """Synthesise the span of the listed clips (see `synth_waves`) and hand
+    it to work in chunks.
 
     Clip j, of class classes[j], takes its draws from the Rng(seed)
     stream starting at draw j * synth_draws(profile), so its tone does not
@@ -324,7 +359,7 @@ def _synth_chunks(classes: np.ndarray, clips: np.ndarray, seed: int,
     def build(first: int) -> None:
         chunk = clips[first:first + SYNTH_CHUNK]
         work(first, synth_waves(classes[chunk], draws_at(seed, chunk * draws, draws),
-                                profile))
+                                profile, span))
 
     starts = range(0, clips.size, SYNTH_CHUNK)
     if not starts:
@@ -338,7 +373,8 @@ def synth_dataset(num_classes: int, per_class: int, seed: int,
                   profile: SynthProfile = PROFILES["default"], rows=None) -> LabeledDataset:
     """Deterministic synthetic dataset: per_class tones for each class.
 
-    The tones are those of `_synth_chunks`; each chunk writes its log-mel
+    The tones are those of `_synth_chunks`, made only over the
+    `crop_span` that the kept frames read; each chunk writes its log-mel
     feature rows in place, so the features do not depend on the worker
     count. rows, if given, lists the clips to build (indices into the
     `synth_classes` layout); row i of the result is row rows[i] of the
@@ -350,10 +386,11 @@ def synth_dataset(num_classes: int, per_class: int, seed: int,
 
     def featurize(first: int, waves: np.ndarray) -> None:
         features[first:first + len(waves)] = log_mel_batch(
-            waves, profile.sample_rate, n_mels=n_mels,
-            target_frames=n_frames).reshape(len(waves), -1)
+            waves, profile.sample_rate, n_mels=n_mels, target_frames=n_frames,
+            n_samples=profile.n_samples).reshape(len(waves), -1)
 
-    _synth_chunks(classes, clips, seed, profile, featurize)
+    _synth_chunks(classes, clips, seed, profile, featurize,
+                  crop_span(profile.n_samples, n_frames))
     classes = classes[clips]
     return LabeledDataset(features, np.eye(num_classes)[classes], classes, num_classes)
 

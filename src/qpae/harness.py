@@ -272,11 +272,28 @@ def build_dataset(cfg: ExperimentConfig, rows=None) -> LabeledDataset:
                                n_mels=spec.n_mels, n_frames=spec.n_frames, rows=rows)
 
 
-# The sides built of the last synthetic dataset, by side, under its key.
+@dataclass
+class _Kept:
+    """What a process keeps of the last synthetic dataset: its sides, by
+    side, as they are built, and the originals trained on its side 0, by
+    their model and train sections."""
+
+    sides: dict[int, LabeledDataset] = field(default_factory=dict)
+    originals: dict[str, Classifier] = field(default_factory=dict)
+
+
+# The one `_Kept` entry, under its dataset's key (`_split_key`).
 # Scenarios run back to back share no object, so reuse has to live here;
 # one entry catches every repeat of a run of scenarios on one seed and
-# holds no more than the previous Workspace already keeps alive.
-_last_splits: dict[tuple, dict[int, LabeledDataset]] = {}
+# holds no more than the previous Workspace already keeps alive, plus the
+# originals trained on it.
+_last_splits: dict[tuple, _Kept] = {}
+
+
+def _split_key(cfg: ExperimentConfig) -> tuple | None:
+    """The key a synthetic dataset is kept under: every dataset field and
+    the master seed. None for a manifest, whose files can change on disk."""
+    return (astuple(cfg.dataset), cfg.seed) if cfg.dataset.kind == "synthetic" else None
 
 
 def prepare_split(cfg: ExperimentConfig, side: int) -> LabeledDataset:
@@ -289,18 +306,18 @@ def prepare_split(cfg: ExperimentConfig, side: int) -> LabeledDataset:
     returned again, with every array read-only; a manifest's files can
     change on disk, so it is always read afresh.
     """
-    key = (astuple(cfg.dataset), cfg.seed) if cfg.dataset.kind == "synthetic" else None
+    key = _split_key(cfg)
     if key not in _last_splits:
         _last_splits.clear()  # before the build, so two datasets are never held
-    elif side in _last_splits[key]:
-        return _last_splits[key][side]
+    elif side in _last_splits[key].sides:
+        return _last_splits[key].sides[side]
     rows = train_eval_split(dataset_classes(cfg), cfg.dataset.num_classes,
                             derive_seed(cfg.seed, _SEED_SPLIT))[side]
     data = build_dataset(cfg, rows)
     if key is not None:
         for array in (data.features, data.labels, data.original_classes):
             array.flags.writeable = False
-        _last_splits.setdefault(key, {})[side] = data
+        _last_splits.setdefault(key, _Kept()).sides[side] = data
     return data
 
 
@@ -418,14 +435,31 @@ class Workspace:
 
 
 def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
-    """Train from a seeded init; write the checkpoint and original report."""
+    """Train from a seeded init; write config.json, then the checkpoint
+    and the original report.
+
+    If the training side is the one `prepare_split` keeps, the model is
+    kept beside it, and a later run with the same model and train sections
+    copies it instead of training again: every input of the training is
+    the same. A manifest, or a side passed in, trains every time.
+    """
     cfg = ws.cfg
-    model = Classifier.random_init(ws.train_data.feature_dim, cfg.model.hidden,
-                                   ws.train_data.num_classes,
-                                   Rng(derive_seed(cfg.seed, _SEED_INIT)))
-    train(model, ws.train_data, _train_config(cfg), cross_entropy_loss)
-    save_checkpoint(model, ws.original_path())
+    data = ws.train_data
+    kept = _last_splits.get(_split_key(cfg))
+    if kept is None or kept.sides.get(0) is not data:
+        kept = _Kept()  # nothing to share: the model goes with this run
+    # the sections besides the dataset and the seed that training reads
+    key = json.dumps([asdict(cfg.model), asdict(cfg.train)])
+    if key not in kept.originals:
+        model = Classifier.random_init(data.feature_dim, cfg.model.hidden,
+                                       data.num_classes,
+                                       Rng(derive_seed(cfg.seed, _SEED_INIT)))
+        train(model, data, _train_config(cfg), cross_entropy_loss)
+        kept.originals[key] = model
+    model = kept.originals[key].copy()
+    # config.json first: a checkpoint is never left without its provenance
     save_config(cfg, ws.out / "config.json")
+    save_checkpoint(model, ws.original_path())
     report = evaluate(model, ws.eval_data, ws.forget_set)
     ws.write_report("original", report)
     return ws.original_path(), report

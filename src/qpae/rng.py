@@ -110,19 +110,27 @@ def unit_interval(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def box_muller(raw: np.ndarray, count: int) -> np.ndarray:
-    """The first count standard normals of each row of raw draws, (..., count).
+def box_muller(raw: np.ndarray, stop: int, start: int = 0) -> np.ndarray:
+    """Standard normals start to stop - 1 of each row of raw draws, (..., stop - start).
 
     A row of 2p draws is p Box-Muller pairs: the first p draws give the
-    radii and the last p the angles, and the p cosines come before the p
-    sines. Each element is the same whatever the shape around it.
+    radii and the last p the angles. Normal j < p is the cosine of pair j,
+    and normal j >= p the sine of pair j - p. Only the pairs the range
+    reads are computed, and each element is the same whatever the shape
+    or range around it.
     """
     pairs = raw.shape[-1] // 2
-    # (0,1] for the log argument, [0,1) for the angle
-    u1 = ((raw[..., :pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * unit_interval(raw[..., pairs:])
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :count]
+    radii, angles = raw[..., :pairs], raw[..., pairs:]
+
+    def normals(q: slice, trig) -> np.ndarray:
+        # (0,1] for the log argument, [0,1) for the angle
+        u1 = ((radii[..., q] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        return np.sqrt(-2.0 * np.log(u1)) * trig(2.0 * np.pi * unit_interval(angles[..., q]))
+
+    return np.concatenate(
+        [normals(slice(min(start, pairs), min(stop, pairs)), np.cos),
+         normals(slice(max(start, pairs) - pairs, max(stop, pairs) - pairs), np.sin)],
+        axis=-1)
 
 
 def derive_seed(seed: int, key: int) -> int:

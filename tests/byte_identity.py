@@ -5,7 +5,10 @@ Runs, in this process and through `qpae.cli.main`:
   seeds 7 and 99;
 - a manifest sequence: `synth` (4 classes x 30 clips), `train`, `unlearn`
   and `evaluate --original-report` for all five methods, `sequential`,
-  then `report`.
+  then `report`;
+- `train` on a synthetic dataset of 4 classes x 30 clips at each of
+  `n_frames` 1, 33, 49 and 64: one frame, an odd frame count, every
+  frame (no crop), and zero padding.
 
 It prints `sha256  relative/path` for every file written, sorted by
 path, then one digest of everything the commands printed. Two copies of
@@ -45,6 +48,7 @@ from qpae.cli import main  # noqa: E402
 SCENARIOS = ("single", "multi", "sequential", "ablation", "accent")
 SEEDS = (7, 99)
 METHODS = ("qp", "ga", "ng", "fisher", "ssd")
+FRAMES = (1, 33, 49, 64)
 TIMING = re.compile(r"\(\d+\.\d ms\)")
 
 
@@ -58,7 +62,9 @@ def _commands() -> list[list[str]]:
         commands += [["unlearn", *manifest, "--method", method],
                      ["evaluate", *manifest, "--model", f"sess/unlearned_{method}.qpae",
                       "--original-report", "sess/report_original.json"]]
-    return commands + [["sequential", *manifest], ["report", "--out", "sess"]]
+    commands += [["sequential", *manifest], ["report", "--out", "sess"]]
+    return commands + [["train", "--config", f"frames_{n}.json", "--out", f"frames_{n}"]
+                       for n in FRAMES]
 
 
 def _write_configs() -> None:
@@ -67,6 +73,9 @@ def _write_configs() -> None:
     Path("manifest.json").write_text(json.dumps(
         {"dataset": {"kind": "manifest", "path": "data", **dataset},
          "sequential_requests": [[0], [1]]}) + "\n")
+    for n in FRAMES:
+        Path(f"frames_{n}.json").write_text(
+            json.dumps({"dataset": {**dataset, "n_frames": n}}) + "\n")
 
 
 def _digest(path: Path) -> str:

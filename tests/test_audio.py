@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qpae import harness
 from qpae.audio import (HANN, HOP, N_FFT, OVERLAP_PROFILE, PROFILES, SYNTH_CHUNK,
                         ManifestError, SynthProfile, WavClip, WavParseError,
-                        _framed_power, hz_to_mel, load_manifest, log_mel_batch,
+                        _framed_power, crop_span, hz_to_mel, load_manifest, log_mel_batch,
                         log_mel_spectrogram, mel_filterbank, mel_to_hz, read_wav,
                         synth_clip, synth_dataset, synth_draws, synth_waves, write_wav)
 from qpae.data import train_eval_split
@@ -301,22 +301,29 @@ def reference_synth_clip(class_id, rng, profile=None):
 
 
 def serial_synth_dataset(num_classes, per_class, seed, n_mels, n_frames, profile=None):
-    """synth_dataset as a serial loop: one shared Rng, clip after clip."""
+    """synth_dataset as a serial loop of the oracles: one shared Rng, whole
+    clips one after another, each through reference_log_mel."""
     rng = Rng(seed)
     feats, classes = [], []
     for c in range(num_classes):
         for _ in range(per_class):
             clip = reference_synth_clip(c, rng, profile)
-            feats.append(log_mel_spectrogram(clip, n_mels=n_mels,
-                                             target_frames=n_frames).reshape(-1))
+            feats.append(reference_log_mel(clip, n_mels=n_mels,
+                                           target_frames=n_frames).reshape(-1))
             classes.append(c)
     labels = np.stack([one_hot(c, num_classes) for c in classes])
     return np.stack(feats), labels, np.array(classes, dtype=np.int64)
 
 
+# the samples 32 frames read: a clip this long fills them without padding
+NEEDED_32 = N_FFT + 31 * HOP
+
+
 class TestBatchedFrontEnd:
     @pytest.mark.parametrize("n, target_frames", [
-        (6400, 32), (6400, 49), (6400, 1), (4096, 8), (10, 4), (10, 1), (300, 32)])
+        (6400, 32), (6400, 49), (6400, 1), (4096, 8), (10, 4), (10, 1), (300, 32),
+        (NEEDED_32 - 1, 32), (NEEDED_32, 32), (NEEDED_32 + 1, 32),
+        (NEEDED_32 + HOP - 1, 32), (NEEDED_32 + HOP, 32)])
     def test_log_mel_spectrogram_matches_reference(self, n, target_frames):
         clip = WavClip(SR, Rng(n).normal(n, sigma=0.3))
         got = log_mel_spectrogram(clip, target_frames=target_frames)
@@ -338,6 +345,40 @@ class TestBatchedFrontEnd:
             log_mel_batch(x, SR, n_mels=200)
         with pytest.raises(ValueError):
             log_mel_batch(x, SR, target_frames=0)
+        with pytest.raises(ValueError, match="crop span"):
+            log_mel_batch(x[:, :5000], SR, n_samples=6400)
+
+    @pytest.mark.parametrize("n, target_frames, want", [
+        (6400, 32, (1024, 5248)),    # 49 frames, the middle 32: frames 8 to 39
+        (6400, 33, (1024, 5376)),    # frames 8 to 40
+        (6400, 1, (3072, 3328)),     # frame 24 alone
+        (6400, 49, (0, 6400)),       # every frame: 48 * HOP + N_FFT samples
+        (6400, 64, (0, 6400)),       # zero-padded: the whole clip
+        (NEEDED_32 - 1, 32, (0, NEEDED_32 - 1)),
+        (NEEDED_32, 32, (0, NEEDED_32)),
+        (NEEDED_32 + HOP, 32, (0, NEEDED_32)),   # 33 frames: frames 0 to 31
+        (NEEDED_32 + 2 * HOP, 32, (HOP, NEEDED_32 + HOP)),
+        (10, 4, (0, 10))])
+    def test_crop_span(self, n, target_frames, want):
+        assert crop_span(n, target_frames) == want
+
+    @pytest.mark.parametrize("n", [10, 300, NEEDED_32 - 1, NEEDED_32, NEEDED_32 + 1,
+                                   NEEDED_32 + HOP - 1, NEEDED_32 + HOP, 6400, 9000])
+    @pytest.mark.parametrize("target_frames", [1, 8, 32, 33, 49, 64])
+    def test_features_read_only_the_crop_span(self, n, target_frames):
+        """The features of whole clips equal those of their crop span alone,
+        and samples outside the span change nothing."""
+        x = Rng(n + target_frames).normal(3 * n, sigma=0.3).reshape(3, n)
+        lo, hi = crop_span(n, target_frames)
+        want = reference_log_mel_batch(x, SR, target_frames=target_frames)
+        outside = x.copy()
+        outside[:, :lo] = 0.5
+        outside[:, hi:] = -0.5
+        for got in (log_mel_batch(x, SR, target_frames=target_frames),
+                    log_mel_batch(outside, SR, target_frames=target_frames),
+                    log_mel_batch(x[:, lo:hi], SR, target_frames=target_frames,
+                                  n_samples=n)):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("profile", [
         PROFILES["default"], OVERLAP_PROFILE, SynthProfile(noise_sigma=0.0),
@@ -371,6 +412,20 @@ class TestSynthWaves:
         assert waves.shape == (m, profile.n_samples)
         assert np.array_equal(waves, np.stack(want))
 
+    @pytest.mark.parametrize("profile", [
+        PROFILES["default"], OVERLAP_PROFILE,
+        SynthProfile(duration_s=0.100125)],  # 801 samples: an odd noise count
+        ids=["default", "overlap", "odd_n"])
+    @pytest.mark.parametrize("n_frames", [1, 8, 32, 33, 49, 64])
+    def test_a_span_is_those_columns_of_the_whole_clips(self, profile, n_frames):
+        m = 5
+        raw = Rng(n_frames).fill_u64(m * synth_draws(profile))
+        whole = synth_waves(MIXED_CLASSES[:m], raw, profile)
+        for lo, hi in [crop_span(profile.n_samples, n_frames), (0, 1),
+                       (profile.n_samples - 1, profile.n_samples)]:
+            got = synth_waves(MIXED_CLASSES[:m], raw, profile, (lo, hi))
+            assert got.tobytes() == whole[:, lo:hi].tobytes()
+
     def test_synth_clip_is_a_chunk_of_one(self):
         rng, oracle = Rng(17), Rng(17)
         for c in MIXED_CLASSES:
@@ -402,6 +457,10 @@ class TestThreadedSynth:
         (3, 7, 16, 8, SynthProfile(noise_sigma=0.0)),
         (2, 3, 8, 8, PROFILES["default"]),                 # under one chunk
         (3, 4, 8, 8, SynthProfile(duration_s=0.01)),       # padded short clips
+        (3, 5, 16, 1, PROFILES["default"]),                # one frame: an odd crop
+        (3, 5, 16, 33, OVERLAP_PROFILE),                   # an odd frame count
+        (3, 5, 16, 49, PROFILES["default"]),               # every frame: no crop
+        (3, 5, 8, 64, PROFILES["default"]),                # zero padding
     ])
     def test_equals_serial_loop(self, k, per_class, n_mels, n_frames, profile):
         data = synth_dataset(k, per_class, seed=k * 100 + per_class, n_mels=n_mels,

@@ -294,6 +294,16 @@ def test_io_error_exits_3(cfg_path, capsys):
     _error_line(capsys, "io")
 
 
+def test_train_writes_no_checkpoint_without_its_config(cfg_path, tmp_path, capsys):
+    """config.json is written before the checkpoint: if it cannot be, train
+    exits 3 and leaves no original.qpae that no config describes."""
+    out = tmp_path / "out"
+    (out / "config.json").mkdir(parents=True)
+    assert main(["train", "--config", str(cfg_path)]) == 3
+    assert "Is a directory" in _error_line(capsys, "io")
+    assert not (out / "original.qpae").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_numeric_error_exits_4(cfg_path, tmp_path, capsys):
     """A weight of +inf, or a signalling NaN that numpy warns about when it

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import re
+import weakref
 from dataclasses import fields as dataclass_fields, is_dataclass, replace
 from pathlib import Path
 
@@ -519,6 +521,90 @@ class TestSplitReuse:
         assert builds == [(small_cfg.seed, 64), (small_cfg.seed, 16)]
         assert files[0] == files[1]
         assert "unlearned_qp.qpae" in files[0] and "table.csv" in files[0]
+
+
+class TestTrainOnce:
+    """`cmd_train` keeps each original beside the training side it was
+    trained on, and copies it for a later run with the same provenance."""
+
+    @pytest.fixture()
+    def trainings(self, monkeypatch):
+        """The training side of each original `cmd_train` trains, from a
+        cold process."""
+        sides = []
+        real = harness.train
+
+        def recording(model, data, *args):
+            sides.append(data)
+            return real(model, data, *args)
+        monkeypatch.setattr(harness, "train", recording)
+        monkeypatch.setattr(harness, "_last_splits", {})
+        return sides
+
+    @staticmethod
+    def _original(ws):
+        return {name: (ws.out / name).read_bytes()
+                for name in ("original.qpae", "report_original.json")}
+
+    def test_a_second_run_trains_nothing_and_writes_the_same_bytes(
+            self, small_cfg, tmp_path, trainings):
+        files = [self._original(harness.run_scenario(
+            replace(small_cfg, output_dir=str(tmp_path / run)))) for run in ("a", "b")]
+        assert len(trainings) == 1
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("change", [
+        {"train": TrainConfig(learning_rate=0.05, epochs=9)},
+        {"train": TrainConfig(learning_rate=0.04, epochs=10)},
+        {"model": harness.ModelSection([8])}], ids=["epochs", "learning_rate", "hidden"])
+    def test_another_model_or_train_section_trains_again(self, small_cfg, tmp_path,
+                                                         trainings, change):
+        first = Workspace.create(small_cfg, tmp_path / "a")
+        harness.cmd_train(first)
+        other = Workspace.create(replace(small_cfg, **change), tmp_path / "b")
+        harness.cmd_train(other)
+        assert trainings == [first.train_data, first.train_data]
+        assert self._original(other)["original.qpae"] != \
+            self._original(first)["original.qpae"]
+        # both stay kept beside the one split
+        harness.cmd_train(Workspace.create(small_cfg, tmp_path / "c"))
+        harness.cmd_train(Workspace.create(replace(small_cfg, **change), tmp_path / "d"))
+        assert len(trainings) == 2
+
+    def test_a_manifest_trains_every_time(self, small_cfg, tmp_path, trainings):
+        data_dir = cmd_synth(small_cfg, tmp_path / "dataset")
+        cfg = replace(small_cfg, dataset=harness.DatasetSpec(
+            kind="manifest", path=str(data_dir), num_classes=4, n_mels=8, n_frames=8))
+        files = []
+        for run in ("a", "b"):
+            ws = Workspace.create(cfg, tmp_path / run)
+            harness.cmd_train(ws)
+            files.append(self._original(ws))
+        assert len(trainings) == 2
+        assert files[0] == files[1]
+
+    def test_sides_passed_in_train_again(self, small_cfg, tmp_path, trainings):
+        kept = Workspace.create(small_cfg, tmp_path / "a")
+        harness.cmd_train(kept)
+        train_data = kept.train_data.subset(np.arange(kept.train_data.n_samples))
+        passed = Workspace(small_cfg, tmp_path / "b", train_data=train_data,
+                           eval_data=kept.eval_data)
+        passed.out.mkdir()
+        harness.cmd_train(passed)
+        assert trainings == [kept.train_data, train_data]
+        assert self._original(passed) == self._original(kept)
+
+    def test_no_original_outlives_its_split(self, small_cfg, tmp_path, trainings):
+        harness.cmd_train(Workspace.create(small_cfg, tmp_path / "a"))
+        (entry,) = harness._last_splits.values()
+        (model,) = entry.originals.values()
+        gone = weakref.ref(model)
+        del entry, model
+        harness.prepare_split(replace(small_cfg, seed=6), 0)
+        gc.collect()
+        assert gone() is None
+        (entry,) = harness._last_splits.values()
+        assert entry.originals == {}
 
 
 class TestOneSide:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpae.rng import Rng, derive_seed, draws_at
+from qpae.rng import Rng, box_muller, derive_seed, draws_at
 
 
 def test_scalar_and_vector_draws_share_one_stream():
@@ -109,3 +109,31 @@ def test_draws_at_equals_skip_then_fill(seed, starts, n):
         rng = Rng(seed)
         rng.skip(start)
         assert row.tolist() == rng.fill_u64(n).tolist()
+
+
+def reference_box_muller(raw, count):
+    """Every normal of each row as first written: all p pairs, the p cosines
+    then the p sines, cut to count."""
+    pairs = raw.shape[-1] // 2
+    u1 = ((raw[..., :pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (raw[..., pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :count]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 801, 6400])
+def test_box_muller_span_equals_those_normals_of_the_whole_row(count):
+    """Spans below, across and above the cosine/sine boundary at the pair
+    count p, of odd and even widths, on odd and even counts."""
+    pairs = (count + 1) // 2
+    raw = Rng(count).fill_u64(3 * 2 * pairs).reshape(3, 2 * pairs)
+    whole = reference_box_muller(raw, count)
+    assert box_muller(raw, count).tobytes() == whole.tobytes()
+    spans = {(0, count), (0, 1), (count - 1, count), (0, pairs), (pairs, count),
+             (max(pairs - 1, 0), min(pairs + 2, count)), (pairs // 2, (pairs + count) // 2),
+             (max(pairs - 3, 0), pairs), (pairs, min(pairs + 3, count)), (pairs, pairs)}
+    for start, stop in sorted(spans):
+        got = box_muller(raw, stop, start)
+        assert got.shape == (3, stop - start)
+        assert got.tobytes() == whole[:, start:stop].tobytes(), (start, stop)
