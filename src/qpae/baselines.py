@@ -20,9 +20,6 @@ from .rng import Rng, derive_seed
 
 FISHER_EPS = 1e-8
 
-METHOD_NAMES = ("gradient_ascent", "negative_gradient",
-                "fisher_forgetting", "synaptic_dampening")
-
 
 @dataclass
 class BaselineConfig:
@@ -160,15 +157,15 @@ def synaptic_dampening(model: Classifier, data: LabeledDataset,
 def run_baseline(model: Classifier, data: LabeledDataset, forget_set: set[int],
                  method: str, cfg: BaselineConfig) -> Classifier:
     """Run the baseline named `method`; mutates and returns the model."""
-    if method not in METHOD_NAMES:
-        raise ValueError(f"unknown baseline method {method!r}; expected one of "
-                         f"{METHOD_NAMES}")
-    check_forget_set(forget_set, model.num_classes)
     # looked up at call time, so a wrapped module function is the one run
-    fn = {
+    runners = {
         "gradient_ascent": gradient_ascent_unlearn,
         "negative_gradient": negative_gradient_unlearn,
         "fisher_forgetting": fisher_forgetting,
         "synaptic_dampening": synaptic_dampening,
-    }[method]
-    return fn(model, data, forget_set, cfg)
+    }
+    if method not in runners:
+        raise ValueError(f"unknown baseline method {method!r}; expected one of "
+                         f"{tuple(runners)}")
+    check_forget_set(forget_set, model.num_classes)
+    return runners[method](model, data, forget_set, cfg)

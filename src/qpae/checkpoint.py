@@ -35,7 +35,17 @@ class CheckpointError(Exception):
     """A checkpoint file that cannot be loaded."""
 
 
+def check_layer_shape(i: int, rows: int, cols: int) -> None:
+    """The one bound on a stored layer's weights: each side in [1, 2**20]
+    and at most 2**26 of them. Loading, saving and a config's model all
+    keep to it."""
+    if not (1 <= rows <= _MAX_DIM and 1 <= cols <= _MAX_DIM) or rows * cols > _MAX_ELEMS:
+        raise CheckpointError(f"layer {i} dimensions {rows}x{cols} out of range")
+
+
 def save_checkpoint(model: Classifier, path: str | Path) -> None:
+    for i, (w, _) in enumerate(model.layers):
+        check_layer_shape(i, *w.shape)
     model.ensure_finite()
     f32_max = float(np.finfo(np.float32).max)
     for p in model.parameters():
@@ -90,9 +100,7 @@ def load_checkpoint(path: str | Path) -> Classifier:
     for i in range(layer_count):
         rows = r.u32(f"layer {i} rows")
         cols = r.u32(f"layer {i} cols")
-        if rows < 1 or cols < 1 or rows > _MAX_DIM or cols > _MAX_DIM \
-                or rows * cols > _MAX_ELEMS:
-            raise CheckpointError(f"layer {i} dimensions {rows}x{cols} out of range")
+        check_layer_shape(i, rows, cols)
         w = r.f32_array(rows * cols, f"layer {i} weights").reshape(rows, cols)
         b = r.f32_array(r.u32(f"layer {i} bias length"), f"layer {i} bias")
         layers.append((w, b))

@@ -3,7 +3,8 @@
 Verbs: run, train, unlearn, evaluate, sequential, ablation, synth, report.
 `sequential` and `ablation` are `run` of that scenario with `--config`:
 each runs `harness.run_scenario` and prints the scenario's table.
-Exit codes: 0 success, 2 config error, 3 IO or parse error, 4 numeric failure.
+Exit codes: 0 success, 2 config error (a config that asks for more memory
+than the host holds included), 3 IO or parse error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import harness
 from .audio import ManifestError, WavParseError
 from .checkpoint import CheckpointError
 from .harness import ConfigError, Workspace
-from .metrics import ReportError, format_metric, report_from_json
+from .metrics import ReportError, format_metric
 from .model import NumericError
 
 EXIT_OK = 0
@@ -140,10 +141,7 @@ def _run(args) -> int:
             print(f"  {entry['phase']}: FA={format_metric(entry['forget_accuracy'])} "
                   f"RA={format_metric(entry['retain_accuracy'])} ({state})")
     else:
-        original = None
-        if args.original_report is not None:
-            original = report_from_json(Path(args.original_report).read_bytes())
-        report = harness.cmd_evaluate(ws, args.model, original_report=original)
+        report = harness.cmd_evaluate(ws, args.model, original_report=args.original_report)
         print(f"FA={format_metric(report.fa)} RA={format_metric(report.ra)} "
               f"IL={report.il:.4f} PER={format_metric(report.per)}")
     return EXIT_OK
@@ -161,6 +159,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"config error: the config asks for more memory than this host can "
+              f"hold{detail}", file=sys.stderr)
+        return EXIT_CONFIG
     except (OSError, CheckpointError, WavParseError, ManifestError, ReportError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -3,7 +3,8 @@
 A single JSON config drives everything. All run-time seeds are derived
 from the one master seed, so a config plus a seed pins the whole
 experiment, byte for byte. Input files are never modified; every command
-writes fresh artifacts into the output directory.
+writes fresh artifacts into the output directory, and `evaluate` refuses to
+write over the report it reads or the one `train` wrote.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import logging
 from dataclasses import (asdict, astuple, dataclass, field,
                          fields as dataclass_fields, is_dataclass, replace)
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import audio
-from .baselines import METHOD_NAMES, BaselineConfig, run_baseline
-from .checkpoint import load_checkpoint, save_checkpoint
+from .baselines import BaselineConfig, run_baseline
+from .checkpoint import CheckpointError, check_layer_shape, load_checkpoint, save_checkpoint
 from .data import (TRAIN_FRACTION, LabeledDataset, check_forget_set, train_count,
                    train_eval_split)
 from .eraser import (UnlearnConfig, phase_entry,
@@ -35,16 +37,21 @@ log = logging.getLogger("qpae")
 
 SCENARIOS = ("single", "multi", "sequential", "ablation", "accent")
 
-# CLI method ids -> internal baseline method names ("qp" is the pipeline)
-METHOD_IDS = {"qp": "qp", "ga": "gradient_ascent", "ng": "negative_gradient",
-              "fisher": "fisher_forgetting", "ssd": "synaptic_dampening"}
+# CLI method ids in table order ("qp" is the pipeline): each method's phase-log
+# name (a baseline's in run_baseline), table label and seed's stage key
+Method = NamedTuple("Method", [("name", str), ("label", str), ("seed_key", int)])
+METHOD_IDS = {
+    "qp": Method("qp", "QPAudioEraser", 5),
+    "ga": Method("gradient_ascent", "Gradient Ascent", 16),
+    "ng": Method("negative_gradient", "Negative Gradient", 17),
+    "fisher": Method("fisher_forgetting", "Fisher Forgetting", 18),
+    "ssd": Method("synaptic_dampening", "Synaptic Dampening", 19),
+}
 
-METHOD_LABELS = {"qp": "QPAudioEraser", "ga": "Gradient Ascent",
-                 "ng": "Negative Gradient", "fisher": "Fisher Forgetting",
-                 "ssd": "Synaptic Dampening"}
+Row = tuple[str, EvaluationReport]  # one table row: label, report
 
-# stage keys for seed derivation
-_SEED_DATA, _SEED_SPLIT, _SEED_INIT, _SEED_TRAIN, _SEED_UNLEARN = 1, 2, 3, 4, 5
+# stage keys for seed derivation; each method's is in METHOD_IDS
+_SEED_DATA, _SEED_SPLIT, _SEED_INIT, _SEED_TRAIN = 1, 2, 3, 4
 
 # config.json sections that must match for a run to reuse original.qpae
 PROVENANCE_KEYS = ("seed", "dataset", "model", "train")
@@ -184,6 +191,18 @@ def check_ranges(cfg: ExperimentConfig) -> None:
                           f"got {cfg.dataset.n_mels}")
     if cfg.dataset.n_frames < 1:
         raise ConfigError(f"dataset.n_frames must be >= 1, got {cfg.dataset.n_frames}")
+    # every layer the model will have, by the bound a stored model keeps to
+    features = cfg.dataset.n_mels * cfg.dataset.n_frames
+    widths = [features, *cfg.model.hidden, k]
+    try:
+        for i, shape in enumerate(zip(widths, widths[1:])):
+            check_layer_shape(i, *shape)
+    except CheckpointError as exc:
+        raise ConfigError(f"model {exc}: the widths are n_mels * n_frames, then "
+                          f"model.hidden, then num_classes") from exc
+    if cfg.dataset.kind == "synthetic" and 8 * k * n * features > 2 ** 63:
+        raise ConfigError(f"dataset of {k} x {n} clips of {features} float64 features "
+                          f"would take more than 2**63 bytes")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -331,14 +350,7 @@ def _train_config(cfg: ExperimentConfig) -> TrainConfig:
 
 
 def _unlearn_config(cfg: ExperimentConfig) -> UnlearnConfig:
-    return replace(cfg.unlearn, seed=derive_seed(cfg.seed, _SEED_UNLEARN))
-
-
-def _baseline_config(cfg: ExperimentConfig, name: str) -> BaselineConfig:
-    """The shared baselines section, seeded by the method's index in
-    METHOD_NAMES."""
-    return replace(cfg.baselines,
-                   seed=derive_seed(cfg.seed, 16 + METHOD_NAMES.index(name)))
+    return replace(cfg.unlearn, seed=derive_seed(cfg.seed, METHOD_IDS["qp"].seed_key))
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +493,11 @@ def forget(model: Classifier, data: LabeledDataset, method_id: str,
     # benchmark times them
     if method_id == "qp":
         return run_qp_audio_eraser(model, data, _unlearn_config(cfg))
-    name = METHOD_IDS[method_id]
+    name, _, seed_key = METHOD_IDS[method_id]
     forget_set = set(cfg.unlearn.forget_set)
     with stage() as span:
-        run_baseline(model, data, forget_set, name, _baseline_config(cfg, name))
+        run_baseline(model, data, forget_set, name,
+                     replace(cfg.baselines, seed=derive_seed(cfg.seed, seed_key)))
     return model, [phase_entry(name, span, model, data, frozenset(forget_set))]
 
 
@@ -500,9 +513,19 @@ def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
 
 
 def cmd_evaluate(ws: Workspace, model_path: str | Path,
-                 original_report: EvaluationReport | None = None,
+                 original_report: EvaluationReport | str | Path | None = None,
                  name: str | None = None) -> EvaluationReport:
-    """Evaluate a checkpoint on the held-out split; write JSON + CSV row."""
+    """Evaluate a checkpoint on the held-out split; write JSON + CSV row.
+
+    `original_report` is a report or the path of a report file. The files
+    are named after `name`, or else the checkpoint. After every other
+    check, a name whose report would replace `report_original.json`, which
+    `train` wrote, or the report file read is refused, with nothing written.
+    """
+    source = None
+    if isinstance(original_report, (str, Path)):
+        source = Path(original_report)
+        original_report = report_from_json(source.read_bytes())
     if original_report is not None:
         theirs = (original_report.forget_set, original_report.num_classes)
         ours = (sorted(ws.forget_set), ws.cfg.dataset.num_classes)
@@ -514,6 +537,12 @@ def cmd_evaluate(ws: Workspace, model_path: str | Path,
     original_fa = original_report.fa if original_report is not None else None
     report = evaluate(model, ws.eval_data, ws.forget_set, original_fa=original_fa)
     stem = name if name is not None else Path(model_path).stem
+    path = ws.out / f"report_{stem}.json"
+    if stem == "original" or (source is not None and path.exists()
+                              and path.samefile(source)):
+        raise ConfigError(f"evaluate would write its report over {path}, which "
+                          "train wrote or this run reads; give the checkpoint "
+                          "another name")
     ws.write_report(stem, report)
     write_atomic(ws.out / f"report_{stem}.csv", emit_table([(stem, report)])[1])
     if original_report is not None:
@@ -523,7 +552,7 @@ def cmd_evaluate(ws: Workspace, model_path: str | Path,
     return report
 
 
-def emit_table(rows: list[tuple[str, EvaluationReport]]) -> tuple[str, str]:
+def emit_table(rows: list[Row]) -> tuple[str, str]:
     """Render reports as (markdown, csv) with identical numeric values."""
     if not rows:
         raise ValueError("need at least one report row")
@@ -535,7 +564,7 @@ def emit_table(rows: list[tuple[str, EvaluationReport]]) -> tuple[str, str]:
     return "\n".join(md_lines) + "\n", "\n".join(csv_lines) + "\n"
 
 
-def write_table(out: Path, rows: list[tuple[str, EvaluationReport]],
+def write_table(out: Path, rows: list[Row],
                 stem: str = "table") -> tuple[Path, Path]:
     markdown, csv_text = emit_table(rows)
     md_path = out / f"{stem}.md"
@@ -550,15 +579,16 @@ def table_stem(scenario: str) -> str:
     return f"{scenario}_table" if scenario in ("sequential", "ablation") else "table"
 
 
-def _standard_step(ws: Workspace, original_report: EvaluationReport) -> None:
-    """unlearn with every method -> evaluate -> assemble the table."""
-    for mid in METHOD_IDS:
+def _standard_step(ws: Workspace, original_report: EvaluationReport) -> list[Row]:
+    """unlearn with every method, then evaluate: one table row per method."""
+    rows = []
+    for mid, method in METHOD_IDS.items():
         path, _ = cmd_unlearn(ws, mid)
-        cmd_evaluate(ws, path, original_report=original_report, name=mid)
-    cmd_report(ws.out)
+        rows.append((method.label, cmd_evaluate(ws, path, original_report, name=mid)))
+    return rows
 
 
-def _sequential_step(ws: Workspace) -> None:
+def _sequential_step(ws: Workspace) -> list[Row]:
     """Apply the pipeline per forget request to the evolving model.
 
     After each step the model is scored with the forget set equal to the
@@ -572,7 +602,7 @@ def _sequential_step(ws: Workspace) -> None:
     current = ws.train_data
     forgotten: set[int] = set()
     series: list[dict] = []
-    rows: list[tuple[str, EvaluationReport]] = []
+    rows: list[Row] = []
     for step, request in enumerate(cfg.sequential_requests, start=1):
         request = set(request)
         overlap = request & forgotten
@@ -596,7 +626,7 @@ def _sequential_step(ws: Workspace) -> None:
                        "fa": report.fa, "ra": report.ra, "per": report.per,
                        "retained_classes": ws.eval_data.num_classes - len(forgotten)})
     write_atomic(ws.out / "sequential_series.json", json.dumps(series, indent=2) + "\n")
-    write_table(ws.out, rows, stem=table_stem(cfg.scenario))
+    return rows
 
 
 ABLATION_VARIANTS: list[tuple[str, dict]] = [
@@ -609,9 +639,9 @@ ABLATION_VARIANTS: list[tuple[str, dict]] = [
 ]
 
 
-def _ablation_step(ws: Workspace, original_report: EvaluationReport) -> None:
+def _ablation_step(ws: Workspace, original_report: EvaluationReport) -> list[Row]:
     """Run the five ablated variants plus the full method from one seed."""
-    rows = [("Original", original_report)]
+    rows = []
     original = ws.load(ws.original_path())
     for name, tweaks in ABLATION_VARIANTS:
         model = original.copy()
@@ -622,12 +652,12 @@ def _ablation_step(ws: Workspace, original_report: EvaluationReport) -> None:
                           original_fa=original_report.fa)
         ws.write_report(f"ablation_{name}", report)
         rows.append((name, report))
-    write_table(ws.out, rows, stem=table_stem(ws.cfg.scenario))
+    return rows
 
 
 def run_scenario(cfg: ExperimentConfig) -> Workspace:
-    """Check cfg.scenario's shape before anything is built, train once, then
-    run the scenario's step; returns the workspace with artifacts written."""
+    """Check cfg.scenario's shape before anything is built, train once, run
+    the scenario's step, then write the one table of the rows it returns."""
     classes = len(set(cfg.unlearn.forget_set))
     if cfg.scenario in ("single", "accent") and classes != 1:
         raise ConfigError(f"{cfg.scenario} scenario requires exactly one forget class")
@@ -636,11 +666,11 @@ def run_scenario(cfg: ExperimentConfig) -> Workspace:
     ws = Workspace.create(cfg)
     _, original_report = cmd_train(ws)
     if cfg.scenario == "sequential":
-        _sequential_step(ws)
-    elif cfg.scenario == "ablation":
-        _ablation_step(ws, original_report)
+        rows = _sequential_step(ws)
     else:
-        _standard_step(ws, original_report)
+        step = _ablation_step if cfg.scenario == "ablation" else _standard_step
+        rows = [("Original", original_report), *step(ws, original_report)]
+    write_table(ws.out, rows, stem=table_stem(cfg.scenario))
     return ws
 
 
@@ -663,7 +693,8 @@ def cmd_report(out: str | Path) -> tuple[Path, Path]:
         raise ConfigError("--out must name a directory, got ''")
     out_dir = Path(out)
     rows, first = [], None
-    for stem, label in [("original", "Original"), *METHOD_LABELS.items()]:
+    labels = [("original", "Original"), *((mid, m.label) for mid, m in METHOD_IDS.items())]
+    for stem, label in labels:
         # `evaluate` names a report after its checkpoint, unlearned_<id>
         for path in (out_dir / f"report_{stem}.json",
                      out_dir / f"report_unlearned_{stem}.json"):

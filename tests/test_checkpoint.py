@@ -5,7 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
-from qpae.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from qpae.checkpoint import (MAGIC, CheckpointError, check_layer_shape, load_checkpoint,
+                              save_checkpoint)
 from qpae.model import Classifier, NumericError
 from qpae.rng import Rng
 
@@ -97,6 +98,28 @@ def test_dimension_overflow(tmp_path):
     p.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="layer 0 dimensions 4294967295x.* out of range"):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("rows, cols, ok", [
+    (1, 1, True), (2 ** 20, 64, True), (64, 2 ** 20, True),
+    (0, 5, False), (5, 0, False), (2 ** 20 + 1, 1, False), (1, 2 ** 20 + 1, False),
+    (2 ** 13, 2 ** 13 + 1, False),  # each side in range, 2**26 + 2**13 weights
+])
+def test_layer_shape_bound(rows, cols, ok):
+    if ok:
+        check_layer_shape(3, rows, cols)
+    else:
+        with pytest.raises(CheckpointError, match=f"layer 3 dimensions {rows}x{cols} out of range"):
+            check_layer_shape(3, rows, cols)
+
+
+def test_save_refuses_a_layer_load_would_refuse(tmp_path):
+    """A model that no checkpoint can hold is refused before any byte is written."""
+    wide = 2 ** 20 + 1
+    model = Classifier([(np.zeros((1, wide)), np.zeros(wide))])
+    with pytest.raises(CheckpointError, match=f"layer 0 dimensions 1x{wide} out of range"):
+        save_checkpoint(model, tmp_path / "m.qpae")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_crc_detects_payload_corruption(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from qpae import harness
 from qpae.baselines import BaselineConfig
-from qpae.cli import main
+from qpae.cli import build_parser, main
 from qpae.data import train_eval_split
 from qpae.harness import DatasetSpec, default_config
 from qpae.metrics import format_metric
@@ -54,6 +54,12 @@ def test_train_then_unlearn_then_evaluate(cfg_path, tmp_path, capsys):
     assert [row.split(",")[0] for row in rows] == [
         "Original", "QPAudioEraser", "Negative Gradient"]
     assert "FA=" in capsys.readouterr().out
+
+
+def test_method_choices_are_the_method_table():
+    verbs = build_parser()._subparsers._group_actions[0].choices
+    method = next(a for a in verbs["unlearn"]._actions if a.dest == "method")
+    assert method.choices == sorted(harness.METHOD_IDS)
 
 
 def test_forget_override(cfg_path, tmp_path, capsys):
@@ -456,6 +462,65 @@ def test_retrain_with_the_same_provenance_is_byte_identical(cfg_path, tmp_path):
     original = (out / "original.qpae").read_bytes()
     assert main(["train", "--config", str(cfg_path)]) == 0
     assert (out / "original.qpae").read_bytes() == original
+
+
+@pytest.mark.parametrize("model, report", [
+    ("original.qpae", None),
+    ("original.qpae", "report_original.json"),
+    ("unlearned_qp.qpae", "report_unlearned_qp.json"),
+])
+def test_evaluate_never_writes_over_a_report_it_reads(cfg_path, tmp_path, capsys, model,
+                                                      report):
+    """The report `train` wrote and the --original-report file are inputs:
+    an evaluate whose report would replace one exits 2 and changes no file."""
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["unlearn", "--config", str(cfg_path), "--method", "qp"]) == 0
+    assert main(["evaluate", "--config", str(cfg_path),
+                 "--model", str(out / "unlearned_qp.qpae")]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    extra = [] if report is None else ["--original-report", str(out / report)]
+    assert main(["evaluate", "--config", str(cfg_path), "--model", str(out / model),
+                 *extra]) == 2
+    target = "report_original.json" if report is None else report
+    assert str(out / target) in _error_line(capsys, "config")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("dataset, hidden", [
+    ({"num_classes": 2, "per_class": 3, "n_mels": 1, "n_frames": 1}, [1048577]),
+    ({"n_frames": 10 ** 9}, [16]),
+    ({"n_frames": 10 ** 18}, [16]),
+    ({}, [10 ** 9]),
+    ({"num_classes": 2 ** 20 + 1}, [16]),
+])
+@pytest.mark.parametrize("verb", ["train", "run"])
+def test_model_no_checkpoint_can_hold_exits_2(cfg_path, tmp_path, capsys, verb, dataset,
+                                              hidden):
+    """Every layer the config implies keeps to the bound a stored model
+    keeps to, checked before any build: exit 2 and no --out."""
+    path = _edit(cfg_path, tmp_path, "wide.json", dataset=dataset, model={"hidden": hidden})
+    out = tmp_path / "wide_out"
+    assert main([verb, "--config", str(path), "--out", str(out)]) == 2
+    assert "out of range" in _error_line(capsys, "config")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("per_class, message", [
+    # 8 * 2 * 10**19 * 64 bytes of features: past the 2**63 bound
+    (10 ** 19, "more than 2**63 bytes"),
+    # within the bound; its 1.4 PiB class list is past any address space
+    (10 ** 14, "more memory than this host can hold"),
+])
+def test_dataset_the_host_cannot_hold_exits_2(cfg_path, tmp_path, capsys, per_class,
+                                              message):
+    path = _edit(cfg_path, tmp_path, "huge.json",
+                 dataset={"num_classes": 2, "per_class": per_class})
+    out = tmp_path / "huge_out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert message in _error_line(capsys, "config")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["train", "run", "unlearn", "evaluate"])

@@ -11,7 +11,7 @@ import pytest
 
 from qpae import harness
 from qpae.audio import WavClip, write_wav
-from qpae.baselines import METHOD_NAMES, BaselineConfig
+from qpae.baselines import BaselineConfig
 from qpae.checkpoint import load_checkpoint
 from qpae.cli import main
 from qpae.data import train_eval_split
@@ -112,14 +112,6 @@ class TestConfig:
         assert list(config_to_dict(default_config(scenario))["baselines"]) == [
             "ascent_epochs", "finetune_epochs", "learning_rate", "batch_size",
             "fisher_noise_scale", "ssd_threshold", "ssd_dampening_floor"]
-
-    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
-    def test_baseline_seed_follows_method_names_order(self, scenario):
-        cfg = default_config(scenario, seed=99)
-        for i, name in enumerate(METHOD_NAMES):
-            bcfg = harness._baseline_config(cfg, name)
-            assert bcfg.seed == derive_seed(cfg.seed, 16 + i)
-            assert replace(bcfg, seed=cfg.baselines.seed) == cfg.baselines
 
     def test_default_config_has_32_settable_values(self):
         def leaves(node):
@@ -346,6 +338,28 @@ class TestForget:
             harness.forget(model, ws.train_data, method_id, cfg)
         assert equals_bits(model, before)
 
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_baseline_seed_is_its_method_table_key(self, small_cfg, monkeypatch,
+                                                   scenario):
+        """`forget` hands each baseline the scenario's baselines section,
+        seeded with derive_seed(seed, k) for its written-out key k."""
+        cfg = replace(small_cfg, seed=99, baselines=default_config(scenario).baselines)
+        ws = Workspace(cfg)
+        model = Classifier.random_init(ws.train_data.feature_dim, [16],
+                                       ws.train_data.num_classes, Rng(3))
+        handed = []
+        monkeypatch.setattr(harness, "run_baseline",
+                            lambda m, data, forget_set, name, bcfg:
+                            handed.append((name, bcfg)) or m)
+        for mid in ("ga", "ng", "fisher", "ssd"):
+            harness.forget(model, ws.train_data, mid, cfg)
+        assert [name for name, _ in handed] == [
+            "gradient_ascent", "negative_gradient", "fisher_forgetting",
+            "synaptic_dampening"]
+        for (_, bcfg), k in zip(handed, (16, 17, 18, 19)):
+            assert bcfg.seed == derive_seed(99, k)
+            assert replace(bcfg, seed=cfg.baselines.seed) == cfg.baselines
+
     def test_full_ablation_variant_is_the_qp_request(self, small_cfg):
         small_cfg.unlearn.epochs = 1
         small_cfg.scenario = "ablation"
@@ -429,6 +443,21 @@ class TestTables:
         text = csv_path.read_text()
         assert text.splitlines()[1].startswith("Original,")
         assert any(line.startswith("Negative Gradient,") for line in text.splitlines())
+
+    @pytest.mark.parametrize("scenario, forget_set", [("single", [0]), ("multi", [0, 2])])
+    def test_cmd_report_rewrites_the_scenario_table(self, small_cfg, scenario,
+                                                    forget_set):
+        """`run_scenario` writes the table from the reports it holds;
+        `report` reads the same reports back into the same bytes."""
+        cfg = replace(small_cfg, scenario=scenario,
+                      unlearn=replace(small_cfg.unlearn, forget_set=forget_set))
+        ws = harness.run_scenario(cfg)
+        table = {name: (ws.out / name).read_bytes() for name in ("table.md", "table.csv")}
+        assert len(table["table.csv"].splitlines()) == 7  # header, original, 5 methods
+        for path in ws.out.glob("table.*"):
+            path.unlink()
+        cmd_report(ws.out)
+        assert {name: (ws.out / name).read_bytes() for name in table} == table
 
     def test_cmd_report_empty_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
