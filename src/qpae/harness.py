@@ -593,8 +593,10 @@ def _sequential_step(ws: Workspace) -> list[Row]:
 
     After each step the model is scored with the forget set equal to the
     union of everything forgotten so far. Labels superposed at earlier
-    steps persist in the evolving training data, so prior erasure keeps
-    being reinforced rather than re-learned.
+    steps persist in the evolving training data: at later steps the rows
+    of earlier-forgotten classes keep their uniform labels and are
+    retained rows, trained by cross-entropy toward them. No table
+    measures whether that keeps those classes from being re-learned.
     """
     cfg = ws.cfg
     original = ws.load(ws.original_path())

@@ -1,10 +1,10 @@
 """Deterministic seeded PRNG used everywhere in place of global randomness.
 
-The generator is a counter-mode splitmix64 stream: output i is the
-xorshift-multiply mix of ``seed + (i+1) * GOLDEN``.  Because each output
-depends only on the seed and the draw index, scalar draws and bulk numpy
-fills produce the *same* stream, and results are bit-reproducible across
-platforms and numpy versions.
+The generator is a counter-mode splitmix64 stream: draw i is the
+xorshift-multiply mix of ``seed + (i+1) * GOLDEN``.  Because each draw
+depends only on the seed and its index, `Rng.fill_u64` and `draws_at`
+read the *same* stream at any position, and results are bit-reproducible
+across platforms and numpy versions.
 """
 
 from __future__ import annotations
@@ -23,60 +23,45 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _draws(seed: int, index: np.ndarray) -> np.ndarray:
+    """Draw i of the Rng(seed) stream for each uint64 index i.
+
+    Mixes in place on the one array it allocates, never on `index`, so
+    threads may call it at once.
+    """
+    z = index + np.uint64(1)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class Rng:
-    """Counter-based splitmix64 stream with scalar and vectorized draws."""
+    """A position in one seed's splitmix64 stream; each call draws onward."""
 
     def __init__(self, seed: int):
         self._seed = int(seed) & _MASK
         self._count = 0
 
-    def next_u64(self) -> int:
-        self._count += 1
-        return _mix64((self._seed + self._count * _GOLDEN) & _MASK)
-
     def fill_u64(self, n: int) -> np.ndarray:
-        """n raw 64-bit outputs; identical to n successive next_u64 calls."""
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        """The next n raw 64-bit draws."""
+        index = np.arange(self._count, self._count + n, dtype=np.uint64)
         self._count += n
-        return _mix64_array(np.uint64(self._seed) + idx * np.uint64(_GOLDEN))
+        return _draws(self._seed, index)
 
-    def skip(self, n: int) -> None:
-        """Advance the stream by n draws without computing them; O(1)."""
-        if n < 0:
-            raise ValueError("cannot skip a negative number of draws")
-        self._count += int(n)
-
-    def uniform(self, n: int | None = None, low: float = 0.0, high: float = 1.0):
-        """Uniform floats in [low, high) with 53-bit resolution."""
-        if n is None:
-            u = (self.next_u64() >> 11) * 2.0**-53
-            return low + (high - low) * u
-        return low + (high - low) * unit_interval(self.fill_u64(n))
-
-    def normal(self, n: int | None = None, mu: float = 0.0, sigma: float = 1.0):
-        """Gaussian draws via Box-Muller on consecutive stream pairs."""
-        scalar = n is None
-        count = 1 if scalar else int(n)
-        out = mu + sigma * box_muller(self.fill_u64(2 * ((count + 1) // 2)), count)
-        return float(out[0]) if scalar else out
-
-    def randbelow(self, bound: int) -> int:
-        """Integer in [0, bound); modulo bias is < bound / 2**64."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % bound
+    def normal(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+        """n Gaussian draws via Box-Muller on the next 2 * ceil(n / 2) draws."""
+        return mu + sigma * box_muller(self.fill_u64(2 * ((n + 1) // 2)), n)
 
     def shuffle(self, values: np.ndarray) -> None:
         """In-place Fisher-Yates shuffle.
 
-        Draws the swap for position i as randbelow(i + 1), i from the top
-        down, all in one fill: the same stream as one scalar draw per swap.
+        For i from n - 1 down to 1, swaps position i with position
+        d % (i + 1), where d is the next raw draw: n - 1 draws in one fill.
         """
         n = len(values)
         if n < 2:
@@ -97,12 +82,12 @@ class Rng:
 def draws_at(seed: int, starts, n: int) -> np.ndarray:
     """Rows of n raw draws of the Rng(seed) stream, (len(starts), n).
 
-    Row i holds the n draws that follow the first starts[i] ones: what
-    `Rng(seed)` gives from `fill_u64(n)` after `skip(starts[i])`.
+    Row i holds draws starts[i] to starts[i] + n - 1: what a fresh
+    `Rng(seed)` gives from `fill_u64(n)` once `fill_u64(starts[i])` has
+    taken the draws before them.
     """
-    idx = (np.asarray(starts, dtype=np.uint64)[:, None]
-           + np.arange(1, n + 1, dtype=np.uint64))
-    return _mix64_array(np.uint64(int(seed) & _MASK) + idx * np.uint64(_GOLDEN))
+    index = np.asarray(starts, dtype=np.uint64)[:, None] + np.arange(n, dtype=np.uint64)
+    return _draws(int(seed) & _MASK, index)
 
 
 def unit_interval(raw: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Helpers shared by the test modules: a bitwise model comparison,
-predictions, the per-sample reference forms of the losses, a one-sample
-gradient check, a manifest writer, a file that fails part-way through a
-write, the WAV reader and log-mel batch as first written, the
-mask-based evaluation the confusion-matrix counts replaced, and the
-Fisher estimate that allocated every square."""
+"""Helpers shared by the test modules: scalar and uniform draws over
+`Rng.fill_u64` and a scalar splitmix64 reference for its stream, a
+bitwise model comparison, predictions, the per-sample reference forms of
+the losses, a one-sample gradient check, a manifest writer, a file that
+fails part-way through a write, the WAV reader and log-mel batch as
+first written, the mask-based evaluation the confusion-matrix counts
+replaced, and the Fisher estimate that allocated every square."""
 
 import errno
 import struct
@@ -16,6 +17,35 @@ from qpae.audio import (POWER_FLOOR, WavClip, WavParseError, _clip_path, _write_
 from qpae.metrics import EvaluationReport, erb_score
 from qpae.model import (LOG_EPS, NumericError, backprop, backward_batch, forward_batch,
                         softmax)
+from qpae.rng import _GOLDEN, _MASK, _mix64, unit_interval
+
+
+# Draws only tests take, over `Rng.fill_u64`: each reads the stream from
+# the generator's position onward.
+
+def next_u64(rng) -> int:
+    """The next raw 64-bit draw."""
+    return int(rng.fill_u64(1)[0])
+
+
+def uniform(rng, n: int | None = None, low: float = 0.0, high: float = 1.0):
+    """n uniform floats in [low, high) with 53-bit resolution, one per draw;
+    one float when n is None."""
+    u = unit_interval(rng.fill_u64(1 if n is None else n))
+    return low + (high - low) * (float(u[0]) if n is None else u)
+
+
+def randbelow(rng, bound: int) -> int:
+    """Integer in [0, bound) from one draw; modulo bias is < bound / 2**64."""
+    return next_u64(rng) % bound
+
+
+def reference_draws(seed: int, skip: int, n: int) -> list[int]:
+    """Draws skip to skip + n - 1 of the Rng(seed) stream, one scalar
+    splitmix64 mix each: the oracle `fill_u64` and `draws_at` are compared
+    against."""
+    seed &= _MASK
+    return [_mix64((seed + (skip + i) * _GOLDEN) & _MASK) for i in range(1, n + 1)]
 
 
 def one_hot(class_id: int, num_classes: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from qpae.metrics import erb_score, evaluate, report_from_json
 from qpae.model import Classifier, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import equals_bits, one_hot
+from helpers import equals_bits, one_hot, randbelow, uniform
 from test_metrics import brute_force_recount, prediction_set
 
 
@@ -157,9 +157,9 @@ def test_criterion_04_gradient_oracle():
 
     worst = 0.0
     for _ in range(1000):
-        k = 2 + rng.randbelow(9)
-        lam = 0.25 + 1.5 * rng.uniform()
-        p = rng.uniform(k) + 1e-4
+        k = 2 + randbelow(rng, 9)
+        lam = 0.25 + 1.5 * uniform(rng)
+        p = uniform(rng, k) + 1e-4
         p /= p.sum()
         g = grad(p, lam)
         ref = fd(p, lam)
@@ -206,8 +206,8 @@ def test_criterion_06_mixing_identity():
         d, k = 8, 5
         w = rng.normal(d * k).reshape(d, k)
         h = rng.normal(d)
-        f = int(rng.randbelow(k))
-        alpha = 0.2 + 0.6 * rng.uniform()
+        f = int(randbelow(rng, k))
+        alpha = 0.2 + 0.6 * uniform(rng)
         mix = build_mixing_matrix(k, {f}, alpha)
         matrices_ok = matrices_ok and np.array_equal(mix, mix.T) \
             and np.all(np.diag(mix) == 1.0)
@@ -232,14 +232,14 @@ def test_criterion_07_metric_brute_force_oracle():
     worst = 0.0
     identity_exact = True
     for case in range(100):
-        k = 2 + rng.randbelow(11)
-        n = 1 + rng.randbelow(200)
+        k = 2 + randbelow(rng, 11)
+        n = 1 + randbelow(rng, 200)
         logits = rng.normal(n * k, sigma=3.0).reshape(n, k)
-        classes = [int(rng.randbelow(k)) for _ in range(n)]
-        n_forget = 1 + rng.randbelow(k - 1)
+        classes = [int(randbelow(rng, k)) for _ in range(n)]
+        n_forget = 1 + randbelow(rng, k - 1)
         forget = set()
         while len(forget) < n_forget:
-            forget.add(int(rng.randbelow(k)))
+            forget.add(int(randbelow(rng, k)))
         model, data = prediction_set(logits, classes, k)
         rep = evaluate(model, data, forget, original_fa=100.0)
         want = brute_force_recount(logits, classes, forget, k, 100.0)

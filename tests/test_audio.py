@@ -19,8 +19,8 @@ from qpae.data import train_eval_split
 from qpae.model import Classifier, TrainConfig, cross_entropy_loss, train
 from qpae.rng import Rng, derive_seed
 
-from helpers import (one_hot, predict_classes, reference_log_mel_batch,
-                     reference_read_wav, write_manifest)
+from helpers import (next_u64, one_hot, predict_classes, randbelow, reference_draws,
+                     reference_log_mel_batch, reference_read_wav, uniform, write_manifest)
 
 SR = 8000
 
@@ -122,7 +122,7 @@ class TestReadWav:
 
     def test_write_read_round_trip(self, tmp_path):
         rng = Rng(4)
-        clip = WavClip(SR, rng.uniform(500, low=-1.0, high=1.0))
+        clip = WavClip(SR, uniform(rng, 500, low=-1.0, high=1.0))
         p = tmp_path / "rt.wav"
         write_wav(clip, p)
         back = read_wav(p)
@@ -247,7 +247,7 @@ class TestSynth:
     def test_features_always_finite(self):
         rng = Rng(88)
         for i in range(1000):
-            clip = synth_clip(int(rng.randbelow(10)), rng)
+            clip = synth_clip(int(randbelow(rng, 10)), rng)
             assert np.all(np.isfinite(clip.samples))
         data = synth_dataset(3, 5, seed=12, n_mels=8, n_frames=8)
         assert np.all(np.isfinite(data.features))
@@ -280,7 +280,7 @@ def reference_synth_clip(class_id, rng, profile=None):
     """One tone as first written: scalar jitter draw, one sine per harmonic
     clear of Nyquist, then Box-Muller noise as Rng.normal first drew it."""
     p = profile or SynthProfile()
-    jitter = rng.uniform(low=-p.freq_jitter, high=p.freq_jitter)
+    jitter = uniform(rng, low=-p.freq_jitter, high=p.freq_jitter)
     f0 = (p.base_freq + p.class_spacing * class_id) * (1.0 + jitter)
     n = p.n_samples
     t = np.arange(n) / p.sample_rate
@@ -384,10 +384,9 @@ class TestBatchedFrontEnd:
         PROFILES["default"], OVERLAP_PROFILE, SynthProfile(noise_sigma=0.0),
         SynthProfile(duration_s=0.000625)])  # 5 samples: an odd noise count
     def test_synth_clip_takes_the_documented_draws(self, profile):
-        used, skipped = Rng(21), Rng(21)
+        used = Rng(21)
         synth_clip(3, used, profile)
-        skipped.skip(synth_draws(profile))
-        assert used.next_u64() == skipped.next_u64()
+        assert next_u64(used) == reference_draws(21, synth_draws(profile), 1)[0]
 
     def test_draw_counts(self):
         assert synth_draws() == 1 + 6400
@@ -595,7 +594,7 @@ def test_overlap_profile_is_harder_but_learnable():
 
 
 def _pcm16(n, seed):
-    values = Rng(seed).uniform(n, low=-32768.0, high=32768.0).astype(np.int64)
+    values = uniform(Rng(seed), n, low=-32768.0, high=32768.0).astype(np.int64)
     values[:3] = [-32768, 0, 32767]
     return values.astype("<i2").tobytes()
 

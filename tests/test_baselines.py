@@ -11,7 +11,8 @@ from qpae.data import LabeledDataset
 from qpae.model import Classifier, cross_entropy_loss, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import equals_bits, one_hot, reference_diag_fisher, sample_gradient
+from helpers import (equals_bits, one_hot, reference_diag_fisher, sample_gradient,
+                     uniform)
 
 
 def reference_fisher(model, samples):
@@ -83,7 +84,7 @@ class TestGradientAscent:
 
     def test_negated_loss_is_minus_cross_entropy(self):
         rng = Rng(2)
-        probs = rng.uniform(6 * 4).reshape(6, 4) + 1e-3
+        probs = uniform(rng, 6 * 4).reshape(6, 4) + 1e-3
         probs /= probs.sum(axis=1, keepdims=True)
         classes = np.array([2, 0, 3, 1, 2, 2])
         targets = np.stack([one_hot(int(c), 4) for c in classes])

@@ -16,8 +16,8 @@ from qpae.metrics import evaluate
 from qpae.model import Classifier, TrainConfig, forward_batch, softmax
 from qpae.rng import Rng
 
-from helpers import (equals_bits, one_hot, predict_probs, reference_quantum_loss,
-                     reference_quantum_loss_logit_grad)
+from helpers import (equals_bits, one_hot, predict_probs, randbelow, reference_quantum_loss,
+                     reference_quantum_loss_logit_grad, uniform)
 
 distributions = st.lists(st.floats(min_value=1e-6, max_value=1.0),
                          min_size=2, max_size=12).map(
@@ -55,7 +55,7 @@ class TestInterferenceTransform:
         for s in range(50):
             m = Classifier.random_init(6, [5], 4, Rng(s))
             before = m.copy()
-            forget = {int(rng.randbelow(4))}
+            forget = {int(randbelow(rng, 4))}
             interference_transform(m, forget, math.pi)
             retained = [j for j in range(4) if j not in forget]
             assert np.array_equal(m.final_w[:, retained], before.final_w[:, retained])
@@ -147,7 +147,7 @@ class TestSuperposeLabels:
 
     def test_labels_still_sum_to_one(self):
         rng = Rng(9)
-        raw = rng.uniform(20 * 5).reshape(20, 5) + 1e-3
+        raw = uniform(rng, 20 * 5).reshape(20, 5) + 1e-3
         labels = raw / raw.sum(axis=1, keepdims=True)
         data = LabeledDataset(np.zeros((20, 3)), labels,
                               np.array([i % 5 for i in range(20)]), 5)
@@ -177,7 +177,7 @@ class TestQuantumLoss:
         k = 6
         floor = -math.log(k)
         for _ in range(500):
-            p = rng.uniform(k) + 1e-9
+            p = uniform(rng, k) + 1e-9
             p /= p.sum()
             val = reference_quantum_loss(p, one_hot(0, k), 0, {0}, 1.0)
             assert val >= floor - 1e-12
@@ -233,9 +233,9 @@ class TestQuantumLossLogitGrad:
         rng = Rng(404)
         worst = 0.0
         for _ in range(1000):
-            k = 2 + rng.randbelow(9)
-            lam = 0.25 + rng.uniform()
-            p = rng.uniform(k) + 1e-4
+            k = 2 + randbelow(rng, 9)
+            lam = 0.25 + uniform(rng)
+            p = uniform(rng, k) + 1e-4
             p /= p.sum()
             g = reference_quantum_loss_logit_grad(p, one_hot(0, k), 0, {0}, lam)
             fd = fd_entropy_grad(p, lam)
@@ -253,10 +253,10 @@ class TestQuantumLossLogitGrad:
         rng = Rng(21)
         loss = partial(quantum_loss, forget_set={0, 2}, entropy_lambda=1.7)
         k = 5
-        probs = rng.uniform(8 * k).reshape(8, k) + 1e-4
+        probs = uniform(rng, 8 * k).reshape(8, k) + 1e-4
         probs /= probs.sum(axis=1, keepdims=True)
-        targets = np.stack([one_hot(int(rng.randbelow(k)), k) for _ in range(8)])
-        classes = np.array([int(rng.randbelow(k)) for _ in range(8)])
+        targets = np.stack([one_hot(int(randbelow(rng, k)), k) for _ in range(8)])
+        classes = np.array([int(randbelow(rng, k)) for _ in range(8)])
         values, grads = loss(probs, targets, classes)
         for i in range(8):
             args = (probs[i], targets[i], int(classes[i]), {0, 2}, 1.7)
@@ -273,9 +273,9 @@ class TestMixing:
     def test_symmetric_unit_diagonal(self):
         rng = Rng(14)
         for _ in range(25):
-            k = 3 + rng.randbelow(8)
-            f = {int(rng.randbelow(k))}
-            alpha = 0.2 + 0.6 * rng.uniform()
+            k = 3 + randbelow(rng, 8)
+            f = {int(randbelow(rng, k))}
+            alpha = 0.2 + 0.6 * uniform(rng)
             m = build_mixing_matrix(k, f, alpha)
             assert np.array_equal(m, m.T)
             assert np.all(np.diag(m) == 1.0)
@@ -315,8 +315,8 @@ class TestMixing:
             d, k = 8, 5
             w = rng.normal(d * k).reshape(d, k)
             h = rng.normal(d)
-            f = int(rng.randbelow(k))
-            alpha = 0.2 + 0.6 * rng.uniform()
+            f = int(randbelow(rng, k))
+            alpha = 0.2 + 0.6 * uniform(rng)
             model = linear_model(w.copy(), np.zeros(k))
             apply_mixing(model, build_mixing_matrix(k, {f}, alpha))
             mixed = forward_batch(model, h[None, :])[1][0]

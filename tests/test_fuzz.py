@@ -21,7 +21,7 @@ from qpae.metrics import (ReportError, compare_reports, evaluate, report_csv_row
 from qpae.model import Classifier, NumericError
 from qpae.rng import Rng
 
-from helpers import write_manifest
+from helpers import uniform, write_manifest
 
 # 4-byte words a mutation may write: zero, all ones, float32 NaN, +inf,
 # max and a signalling NaN, and the largest u32 sizes, the values parsers
@@ -67,7 +67,7 @@ def float32_wav(samples, channels=1) -> bytes:
 def seeds(tmp_path_factory):
     """One valid input of each kind, and a directory to write mutants to."""
     root = tmp_path_factory.mktemp("fuzz")
-    write_wav(WavClip(8000, Rng(1).uniform(24, low=-1.0, high=1.0)), root / "pcm.wav")
+    write_wav(WavClip(8000, uniform(Rng(1), 24, low=-1.0, high=1.0)), root / "pcm.wav")
     model = Classifier.random_init(3, [2], 2, Rng(2))
     save_checkpoint(model, root / "model.qpae")
     write_manifest(root / "dataset", [(WavClip(8000, Rng(3).normal(300, sigma=0.1)), c)

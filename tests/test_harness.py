@@ -360,6 +360,28 @@ class TestForget:
             assert bcfg.seed == derive_seed(99, k)
             assert replace(bcfg, seed=cfg.baselines.seed) == cfg.baselines
 
+    @pytest.mark.parametrize("scenario, qp_calls, baseline_calls", [
+        ("single", 1, 4), ("multi", 1, 4), ("sequential", 3, 0), ("ablation", 6, 0),
+        ("accent", 1, 4)])
+    def test_every_request_goes_through_the_module_globals(self, tmp_path, monkeypatch,
+                                                           scenario, qp_calls,
+                                                           baseline_calls):
+        """The benchmark times requests by replacing harness.run_qp_audio_eraser
+        and harness.run_baseline: every request of every scenario goes through them."""
+        default = default_config(scenario)
+        cfg = default_config(
+            scenario, output_dir=str(tmp_path),
+            dataset=replace(default.dataset, per_class=20, n_mels=8, n_frames=8),
+            train=replace(default.train, epochs=2), unlearn=replace(default.unlearn, epochs=1))
+        calls = {"run_qp_audio_eraser": 0, "run_baseline": 0}
+        for name in calls:
+            def counted(*args, _name=name, _runner=getattr(harness, name)):
+                calls[_name] += 1
+                return _runner(*args)
+            monkeypatch.setattr(harness, name, counted)
+        harness.run_scenario(cfg)
+        assert calls == {"run_qp_audio_eraser": qp_calls, "run_baseline": baseline_calls}
+
     def test_full_ablation_variant_is_the_qp_request(self, small_cfg):
         small_cfg.unlearn.epochs = 1
         small_cfg.scenario = "ablation"

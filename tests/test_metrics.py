@@ -13,7 +13,7 @@ from qpae.metrics import (TABLE_COLUMNS, EvaluationReport, ReportError,
 from qpae.model import Classifier, softmax
 from qpae.rng import Rng
 
-from helpers import one_hot, reference_evaluate
+from helpers import one_hot, randbelow, reference_evaluate
 
 
 def prediction_set(logits, classes, k):
@@ -173,14 +173,14 @@ class TestBruteForceOracle:
     def test_hundred_random_prediction_sets(self):
         rng = Rng(606)
         for case in range(100):
-            k = 2 + rng.randbelow(11)          # K <= 12
-            n = 1 + rng.randbelow(200)         # <= 200 samples
+            k = 2 + randbelow(rng, 11)          # K <= 12
+            n = 1 + randbelow(rng, 200)         # <= 200 samples
             logits = rng.normal(n * k, sigma=3.0).reshape(n, k)
-            classes = [int(rng.randbelow(k)) for _ in range(n)]
-            n_forget = 1 + rng.randbelow(k - 1)
+            classes = [int(randbelow(rng, k)) for _ in range(n)]
+            n_forget = 1 + randbelow(rng, k - 1)
             forget = set()
             while len(forget) < n_forget:
-                forget.add(int(rng.randbelow(k)))
+                forget.add(int(randbelow(rng, k)))
             original_fa = 100.0 if case % 2 == 0 else None
             model, data = prediction_set(logits, classes, k)
             rep = evaluate(model, data, forget, original_fa=original_fa)
@@ -199,7 +199,7 @@ class TestBruteForceOracle:
         rng = Rng(19)
         k, n = 6, 150
         logits = rng.normal(n * k, sigma=2.0).reshape(n, k)
-        classes = [int(rng.randbelow(k)) for _ in range(n)]
+        classes = [int(randbelow(rng, k)) for _ in range(n)]
         model, data = prediction_set(logits, classes, k)
         rep = evaluate(model, data, {2})
         preds = np.argmax(logits, axis=1)
@@ -224,18 +224,18 @@ class TestConfusionShares:
         rng = Rng({"both": 71, "no_forget_rows": 72, "no_retain_rows": 73}[sides])
         for k in range(2, 13):
             for trial in range(6):
-                dim = 2 + rng.randbelow(6)
-                model = Classifier.random_init(dim, [3 + rng.randbelow(8)], k,
+                dim = 2 + randbelow(rng, 6)
+                model = Classifier.random_init(dim, [3 + randbelow(rng, 8)], k,
                                                Rng(1000 * k + trial))
                 forget = set()
-                n_forget = 1 + rng.randbelow(k - 1)
+                n_forget = 1 + randbelow(rng, k - 1)
                 while len(forget) < n_forget:
-                    forget.add(int(rng.randbelow(k)))
+                    forget.add(int(randbelow(rng, k)))
                 pool = {"both": range(k),
                         "no_forget_rows": sorted(set(range(k)) - forget),
                         "no_retain_rows": sorted(forget)}[sides]
-                n = 2 + rng.randbelow(150)
-                classes = np.array([pool[rng.randbelow(len(pool))] for _ in range(n)])
+                n = 2 + randbelow(rng, 150)
+                classes = np.array([pool[randbelow(rng, len(pool))] for _ in range(n)])
                 if sides == "both":  # a row on each side of the split, at least
                     classes[:2] = min(forget), min(set(range(k)) - forget)
                 data = LabeledDataset(rng.normal(n * dim, sigma=2.0).reshape(n, dim),

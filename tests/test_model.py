@@ -13,9 +13,9 @@ from qpae.model import (Classifier, TrainConfig, backward_batch, cross_entropy_l
                         forward_batch, softmax, train)
 from qpae.rng import Rng
 
-from helpers import (equals_bits, gradient_check, one_hot, predict_classes,
+from helpers import (equals_bits, gradient_check, one_hot, predict_classes, randbelow,
                      reference_cross_entropy, reference_quantum_loss,
-                     reference_quantum_loss_logit_grad)
+                     reference_quantum_loss_logit_grad, uniform)
 
 
 def linear_model(w, b):
@@ -99,11 +99,11 @@ class TestSoftmax:
     def test_sum_and_shift_invariance_1000_random(self):
         rng = Rng(17)
         for _ in range(1000):
-            k = 2 + rng.randbelow(9)
+            k = 2 + randbelow(rng, 9)
             z = rng.normal(k, sigma=5.0)
             p = softmax(z)
             assert abs(p.sum() - 1.0) <= 1e-9
-            shifted = softmax(z + rng.uniform(low=-100.0, high=100.0))
+            shifted = softmax(z + uniform(rng, low=-100.0, high=100.0))
             assert np.max(np.abs(p - shifted)) <= 1e-9
 
 
@@ -139,8 +139,8 @@ class TestEntropyAndCrossEntropy:
             assert entropy(np.full(k, 1.0 / k)) == pytest.approx(math.log(k), abs=1e-12)
         rng = Rng(23)
         for _ in range(1000):
-            k = 2 + rng.randbelow(15)
-            p = rng.uniform(k) + 1e-9
+            k = 2 + randbelow(rng, 15)
+            p = uniform(rng, k) + 1e-9
             p /= p.sum()
             assert entropy(p) <= math.log(k) + 1e-12
 
@@ -310,7 +310,7 @@ class TestLossBatch:
         loss, value, logit_grad = self.ORACLES[name]
         rng = Rng(41)
         k, n = 5, 12
-        probs = rng.uniform(n * k).reshape(n, k) + 1e-4
+        probs = uniform(rng, n * k).reshape(n, k) + 1e-4
         probs /= probs.sum(axis=1, keepdims=True)
         classes = np.arange(n) % k
         targets = np.stack([one_hot(int(c), k) for c in classes])
@@ -354,7 +354,7 @@ class TestGradientCheck:
         for s in range(5):
             m = small_random_model(s)
             x = rng.normal(6)
-            target = one_hot(int(rng.randbelow(4)), 4)
+            target = one_hot(int(randbelow(rng, 4)), 4)
             assert gradient_check(m, x, target, cross_entropy_loss) <= 1e-4
 
     def test_quantum_loss_forget_branch(self):
