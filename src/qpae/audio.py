@@ -392,7 +392,7 @@ def synth_dataset(num_classes: int, per_class: int, seed: int,
     _synth_chunks(classes, clips, seed, profile, featurize,
                   crop_span(profile.n_samples, n_frames))
     classes = classes[clips]
-    return LabeledDataset(features, np.eye(num_classes)[classes], classes, num_classes)
+    return LabeledDataset(features, classes, num_classes)
 
 
 class ManifestError(ValueError):
@@ -473,10 +473,10 @@ def load_manifest(dataset_dir: str | Path, num_classes: int,
                   rows=None) -> LabeledDataset:
     """Load a labels.csv manifest directory into a feature dataset.
 
-    Every class id must lie in [0, num_classes); the one-hot labels are
-    num_classes wide. rows, if given, lists the manifest rows to load
-    (0-based, in labels.csv order), and only their WAV files are opened;
-    row i of the result is row rows[i] of the whole manifest, bit for bit.
+    Every class id must lie in [0, num_classes). rows, if given, lists
+    the manifest rows to load (0-based, in labels.csv order), and only
+    their WAV files are opened; row i of the result is row rows[i] of the
+    whole manifest, bit for bit.
     """
     paths, classes = read_labels(dataset_dir, num_classes)
     clips = _clip_rows(rows, len(paths))
@@ -489,4 +489,4 @@ def load_manifest(dataset_dir: str | Path, num_classes: int,
         features[i] = log_mel_spectrogram(clip, n_mels=n_mels,
                                           target_frames=n_frames).reshape(-1)
     classes = classes[clips]
-    return LabeledDataset(features, np.eye(num_classes)[classes], classes, num_classes)
+    return LabeledDataset(features, classes, num_classes)

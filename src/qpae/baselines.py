@@ -103,7 +103,7 @@ def estimate_diag_fisher(model: Classifier, data: LabeledDataset,
     if n == 0:
         raise ValueError("need at least one sample")
     acts, logits = forward_batch(model, samples.features)
-    delta = softmax(logits) - samples.labels        # per-sample logit grads
+    delta = softmax(logits) - samples.labels()      # per-sample logit grads
     fisher_rev: list[np.ndarray] = []
     for a, dz in backprop(model, acts, delta):
         dz2 = dz ** 2

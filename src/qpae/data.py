@@ -1,52 +1,46 @@
-"""Labeled feature datasets with soft labels and forget-set bookkeeping."""
+"""Labeled feature datasets: features, their classes, and the superposed classes."""
 
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .rng import Rng
-
-LABEL_SUM_TOL = 1e-9
 
 TRAIN_FRACTION = 0.8  # of each class's samples; the rest are held out
 
 
 @dataclass
 class LabeledDataset:
-    """Feature vectors plus soft-label distributions over num_classes.
+    """Feature vectors, the class of each, and the superposed classes.
 
-    `original_classes` records the class each sample carried at creation
-    time; label rewriting (e.g. superposition) never touches it, so
-    `forgotten`, the one forget-row rule, recovers the split at any time.
+    A sample's label is the one-hot row of its class, or the uniform row
+    over all num_classes when its class is in `superposed`; `labels()`
+    forms those rows. `original_classes` never changes, so `forgotten`
+    recovers the rows of any set of classes at any time.
     """
 
     features: np.ndarray          # (n, feature_dim) float64
-    labels: np.ndarray            # (n, num_classes) float64, rows sum to 1
     original_classes: np.ndarray  # (n,) int64
     num_classes: int
+    superposed: frozenset[int] = frozenset()
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
         self.original_classes = np.asarray(self.original_classes, dtype=np.int64)
         self.validate()
 
     def validate(self) -> None:
-        if self.features.ndim != 2 or self.labels.ndim != 2:
-            raise ValueError("features and labels must be 2-D")
+        if self.features.ndim != 2:
+            raise ValueError("features must be 2-D")
         n = self.features.shape[0]
-        if self.labels.shape != (n, self.num_classes):
-            raise ValueError("labels must be (n, num_classes)")
         if self.original_classes.shape != (n,):
             raise ValueError("original_classes must be (n,)")
         if n and (self.original_classes.min() < 0
                   or self.original_classes.max() >= self.num_classes):
             raise ValueError("original class out of range")
-        if n and np.max(np.abs(self.labels.sum(axis=1) - 1.0)) > LABEL_SUM_TOL:
-            raise ValueError("every label must sum to 1")
 
     @property
     def n_samples(self) -> int:
@@ -56,10 +50,17 @@ class LabeledDataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    def labels(self) -> np.ndarray:
+        """(n, num_classes) float64 label rows, a fresh array: one-hot, or
+        1 / num_classes throughout where the sample's class is superposed."""
+        labels = np.eye(self.num_classes)[self.original_classes]
+        labels[self.forgotten(self.superposed)] = 1.0 / self.num_classes
+        return labels
+
     def subset(self, rows: np.ndarray) -> "LabeledDataset":
         """The rows given by an index array or a boolean mask, in order."""
-        return LabeledDataset(self.features[rows], self.labels[rows],
-                              self.original_classes[rows], self.num_classes)
+        return replace(self, features=self.features[rows],
+                       original_classes=self.original_classes[rows])
 
     def forgotten(self, forget_set: set[int]) -> np.ndarray:
         """Boolean row mask: True where the original class is in forget_set."""

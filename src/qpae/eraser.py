@@ -15,7 +15,7 @@ vocabulary is naming, not hardware.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -81,15 +81,12 @@ def interference_transform(model: Classifier, forget_set: set[int],
 def superpose_labels(data: LabeledDataset, forget_set: set[int]) -> LabeledDataset:
     """Phase 2: forgotten samples get the uniform label over all K classes.
 
-    Only the label matrix is copied; features and class bookkeeping are
-    shared with the input (datasets are treated as immutable), keeping the
-    relabeling cost independent of the feature width.
+    The result is `data` with forget_set added to its superposed classes;
+    it shares every array with the input (datasets are treated as
+    immutable) and copies none, so relabeling costs nothing per sample.
     """
     check_forget_set(forget_set, data.num_classes)
-    labels = data.labels.copy()
-    labels[data.forgotten(forget_set)] = 1.0 / data.num_classes
-    return LabeledDataset(data.features, labels, data.original_classes,
-                          data.num_classes)
+    return replace(data, superposed=data.superposed | frozenset(forget_set))
 
 
 def quantum_loss(probs, targets, classes, forget_set: frozenset[int] | set[int],

@@ -334,7 +334,7 @@ def prepare_split(cfg: ExperimentConfig, side: int) -> LabeledDataset:
                             derive_seed(cfg.seed, _SEED_SPLIT))[side]
     data = build_dataset(cfg, rows)
     if key is not None:
-        for array in (data.features, data.labels, data.original_classes):
+        for array in (data.features, data.original_classes):
             array.flags.writeable = False
         _last_splits.setdefault(key, _Kept()).sides[side] = data
     return data
@@ -591,32 +591,31 @@ def _standard_step(ws: Workspace, original_report: EvaluationReport) -> list[Row
 def _sequential_step(ws: Workspace) -> list[Row]:
     """Apply the pipeline per forget request to the evolving model.
 
-    After each step the model is scored with the forget set equal to the
-    union of everything forgotten so far. Labels superposed at earlier
-    steps persist in the evolving training data: at later steps the rows
-    of earlier-forgotten classes keep their uniform labels and are
-    retained rows, trained by cross-entropy toward them. No table
-    measures whether that keeps those classes from being re-learned.
+    The training data's superposed classes are the one record of what
+    has been forgotten. After each step the model is scored with the
+    forget set equal to that union. At later steps the rows of
+    earlier-forgotten classes keep their uniform labels and are retained
+    rows, trained by cross-entropy toward them. No table measures
+    whether that keeps those classes from being re-learned.
     """
     cfg = ws.cfg
     original = ws.load(ws.original_path())
     model = original.copy()
     current = ws.train_data
-    forgotten: set[int] = set()
     series: list[dict] = []
     rows: list[Row] = []
     for step, request in enumerate(cfg.sequential_requests, start=1):
         request = set(request)
-        overlap = request & forgotten
+        overlap = request & current.superposed
         if overlap:
             log.warning("step %d: classes %s already forgotten; using union semantics",
                         step, sorted(overlap))
-        new = request - forgotten
+        new = request - current.superposed
         if new:
             step_cfg = replace(cfg, unlearn=replace(cfg.unlearn, forget_set=sorted(new)))
             forget(model, current, "qp", step_cfg)
             current = superpose_labels(current, new)
-            forgotten |= new
+        forgotten = current.superposed
         original_union = evaluate(original, ws.eval_data, forgotten)
         report = evaluate(model, ws.eval_data, forgotten,
                           original_fa=original_union.fa)

@@ -204,13 +204,14 @@ def train(model: Classifier, data: "LabeledDataset", cfg: TrainConfig,
         raise ValueError("dataset feature_dim does not match model")
     rng = Rng(cfg.seed)
     n = data.n_samples
+    labels = data.labels()
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xs = data.features[idx]
-            ts = data.labels[idx]
+            ts = labels[idx]
             cs = data.original_classes[idx]
             acts, logits = forward_batch(model, xs)
             probs = softmax(logits)

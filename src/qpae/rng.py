@@ -53,9 +53,9 @@ class Rng:
         self._count += n
         return _draws(self._seed, index)
 
-    def normal(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+    def normal(self, n: int, sigma: float = 1.0) -> np.ndarray:
         """n Gaussian draws via Box-Muller on the next 2 * ceil(n / 2) draws."""
-        return mu + sigma * box_muller(self.fill_u64(2 * ((n + 1) // 2)), n)
+        return sigma * box_muller(self.fill_u64(2 * ((n + 1) // 2)), n)
 
     def shuffle(self, values: np.ndarray) -> None:
         """In-place Fisher-Yates shuffle.

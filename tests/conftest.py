@@ -11,8 +11,6 @@ from qpae.metrics import evaluate
 from qpae.model import Classifier, cross_entropy_loss, train
 from qpae.rng import Rng, derive_seed
 
-from helpers import one_hot
-
 
 @pytest.fixture(scope="session")
 def tiny_data():
@@ -25,9 +23,7 @@ def tiny_data():
         for _ in range(per_class):
             feats.append(center + rng.normal(dim, sigma=0.4))
             classes.append(c)
-    labels = np.stack([one_hot(c, k) for c in classes])
-    return LabeledDataset(np.stack(feats), labels,
-                          np.array(classes, dtype=np.int64), k)
+    return LabeledDataset(np.stack(feats), np.array(classes, dtype=np.int64), k)
 
 
 @pytest.fixture()

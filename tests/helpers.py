@@ -54,6 +54,17 @@ def one_hot(class_id: int, num_classes: int) -> np.ndarray:
     return v
 
 
+def reference_label_matrix(classes, num_classes: int, *steps: set[int]) -> np.ndarray:
+    """An explicit (n, num_classes) label matrix: the one-hot rows of
+    `classes`, then, for each phase-2 step in turn, a copy with the rows
+    of that step's classes set to 1 / num_classes."""
+    labels = np.eye(num_classes)[classes]
+    for step in steps:
+        labels = labels.copy()
+        labels[np.isin(classes, sorted(step))] = 1.0 / num_classes
+    return labels
+
+
 def equals_bits(a, b) -> bool:
     """True if two classifiers hold the same parameter blocks, bit for bit."""
     mine, theirs = a.parameters(), b.parameters()
@@ -326,7 +337,7 @@ def reference_diag_fisher(model, samples) -> list[np.ndarray]:
         raise ValueError("need at least one sample")
     n = samples.n_samples
     acts, logits = forward_batch(model, samples.features)
-    delta = softmax(logits) - samples.labels
+    delta = softmax(logits) - samples.labels()
     fisher_rev: list[np.ndarray] = []
     for a, dz in backprop(model, acts, delta):
         dz2 = dz ** 2

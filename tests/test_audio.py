@@ -229,7 +229,7 @@ class TestSynth:
         a = synth_dataset(4, 3, seed=7, n_mels=16, n_frames=8)
         b = synth_dataset(4, 3, seed=7, n_mels=16, n_frames=8)
         assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.labels(), b.labels())
 
     def test_per_class_counts(self):
         data = synth_dataset(5, 4, seed=1, n_mels=8, n_frames=8)
@@ -467,7 +467,7 @@ class TestThreadedSynth:
         feats, labels, classes = serial_synth_dataset(
             k, per_class, k * 100 + per_class, n_mels, n_frames, profile)
         assert np.array_equal(data.features, feats)
-        assert np.array_equal(data.labels, labels)
+        assert np.array_equal(data.labels(), labels)
         assert np.array_equal(data.original_classes, classes)
 
     @pytest.mark.parametrize("cpus, want", [({0}, 1), (set(range(5)), 5)])
@@ -717,7 +717,7 @@ def _assert_rows_of(part, full, rows):
     rows = np.asarray(rows, dtype=np.int64)
     assert part.num_classes == full.num_classes
     assert part.features.tobytes() == full.features[rows].tobytes()
-    assert part.labels.tobytes() == full.labels[rows].tobytes()
+    assert part.labels().tobytes() == full.labels()[rows].tobytes()
     assert part.original_classes.tolist() == full.original_classes[rows].tolist()
 
 

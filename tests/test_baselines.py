@@ -20,7 +20,7 @@ def reference_fisher(model, samples):
     first, then each hidden layer."""
     n = samples.n_samples
     acts, logits = forward_batch(model, samples.features)
-    delta = softmax(logits) - samples.labels
+    delta = softmax(logits) - samples.labels()
     d2 = delta ** 2
     fisher_rev = [np.mean(d2, axis=0), (acts[-1] ** 2).T @ d2 / n]
     w_above = model.final_w
@@ -116,8 +116,7 @@ class TestFisherEstimate:
         rng = Rng(300 + k)
         n, dim = 40 + 5 * k, 20
         classes = np.arange(n) % k
-        data = LabeledDataset(rng.normal(n * dim, sigma=2.0).reshape(n, dim),
-                              np.eye(k)[classes], classes, k)
+        data = LabeledDataset(rng.normal(n * dim, sigma=2.0).reshape(n, dim), classes, k)
         model = Classifier.random_init(dim, hidden, k, Rng(k))
         forgotten = data.forgotten({k // 2, k - 1})
         for rows in (forgotten, ~forgotten, None):
@@ -133,7 +132,7 @@ class TestFisherEstimate:
         fast = estimate_diag_fisher(tiny_model, sub)
         slow = [np.zeros_like(p) for p in tiny_model.parameters()]
         for i in range(sub.n_samples):
-            grads = sample_gradient(tiny_model, sub.features[i], sub.labels[i],
+            grads = sample_gradient(tiny_model, sub.features[i], sub.labels()[i],
                                     cross_entropy_loss, int(sub.original_classes[i]))
             for acc, g in zip(slow, grads):
                 acc += g ** 2
@@ -155,8 +154,7 @@ class TestFisherEstimate:
     def test_confident_model_has_near_zero_fisher(self):
         # a model that nails every label with huge margin has ~zero CE grads
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        labels = np.stack([one_hot(0, 2), one_hot(1, 2)])
-        data = LabeledDataset(feats, labels, np.array([0, 1]), 2)
+        data = LabeledDataset(feats, np.array([0, 1]), 2)
         m = Classifier([(np.array([[60.0, -60.0], [-60.0, 60.0]]), np.zeros(2))])
         for block in estimate_diag_fisher(m, data):
             assert np.all(block <= 1e-20)
@@ -270,10 +268,10 @@ def test_fisher_baselines_leave_a_writeable_split_unchanged(tiny_model, tiny_dat
     itself may be squared in place."""
     data = tiny_data.subset(np.arange(tiny_data.n_samples))
     assert data.features.flags.writeable
-    before = [a.copy() for a in (data.features, data.labels, data.original_classes)]
+    before = [a.copy() for a in (data.features, data.original_classes)]
     run_baseline(tiny_model, data, {1, 3}, method,
                  BaselineConfig(fisher_noise_scale=1e-3, seed=8))
-    for a, b in zip((data.features, data.labels, data.original_classes), before):
+    for a, b in zip((data.features, data.original_classes), before):
         assert a.tobytes() == b.tobytes()
 
 

@@ -72,8 +72,7 @@ def seeds(tmp_path_factory):
     save_checkpoint(model, root / "model.qpae")
     write_manifest(root / "dataset", [(WavClip(8000, Rng(3).normal(300, sigma=0.1)), c)
                                       for c in (0, 1, 1)])
-    data = LabeledDataset(Rng(4).normal(12, sigma=2.0).reshape(4, 3), np.eye(2)[[0, 1, 1, 0]],
-                          [0, 1, 1, 0], 2)
+    data = LabeledDataset(Rng(4).normal(12, sigma=2.0).reshape(4, 3), [0, 1, 1, 0], 2)
     return {"dir": root,
             "report": report_to_json(evaluate(model, data, {0}, original_fa=50.0)),
             "wavs": [(root / "pcm.wav").read_bytes(),

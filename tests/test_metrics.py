@@ -13,15 +13,13 @@ from qpae.metrics import (TABLE_COLUMNS, EvaluationReport, ReportError,
 from qpae.model import Classifier, softmax
 from qpae.rng import Rng
 
-from helpers import one_hot, randbelow, reference_evaluate
+from helpers import randbelow, reference_evaluate
 
 
 def prediction_set(logits, classes, k):
     """Dataset + identity model so evaluate() sees exactly these logits."""
     logits = np.asarray(logits, dtype=float)
-    data = LabeledDataset(logits,
-                          np.stack([one_hot(c, k) for c in classes]),
-                          np.array(classes, dtype=np.int64), k)
+    data = LabeledDataset(logits, np.array(classes, dtype=np.int64), k)
     model = Classifier([(np.eye(k), np.zeros(k))])
     return model, data
 
@@ -239,7 +237,7 @@ class TestConfusionShares:
                 if sides == "both":  # a row on each side of the split, at least
                     classes[:2] = min(forget), min(set(range(k)) - forget)
                 data = LabeledDataset(rng.normal(n * dim, sigma=2.0).reshape(n, dim),
-                                      np.eye(k)[classes], classes, k)
+                                      classes, k)
                 original_fa = [None, 0.0, 100.0, 37.5, 3.0, 62.5][trial]
                 got = evaluate(model, data, forget, original_fa=original_fa)
                 want = reference_evaluate(model, data, forget, original_fa=original_fa)

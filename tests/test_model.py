@@ -14,8 +14,8 @@ from qpae.model import (Classifier, TrainConfig, backward_batch, cross_entropy_l
 from qpae.rng import Rng
 
 from helpers import (equals_bits, gradient_check, one_hot, predict_classes, randbelow,
-                     reference_cross_entropy, reference_quantum_loss,
-                     reference_quantum_loss_logit_grad, uniform)
+                     reference_cross_entropy, reference_label_matrix,
+                     reference_quantum_loss, reference_quantum_loss_logit_grad, uniform)
 
 
 def linear_model(w, b):
@@ -154,8 +154,7 @@ def separable_two_class(n_per=20):
             base = np.array([3.0, 0.0]) if c == 0 else np.array([-3.0, 0.0])
             feats.append(base + rng.normal(2, sigma=0.5))
             classes.append(c)
-    labels = np.stack([one_hot(c, 2) for c in classes])
-    return LabeledDataset(np.stack(feats), labels, np.array(classes), 2)
+    return LabeledDataset(np.stack(feats), np.array(classes), 2)
 
 
 class TestTrain:
@@ -183,8 +182,7 @@ class TestTrain:
         assert np.all(preds == data.original_classes)
 
     def test_empty_dataset_warns_and_noops(self):
-        data = LabeledDataset(np.zeros((0, 3)), np.zeros((0, 2)),
-                              np.zeros(0, dtype=np.int64), 2)
+        data = LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
         m = Classifier.random_init(3, [], 2, Rng(4))
         before = m.copy()
         log = train(m, data, TrainConfig(epochs=3, seed=1), cross_entropy_loss)
@@ -253,7 +251,7 @@ def reference_quantum(forget_set, lam):
     return terms
 
 
-def reference_train(model, data, cfg, terms):
+def reference_train(model, data, labels, cfg, terms):
     rng = Rng(cfg.seed)
     n = data.n_samples
     epoch_losses = []
@@ -263,7 +261,7 @@ def reference_train(model, data, cfg, terms):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             acts, logits = forward_batch(model, data.features[idx])
-            values, dlogits = terms(softmax(logits), data.labels[idx],
+            values, dlogits = terms(softmax(logits), labels[idx],
                                     data.original_classes[idx])
             total += float(np.sum(values))
             grads, _ = reference_backward(model, acts, dlogits / len(idx))
@@ -324,22 +322,34 @@ class TestLossBatch:
 
 
 class TestTrainStep:
-    @pytest.mark.parametrize("name", ["cross_entropy", "quantum", "negated"])
+    @pytest.mark.parametrize("name", ["cross_entropy", "quantum", "quantum_later_step",
+                                      "negated"])
     def test_bit_equal_to_reference_step_loop(self, tiny_data, name):
+        classes = tiny_data.original_classes
         if name == "cross_entropy":
             data, loss, terms = tiny_data, cross_entropy_loss, reference_ce
+            labels = reference_label_matrix(classes, 4)
         elif name == "quantum":
             data = superpose_labels(tiny_data, {1})
             loss = partial(quantum_loss, forget_set={1}, entropy_lambda=1.3)
             terms = reference_quantum({1}, 1.3)
+            labels = reference_label_matrix(classes, 4, {1})
+        elif name == "quantum_later_step":
+            # a second sequential step: class 0, superposed by the first,
+            # is retained and trained by cross-entropy toward uniform
+            data = superpose_labels(superpose_labels(tiny_data, {0}), {1})
+            loss = partial(quantum_loss, forget_set={1}, entropy_lambda=1.3)
+            terms = reference_quantum({1}, 1.3)
+            labels = reference_label_matrix(classes, 4, {0}, {1})
         else:
             data = tiny_data.subset(tiny_data.forgotten({2}))
             loss, terms = negated_cross_entropy_loss, reference_negated_ce
+            labels = reference_label_matrix(data.original_classes, 4)
         cfg = TrainConfig(learning_rate=0.07, epochs=3, batch_size=16, seed=19)
         model = Classifier.random_init(data.feature_dim, [16, 8], 4, Rng(13))
         oracle = model.copy()
         log = train(model, data, cfg, loss)
-        assert log.epoch_losses == reference_train(oracle, data, cfg, terms)
+        assert log.epoch_losses == reference_train(oracle, data, labels, cfg, terms)
         for p, q in zip(model.parameters(), oracle.parameters()):
             assert same_bits(p, q)
 
