@@ -56,15 +56,15 @@ def negated_cross_entropy_loss(probs, targets, classes):
     IEEE negation is exact, so this is bit for bit -CE.
     """
     values, dlogits = cross_entropy_loss(probs, targets, classes)
-    return -values, -dlogits
+    return np.negative(values, out=values), np.negative(dlogits, out=dlogits)
 
 
 def _ascend(model: Classifier, data: LabeledDataset, forget_set: set[int],
             cfg: BaselineConfig) -> Classifier:
     forgotten = data.forgotten(forget_set)
     if forgotten.any():
-        train(model, data.subset(forgotten), cfg.train_config("ascent"),
-              negated_cross_entropy_loss)
+        train(model, data, cfg.train_config("ascent"), negated_cross_entropy_loss,
+              rows=np.flatnonzero(forgotten))
     return model
 
 
@@ -74,8 +74,8 @@ def gradient_ascent_unlearn(model: Classifier, data: LabeledDataset,
     _ascend(model, data, forget_set, cfg)
     retained = ~data.forgotten(forget_set)
     if retained.any() and cfg.finetune_epochs:
-        train(model, data.subset(retained), cfg.train_config("finetune"),
-              cross_entropy_loss)
+        train(model, data, cfg.train_config("finetune"), cross_entropy_loss,
+              rows=np.flatnonzero(retained))
     return model
 
 

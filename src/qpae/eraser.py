@@ -15,6 +15,7 @@ vocabulary is naming, not hardware.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -89,21 +90,28 @@ def superpose_labels(data: LabeledDataset, forget_set: set[int]) -> LabeledDatas
     return replace(data, superposed=data.superposed | frozenset(forget_set))
 
 
-def quantum_loss(probs, targets, classes, forget_set: frozenset[int] | set[int],
-                 entropy_lambda: float):
+def forget_table(forget_set: Collection[int], num_classes: int) -> np.ndarray:
+    """(num_classes,) boolean class table: True at each class in forget_set."""
+    return np.isin(np.arange(num_classes), sorted(forget_set))
+
+
+def quantum_loss(probs, targets, classes, forgotten: np.ndarray, entropy_lambda: float):
     """The dual-branch loss, keyed on original class: cross-entropy on
     retained samples, lambda times the negated entropy on forgotten ones.
-    Phase 3 binds the last two arguments to make it a `Loss`."""
-    forgotten = np.zeros(probs.shape[1], dtype=bool)
-    forgotten[np.array(sorted(forget_set), dtype=np.int64)] = True
+
+    `forgotten` is the `forget_table` of the forget set. Cross-entropy is
+    formed for the whole batch, and the entropy branch is then written
+    over its forgotten rows. Phase 3 binds the last two arguments, once
+    per request, to make it a `Loss`."""
     forget_rows = forgotten[classes]
-    plogp = np.where(probs > 0.0, probs * np.log(np.maximum(probs, 1e-300)), 0.0)
-    sum_plogp = np.sum(plogp, axis=1)
-    ce, retain_grad = cross_entropy_loss(probs, targets, classes)
+    p = probs[forget_rows]  # a copy, taken before cross-entropy writes over probs
+    plogp = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)), 0.0)
+    sum_plogp = plogp.sum(axis=1)
+    values, grads = cross_entropy_loss(probs, targets, classes)
     lam = float(entropy_lambda)
-    values = np.where(forget_rows, lam * sum_plogp, ce)
-    forget_grad = lam * (plogp + probs * -sum_plogp[:, None])
-    return values, np.where(forget_rows[:, None], forget_grad, retain_grad)
+    values[forget_rows] = lam * sum_plogp
+    grads[forget_rows] = lam * (plogp + p * -sum_plogp[:, None])
+    return values, grads
 
 
 def build_mixing_matrix(num_classes: int, forget_set: set[int],
@@ -114,7 +122,7 @@ def build_mixing_matrix(num_classes: int, forget_set: set[int],
     check_forget_set(forget_set, num_classes)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    forgotten = np.isin(np.arange(num_classes), sorted(forget_set))
+    forgotten = forget_table(forget_set, num_classes)
     cross = forgotten[:, None] ^ forgotten[None, :]
     m = np.where(cross, alpha, 0.0)
     np.fill_diagonal(m, 1.0)
@@ -193,7 +201,7 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
 
     span = None
     if not cfg.skip_uncertainty_max:
-        loss = partial(quantum_loss, forget_set=forget,
+        loss = partial(quantum_loss, forgotten=forget_table(forget, model.num_classes),
                        entropy_lambda=cfg.entropy_lambda)
         with stage() as span:
             train(model, relabeled, cfg.train_config(), loss)
@@ -214,6 +222,6 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
 
 __all__ = [
     "UnlearnConfig", "interference_transform", "phase_entry",
-    "superpose_labels", "quantum_loss", "build_mixing_matrix",
+    "superpose_labels", "forget_table", "quantum_loss", "build_mixing_matrix",
     "apply_mixing", "run_qp_audio_eraser", "penultimate", "accuracy_snapshot",
 ]

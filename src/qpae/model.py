@@ -28,10 +28,15 @@ class NumericError(RuntimeError):
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax; works on vectors and (n, K) batches."""
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return _softmax_in_place(np.array(logits, dtype=np.float64))
+
+
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a float64 array, written over it."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 @dataclass
@@ -142,9 +147,13 @@ def forward_batch(model: Classifier, xs: np.ndarray) -> tuple[list[np.ndarray], 
     acts = [xs]
     h = xs
     for w, b in model.layers[:-1]:
-        h = np.maximum(0.0, h @ w + b)
+        h = h @ w
+        h += b
+        # 0.0 first, so that a -0.0 in z comes out as +0.0
+        np.maximum(0.0, h, out=h)
         acts.append(h)
-    logits = h @ model.final_w + model.final_b
+    logits = h @ model.final_w
+    logits += model.final_b
     return acts, logits
 
 
@@ -164,16 +173,19 @@ def backprop(model: Classifier, acts: list[np.ndarray],
             dz = (dz @ model.layers[i][0].T) * (acts[i] > 0.0)
 
 
-def backward_batch(model: Classifier, acts: list[np.ndarray],
-                   dlogits: np.ndarray) -> list[np.ndarray]:
+def backward_batch(model: Classifier, acts: list[np.ndarray], dlogits: np.ndarray,
+                   out: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """Gradients for every parameter block given d(loss)/d(logits).
 
     dlogits must already carry any batch averaging. The returned list is
-    aligned with model.parameters().
+    aligned with model.parameters(). `out`, when given, holds one array
+    per layer, shaped like its weights and input side first; each weight
+    gradient is written into its array, which the list then returns.
     """
+    outs = out if out is not None else [None] * len(model.layers)
     grads_rev: list[np.ndarray] = []
-    for a, dz in backprop(model, acts, dlogits):
-        grads_rev += [np.sum(dz, axis=0), a.T @ dz]
+    for (a, dz), w_out in zip(backprop(model, acts, dlogits), reversed(outs)):
+        grads_rev += [dz.sum(axis=0), np.matmul(a.T, dz, out=w_out)]
     return grads_rev[::-1]
 
 
@@ -181,46 +193,60 @@ def backward_batch(model: Classifier, acts: list[np.ndarray],
 # (probs, targets, classes) -> per-sample values (n,) and d(loss)/d(logits)
 # (n, K), neither with batch averaging. `classes` holds the class each
 # sample carried before any label rewriting; losses that do not care
-# about it ignore the argument. A single sample is a batch of one.
+# about it ignore the argument. A single sample is a batch of one. A loss
+# may overwrite `probs`, and may return it as the gradient, which the
+# caller may then scale in place.
 Loss = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def cross_entropy_loss(probs, targets, classes):
-    return -np.sum(targets * np.log(probs + LOG_EPS), axis=1), probs - targets
+    values = -(targets * np.log(probs + LOG_EPS)).sum(axis=1)
+    probs -= targets
+    return values, probs
 
 
 def train(model: Classifier, data: "LabeledDataset", cfg: TrainConfig,
-          loss: Loss) -> TrainLog:
-    """Mini-batch SGD on the given loss; mutates the model in place.
+          loss: Loss, rows: np.ndarray | None = None) -> TrainLog:
+    """Mini-batch SGD on the given loss over `data.subset(rows)`, or over
+    all of `data` when `rows` is None; mutates the model in place.
 
     Deterministic: the same seed, data and config always produce
-    bit-identical parameters.
+    bit-identical parameters, and `rows` trains exactly as
+    `data.subset(rows)` would without copying its rows. Each epoch
+    gathers the targets and classes of its shuffled order once, and each
+    step only its batch's features; the weight gradients go into arrays
+    allocated once per call. `data` is only read.
     """
     log = TrainLog()
-    if data.n_samples == 0:
+    picked = np.arange(data.n_samples)
+    if rows is not None:
+        picked = picked[rows]
+    n = len(picked)
+    if n == 0:
         log.warnings.append("empty dataset: training skipped")
         return log
     if data.feature_dim != model.feature_dim:
         raise ValueError("dataset feature_dim does not match model")
     rng = Rng(cfg.seed)
-    n = data.n_samples
     labels = data.labels()
+    w_grads = [np.empty_like(w) for w, _ in model.layers]
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = picked[rng.permutation(n)]
+        targets = labels[order]
+        classes = data.original_classes[order]
         total = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            xs = data.features[idx]
-            ts = labels[idx]
-            cs = data.original_classes[idx]
+            batch = slice(start, start + cfg.batch_size)
+            xs = data.features[order[batch]]
             acts, logits = forward_batch(model, xs)
-            probs = softmax(logits)
-            values, dlogits = loss(probs, ts, cs)
-            total += float(np.sum(values))
-            grads = backward_batch(model, acts, dlogits / len(idx))
+            # the logits are this step's own: softmax and the loss may write over them
+            values, dlogits = loss(_softmax_in_place(logits), targets[batch], classes[batch])
+            total += float(values.sum())
+            dlogits /= len(xs)
+            grads = backward_batch(model, acts, dlogits, out=w_grads)
             if cfg.learning_rate != 0.0:
                 for p, g in zip(model.parameters(), grads):
-                    g *= cfg.learning_rate  # grads are fresh arrays; scale in place
+                    g *= cfg.learning_rate  # each gradient is spent here; scale in place
                     p -= g
         log.epoch_losses.append(total / n)
     model.ensure_finite()

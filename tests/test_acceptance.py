@@ -17,7 +17,7 @@ import pytest
 
 from qpae import harness
 from qpae.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from qpae.eraser import build_mixing_matrix, interference_transform, quantum_loss
+from qpae.eraser import build_mixing_matrix, forget_table, interference_transform, quantum_loss
 from qpae.harness import Workspace
 from qpae.metrics import erb_score, evaluate, report_from_json
 from qpae.model import Classifier, forward_batch, softmax
@@ -136,7 +136,9 @@ def test_criterion_04_gradient_oracle():
     def grad(p, lam):
         """quantum_loss's logit gradient for one forgotten sample."""
         k = len(p)
-        _, g = quantum_loss(p[None, :], one_hot(0, k)[None, :], np.array([0]), {0}, lam)
+        # a copy: a loss may write over the probabilities it is given
+        _, g = quantum_loss(p[None, :].copy(), one_hot(0, k)[None, :], np.array([0]),
+                            forget_table({0}, k), lam)
         return g[0]
 
     def fd(p, lam, h=1e-6):

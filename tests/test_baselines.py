@@ -88,8 +88,9 @@ class TestGradientAscent:
         probs /= probs.sum(axis=1, keepdims=True)
         classes = np.array([2, 0, 3, 1, 2, 2])
         targets = np.stack([one_hot(int(c), 4) for c in classes])
-        neg_values, neg_grads = negated_cross_entropy_loss(probs, targets, classes)
-        ce_values, ce_grads = cross_entropy_loss(probs, targets, classes)
+        # copies: a loss may write over the probabilities it is given
+        neg_values, neg_grads = negated_cross_entropy_loss(probs.copy(), targets, classes)
+        ce_values, ce_grads = cross_entropy_loss(probs.copy(), targets, classes)
         assert np.array_equal(neg_values, -ce_values)
         assert np.array_equal(neg_grads, -ce_grads)
         # and equal to the sign-flipped formulas written out
@@ -234,14 +235,15 @@ def test_dispatch_covers_all_methods(tiny_model, tiny_data):
 
 
 @pytest.mark.parametrize("method, built", [
-    ("gradient_ascent", ["forget", "retain"]),
-    ("negative_gradient", ["forget"]),
+    ("gradient_ascent", []),
+    ("negative_gradient", []),
     ("fisher_forgetting", ["forget", "retain"]),
     ("synaptic_dampening", ["forget"]),
 ])
 def test_each_baseline_builds_only_the_rows_it_reads(tiny_model, tiny_data, monkeypatch,
                                                      method, built):
-    """Each side a baseline reads is copied out of the data once, and a side
+    """`ga` and `ng` train on their rows where they lie and copy none. Each
+    side a Fisher baseline reads is copied out of the data once, and a side
     it does not read is not copied at all; ssd takes its full Fisher from
     the data itself."""
     forget_set = {1, 3}

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from qpae.data import LabeledDataset
 from qpae.eraser import (UnlearnConfig, accuracy_snapshot, apply_mixing,
-                         build_mixing_matrix, interference_transform, quantum_loss,
-                         run_qp_audio_eraser, superpose_labels)
+                         build_mixing_matrix, forget_table, interference_transform,
+                         quantum_loss, run_qp_audio_eraser, superpose_labels)
 from qpae.harness import ABLATION_VARIANTS
 from qpae.metrics import evaluate
 from qpae.model import Classifier, TrainConfig, forward_batch, softmax
@@ -240,13 +240,13 @@ class TestQuantumLossLogitGrad:
 
     def test_batch_forms_match_scalar_ops(self):
         rng = Rng(21)
-        loss = partial(quantum_loss, forget_set={0, 2}, entropy_lambda=1.7)
         k = 5
+        loss = partial(quantum_loss, forgotten=forget_table({0, 2}, k), entropy_lambda=1.7)
         probs = uniform(rng, 8 * k).reshape(8, k) + 1e-4
         probs /= probs.sum(axis=1, keepdims=True)
         targets = np.stack([one_hot(int(randbelow(rng, k)), k) for _ in range(8)])
         classes = np.array([int(randbelow(rng, k)) for _ in range(8)])
-        values, grads = loss(probs, targets, classes)
+        values, grads = loss(probs.copy(), targets, classes)  # a loss may write over probs
         for i in range(8):
             args = (probs[i], targets[i], int(classes[i]), {0, 2}, 1.7)
             assert values[i] == pytest.approx(reference_quantum_loss(*args), abs=1e-9)
@@ -389,9 +389,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("forget", [[0], [5], [3, 7]])
     def test_superposition_is_inert_in_a_single_request(self, desk, monkeypatch, forget):
-        # quantum_loss keys on the original class and never reads a forgotten
-        # row's target, so one request ends in the same parameters when
-        # phase 2 leaves the labels as they are
+        # quantum_loss keys on the original class and writes over all it
+        # computed from a forgotten row's target, so one request ends in
+        # the same parameters when phase 2 leaves the labels as they are
         from qpae import eraser, harness
         ucfg = replace(harness._unlearn_config(desk["cfg"]), forget_set=forget)
         want, _ = run_qp_audio_eraser(desk["model"].copy(), desk["train"], ucfg)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qpae.baselines import negated_cross_entropy_loss
 from qpae.data import LabeledDataset
-from qpae.eraser import quantum_loss, superpose_labels
+from qpae.eraser import forget_table, quantum_loss, superpose_labels
 from qpae.model import (Classifier, TrainConfig, backward_batch, cross_entropy_loss,
                         forward_batch, softmax, train)
 from qpae.rng import Rng
@@ -188,6 +188,18 @@ class TestTrain:
         log = train(m, data, TrainConfig(epochs=3, seed=1), cross_entropy_loss)
         assert log.warnings and equals_bits(m, before) and log.epoch_losses == []
 
+    def test_trains_on_a_read_only_split(self, tiny_data):
+        """A split is kept read-only once prepared; train only reads it."""
+        data = tiny_data.subset(np.arange(tiny_data.n_samples))
+        for a in (data.features, data.original_classes):
+            a.setflags(write=False)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=6)
+        m = Classifier.random_init(tiny_data.feature_dim, [8], 4, Rng(1))
+        oracle = m.copy()
+        log = train(m, data, cfg, cross_entropy_loss)
+        assert log.epoch_losses == train(oracle, tiny_data, cfg, cross_entropy_loss).epoch_losses
+        assert equals_bits(m, oracle)
+
     def test_same_seed_bit_identical(self, tiny_data):
         results = []
         for _ in range(2):
@@ -289,6 +301,42 @@ class TestBackward:
         for g, e, p in zip(grads, expected, m.parameters()):
             assert g.shape == p.shape and same_bits(g, e)
 
+    @pytest.mark.parametrize("hidden", [[], [7], [9, 5]])
+    def test_out_arrays_hold_the_allocating_bits(self, hidden):
+        rng = Rng(62)
+        m = Classifier.random_init(6, hidden, 4, rng)
+        acts, logits = forward_batch(m, rng.normal(11 * 6).reshape(11, 6))
+        dlogits = (softmax(logits) - np.eye(4)[np.arange(11) % 4]) / 11
+        out = [np.full_like(w, np.nan) for w, _ in m.layers]
+        grads = backward_batch(m, acts, dlogits, out=out)
+        assert len(grads) == 2 * len(out) and all(g is o for g, o in zip(grads[0::2], out))
+        for g, e in zip(grads, backward_batch(m, acts, dlogits)):
+            assert same_bits(g, e)
+
+
+def cases(names, variants):
+    """Parameters for each (name, variant), the first variant's named by
+    the name alone."""
+    return [pytest.param(name, variant, id=name if variant == variants[0] else f"{name}-{variant}")
+            for variant in variants for name in names]
+
+
+# the classes of each loss batch: both branches, retained classes only,
+# forgotten classes only
+LOSS_BATCHES = {"mixed": [0, 1, 2, 3, 4], "no_forget_row": [0, 2, 4],
+                "forget_rows_only": [1, 3]}
+
+# each variant of the SGD step changes one thing from the first: a model
+# with no hidden layer; 120 rows in batches of 7, so the last batch has one
+# row; no step; rows picked by an index array or a mask, against the oracle
+# on `data.subset(rows)`
+STEP_VARIANTS = {"base": ([16, 8], 16, 0.07, None),
+                 "no_hidden": ([], 16, 0.07, None),
+                 "batch_7": ([16, 8], 7, 0.07, None),
+                 "lr_0": ([16, 8], 16, 0.0, None),
+                 "rows": ([16, 8], 16, 0.07, "index"),
+                 "rows_mask": ([16, 8], 16, 0.07, "mask")}
+
 
 class TestLossBatch:
     ORACLES = {
@@ -298,22 +346,25 @@ class TestLossBatch:
         "negated": (negated_cross_entropy_loss,
                     lambda p, t, c: -reference_cross_entropy(p, t),
                     lambda p, t, c: t - p),
-        "quantum": (partial(quantum_loss, forget_set={1, 3}, entropy_lambda=1.7),
+        "quantum": (partial(quantum_loss, forgotten=forget_table({1, 3}, 5),
+                            entropy_lambda=1.7),
                     lambda p, t, c: reference_quantum_loss(p, t, c, {1, 3}, 1.7),
                     lambda p, t, c: reference_quantum_loss_logit_grad(p, t, c, {1, 3}, 1.7)),
     }
 
-    @pytest.mark.parametrize("name", sorted(ORACLES))
-    def test_matches_per_sample_oracles(self, name):
+    @pytest.mark.parametrize("name, batch", cases(sorted(ORACLES), list(LOSS_BATCHES)))
+    def test_matches_per_sample_oracles(self, name, batch):
         loss, value, logit_grad = self.ORACLES[name]
         rng = Rng(41)
         k, n = 5, 12
         probs = uniform(rng, n * k).reshape(n, k) + 1e-4
         probs /= probs.sum(axis=1, keepdims=True)
-        classes = np.arange(n) % k
+        kinds = LOSS_BATCHES[batch]
+        classes = np.array([kinds[i % len(kinds)] for i in range(n)])
         targets = np.stack([one_hot(int(c), k) for c in classes])
         targets[classes == 3] = 1.0 / k      # a superposed label
-        values, grads = loss(probs, targets, classes)
+        # a loss may write over the probabilities it is given
+        values, grads = loss(probs.copy(), targets, classes)
         assert values.shape == (n,) and grads.shape == (n, k)
         for i in range(n):
             c = int(classes[i])
@@ -322,34 +373,44 @@ class TestLossBatch:
 
 
 class TestTrainStep:
-    @pytest.mark.parametrize("name", ["cross_entropy", "quantum", "quantum_later_step",
-                                      "negated"])
-    def test_bit_equal_to_reference_step_loop(self, tiny_data, name):
+    @pytest.mark.parametrize("name, variant", cases(
+        ["cross_entropy", "quantum", "quantum_later_step", "negated"], list(STEP_VARIANTS)))
+    def test_bit_equal_to_reference_step_loop(self, tiny_data, name, variant):
+        hidden, batch_size, lr, pick = STEP_VARIANTS[variant]
         classes = tiny_data.original_classes
         if name == "cross_entropy":
             data, loss, terms = tiny_data, cross_entropy_loss, reference_ce
             labels = reference_label_matrix(classes, 4)
         elif name == "quantum":
             data = superpose_labels(tiny_data, {1})
-            loss = partial(quantum_loss, forget_set={1}, entropy_lambda=1.3)
+            loss = partial(quantum_loss, forgotten=forget_table({1}, 4), entropy_lambda=1.3)
             terms = reference_quantum({1}, 1.3)
             labels = reference_label_matrix(classes, 4, {1})
         elif name == "quantum_later_step":
             # a second sequential step: class 0, superposed by the first,
             # is retained and trained by cross-entropy toward uniform
             data = superpose_labels(superpose_labels(tiny_data, {0}), {1})
-            loss = partial(quantum_loss, forget_set={1}, entropy_lambda=1.3)
+            loss = partial(quantum_loss, forgotten=forget_table({1}, 4), entropy_lambda=1.3)
             terms = reference_quantum({1}, 1.3)
             labels = reference_label_matrix(classes, 4, {0}, {1})
         else:
             data = tiny_data.subset(tiny_data.forgotten({2}))
             loss, terms = negated_cross_entropy_loss, reference_negated_ce
             labels = reference_label_matrix(data.original_classes, 4)
-        cfg = TrainConfig(learning_rate=0.07, epochs=3, batch_size=16, seed=19)
-        model = Classifier.random_init(data.feature_dim, [16, 8], 4, Rng(13))
+        cfg = TrainConfig(learning_rate=lr, epochs=3, batch_size=batch_size, seed=19)
+        model = Classifier.random_init(data.feature_dim, hidden, 4, Rng(13))
         oracle = model.copy()
-        log = train(model, data, cfg, loss)
-        assert log.epoch_losses == reference_train(oracle, data, labels, cfg, terms)
+        if pick is None:
+            log = train(model, data, cfg, loss)
+            assert log.epoch_losses == reference_train(oracle, data, labels, cfg, terms)
+        else:
+            # every third row, in a shuffled order, or as a mask
+            rows = Rng(23).permutation(data.n_samples)[::3]
+            if pick == "mask":
+                rows = np.isin(np.arange(data.n_samples), rows)
+            log = train(model, data, cfg, loss, rows=rows)
+            want = reference_train(oracle, data.subset(rows), labels[rows], cfg, terms)
+            assert log.epoch_losses == want
         for p, q in zip(model.parameters(), oracle.parameters()):
             assert same_bits(p, q)
 
@@ -369,7 +430,7 @@ class TestGradientCheck:
 
     def test_quantum_loss_forget_branch(self):
         rng = Rng(202)
-        loss = partial(quantum_loss, forget_set={1}, entropy_lambda=1.3)
+        loss = partial(quantum_loss, forgotten=forget_table({1}, 4), entropy_lambda=1.3)
         for s in range(5):
             m = small_random_model(s + 50)
             x = rng.normal(6)
@@ -378,7 +439,7 @@ class TestGradientCheck:
 
     def test_twenty_random_models_both_losses(self):
         rng = Rng(303)
-        q = partial(quantum_loss, forget_set={0}, entropy_lambda=0.7)
+        q = partial(quantum_loss, forgotten=forget_table({0}, 4), entropy_lambda=0.7)
         for s in range(20):
             m = small_random_model(1000 + s)
             x = rng.normal(6)
@@ -390,7 +451,7 @@ class TestGradientCheck:
     def test_constant_loss_both_gradients_zero(self):
         # lambda = 0 makes the forget branch constant in every parameter
         m = small_random_model(9)
-        loss = partial(quantum_loss, forget_set={3}, entropy_lambda=0.0)
+        loss = partial(quantum_loss, forgotten=forget_table({3}, 4), entropy_lambda=0.0)
         err = gradient_check(m, Rng(1).normal(6), one_hot(3, 4), loss,
                              original_class=3)
         assert err <= 1e-12
