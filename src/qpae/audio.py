@@ -187,39 +187,35 @@ def crop_span(n_samples: int, n_frames: int) -> tuple[int, int]:
     return lo, min(n_samples, lo + N_FFT + (n_frames - 1) * HOP)
 
 
-def log_mel_batch(x: np.ndarray, sample_rate: int, n_mels: int = DEFAULT_N_MELS,
-                  target_frames: int = DEFAULT_N_FRAMES,
-                  n_samples: int | None = None) -> np.ndarray:
+def log_mel_batch(x: np.ndarray, sample_rate: int, n_samples: int,
+                  n_mels: int = DEFAULT_N_MELS,
+                  target_frames: int = DEFAULT_N_FRAMES) -> np.ndarray:
     """Log mel-band power of m equal-length clips, in N_FFT-sample frames
     HOP samples apart.
 
-    x (m, n) holds the whole clips, or, if n_samples is given, the
-    `crop_span(n_samples, target_frames)` of clips n_samples long: all
-    that the kept frames read. Returns shape (m, n_mels, target_frames).
-    Each clip is zero-padded to fill target_frames, then its frames are
-    center-cropped to target_frames; only the kept frames are Fourier-
-    transformed. The mel projection is one stacked matmul, a (n_mels,
-    bins) @ (bins, frames) product per clip over all of the clip's frames,
-    the dropped ones as zero power: BLAS sums depend on the column count,
-    so a product over the kept frames alone, or one over all clips' frames
-    at once, would change the last bits of a row.
+    x (m, hi - lo) holds the `crop_span(n_samples, target_frames)` = [lo,
+    hi) of clips n_samples long: all that the kept frames read. Returns
+    shape (m, n_mels, target_frames). Each clip is zero-padded to fill
+    target_frames, then its frames are center-cropped to target_frames; only
+    the kept frames are Fourier-transformed. The mel projection is one
+    stacked matmul, a (n_mels, bins) @ (bins, frames) product per clip over
+    all of the clip's frames, the dropped ones as zero power: BLAS sums
+    depend on the column count, so a product over the kept frames alone, or
+    one over all clips' frames at once, would change the last bits of a row.
     """
     if n_mels > N_FFT // 2:
         raise ValueError(f"n_mels must be <= {N_FFT // 2}")
     if target_frames < 1:
         raise ValueError("target_frames must be >= 1")
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[1] if n_samples is None else n_samples
-    lo, hi = crop_span(n, target_frames)
-    if x.shape[1] == n:
-        x = x[:, lo:hi]
-    elif x.shape[1] != hi - lo:
-        raise ValueError(f"x must hold clips of {n} samples or their {hi - lo}-sample "
-                         f"crop span, got {x.shape[1]}")
+    lo, hi = crop_span(n_samples, target_frames)
+    if x.shape[1] != hi - lo:
+        raise ValueError(f"x must hold the {hi - lo}-sample crop span of clips of "
+                         f"{n_samples} samples, got {x.shape[1]}")
     needed = N_FFT + (target_frames - 1) * HOP
     if x.shape[1] < needed:
         x = np.concatenate([x, np.zeros((x.shape[0], needed - x.shape[1]))], axis=1)
-    total, start = _frame_layout(n, target_frames)
+    total, start = _frame_layout(n_samples, target_frames)
     power = np.zeros((x.shape[0], total, N_FFT // 2 + 1))
     power[:, start:start + target_frames] = _framed_power(x)
     mel_power = np.matmul(mel_filterbank(sample_rate, n_mels), power.transpose(0, 2, 1))
@@ -229,9 +225,10 @@ def log_mel_batch(x: np.ndarray, sample_rate: int, n_mels: int = DEFAULT_N_MELS,
 def log_mel_spectrogram(clip: WavClip, n_mels: int = DEFAULT_N_MELS,
                         target_frames: int = DEFAULT_N_FRAMES) -> np.ndarray:
     """Log mel-band power of one clip, (n_mels, target_frames):
-    `log_mel_batch` of a batch of one."""
-    return log_mel_batch(clip.samples[None, :], clip.sample_rate, n_mels=n_mels,
-                         target_frames=target_frames)[0]
+    `log_mel_batch` of its crop span."""
+    lo, hi = crop_span(clip.samples.size, target_frames)
+    return log_mel_batch(clip.samples[None, lo:hi], clip.sample_rate, clip.samples.size,
+                         n_mels=n_mels, target_frames=target_frames)[0]
 
 
 @dataclass
@@ -268,10 +265,10 @@ def synth_draws(profile: SynthProfile = PROFILES["default"]) -> int:
     return 1 + 2 * ((profile.n_samples + 1) // 2)
 
 
-def synth_waves(class_ids, raw: np.ndarray, profile: SynthProfile = PROFILES["default"],
-                span: tuple[int, int] | None = None) -> np.ndarray:
+def synth_waves(class_ids, raw: np.ndarray, profile: SynthProfile,
+                span: tuple[int, int]) -> np.ndarray:
     """Samples [lo, hi) = span of m seeded harmonic tones, (m, hi - lo), row
-    i of class class_ids[i]; the whole clips if span is None.
+    i of class class_ids[i]; the whole clips are the span (0, n_samples).
 
     raw holds the m clips' stream draws, synth_draws(profile) per clip and
     clip after clip, as `Rng.fill_u64` or `draws_at` return them. Only the
@@ -282,7 +279,7 @@ def synth_waves(class_ids, raw: np.ndarray, profile: SynthProfile = PROFILES["de
     """
     class_ids = np.asarray(class_ids, dtype=np.int64)
     m = class_ids.size
-    lo, hi = (0, profile.n_samples) if span is None else span
+    lo, hi = span
     raw = raw.reshape(m, synth_draws(profile))
     low, high = -profile.freq_jitter, profile.freq_jitter
     jitter = low + (high - low) * unit_interval(raw[:, 0])
@@ -304,7 +301,8 @@ def synth_clip(class_id: int, rng: Rng,
     Takes exactly `synth_draws(profile)` draws from rng.
     """
     raw = rng.fill_u64(synth_draws(profile))
-    return WavClip(profile.sample_rate, synth_waves([class_id], raw, profile)[0])
+    wave = synth_waves([class_id], raw, profile, (0, profile.n_samples))[0]
+    return WavClip(profile.sample_rate, wave)
 
 
 SYNTH_CHUNK = 8  # clips per unit of work in synth_dataset
@@ -338,8 +336,8 @@ def _clip_rows(rows, n: int) -> np.ndarray:
 
 
 def _synth_chunks(classes: np.ndarray, clips: np.ndarray, seed: int,
-                  profile: SynthProfile, work: Callable[[int, np.ndarray], None],
-                  span: tuple[int, int] | None = None) -> None:
+                  profile: SynthProfile, span: tuple[int, int],
+                  work: Callable[[int, np.ndarray], None]) -> None:
     """Synthesise the span of the listed clips (see `synth_waves`) and hand
     it to work in chunks.
 
@@ -386,11 +384,11 @@ def synth_dataset(num_classes: int, per_class: int, seed: int,
 
     def featurize(first: int, waves: np.ndarray) -> None:
         features[first:first + len(waves)] = log_mel_batch(
-            waves, profile.sample_rate, n_mels=n_mels, target_frames=n_frames,
-            n_samples=profile.n_samples).reshape(len(waves), -1)
+            waves, profile.sample_rate, profile.n_samples, n_mels=n_mels,
+            target_frames=n_frames).reshape(len(waves), -1)
 
-    _synth_chunks(classes, clips, seed, profile, featurize,
-                  crop_span(profile.n_samples, n_frames))
+    _synth_chunks(classes, clips, seed, profile, crop_span(profile.n_samples, n_frames),
+                  featurize)
     classes = classes[clips]
     return LabeledDataset(features, classes, num_classes)
 
@@ -426,7 +424,8 @@ def synth_manifest(dataset_dir: str | Path, num_classes: int, per_class: int, se
         for i, wave in enumerate(waves, start=first):
             write_wav(WavClip(profile.sample_rate, wave), root / _clip_path(i))
 
-    _synth_chunks(classes, np.arange(classes.size), seed, profile, write)
+    _synth_chunks(classes, np.arange(classes.size), seed, profile, (0, profile.n_samples),
+                  write)
     _write_labels(root, classes)
 
 

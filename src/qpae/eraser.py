@@ -146,17 +146,11 @@ def penultimate(model: Classifier, data: LabeledDataset) -> np.ndarray:
     return acts[-1]
 
 
-def accuracy_snapshot(model: Classifier, data: LabeledDataset,
-                      forget_set: frozenset[int],
-                      hidden: np.ndarray | None = None) -> tuple[float | None, float | None]:
+def accuracy_snapshot(model: Classifier, data: LabeledDataset, forget_set: frozenset[int],
+                      hidden: np.ndarray) -> tuple[float | None, float | None]:
     """Forget and retain accuracy (%) of the model on `data`, counted as a
-    report counts them; a side with no rows is None.
-
-    `hidden` is `penultimate(model, data)`, for callers that score several
-    final layers on one set of hidden layers; it is computed when omitted.
-    """
-    if hidden is None:
-        hidden = penultimate(model, data)
+    report counts them, from `hidden` = `penultimate(model, data)`, which a
+    caller shares across final layers; a side with no rows is None."""
     preds = np.argmax(hidden @ model.final_w + model.final_b, axis=1)
     confusion = confusion_matrix(data.original_classes, preds, model.num_classes)
     scores = confusion_scores(confusion, sorted(forget_set))
@@ -164,9 +158,9 @@ def accuracy_snapshot(model: Classifier, data: LabeledDataset,
 
 
 def phase_entry(phase: str, span: dict | None, model: Classifier, data: LabeledDataset,
-                forget_set: frozenset[int], hidden: np.ndarray | None = None) -> dict:
-    """The phase log's entry for `phase`: `accuracy_snapshot` after it, and
-    the wall time of its `stage` span; a phase with no span was skipped."""
+                forget_set: frozenset[int], hidden: np.ndarray) -> dict:
+    """The phase log's entry for `phase`: `accuracy_snapshot` on `hidden`
+    after it, and the wall time of its `stage` span; a phase with no span was skipped."""
     fa, ra = accuracy_snapshot(model, data, forget_set, hidden)
     return {"phase": phase, "forget_accuracy": fa, "retain_accuracy": ra,
             "wall_ms": span["wall_ms"] if span else 0.0, "skipped": span is None}

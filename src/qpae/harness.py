@@ -23,7 +23,7 @@ from .baselines import BaselineConfig, run_baseline
 from .checkpoint import CheckpointError, check_layer_shape, load_checkpoint, save_checkpoint
 from .data import (TRAIN_FRACTION, LabeledDataset, check_forget_set, train_count,
                    train_eval_split)
-from .eraser import (UnlearnConfig, phase_entry,
+from .eraser import (UnlearnConfig, penultimate, phase_entry,
                      run_qp_audio_eraser, superpose_labels)
 from .files import FIELD_KINDS, write_atomic
 from .metrics import (TABLE_COLUMNS, EvaluationReport, compare_reports,
@@ -61,6 +61,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _splits_both_sides(n: int) -> bool:
+    """True if a class of n samples keeps some on each side of the split."""
+    return 0 < train_count(n) < n
+
+
 @dataclass
 class DatasetSpec:
     kind: str = "synthetic"            # "synthetic" | "manifest"
@@ -78,11 +83,25 @@ class DatasetSpec:
             raise ConfigError("dataset.path is required for manifest datasets")
         if self.kind == "synthetic" and self.profile not in audio.PROFILES:
             raise ConfigError(f"unknown synth profile {self.profile!r}")
+        if self.num_classes < 2:
+            raise ConfigError(f"dataset.num_classes must be >= 2, got {self.num_classes}")
+        if self.kind == "synthetic" and not _splits_both_sides(self.per_class):
+            raise ConfigError(f"dataset.per_class must leave samples on both sides "
+                              f"of the {TRAIN_FRACTION:g} split, got {self.per_class}")
+        if not 1 <= self.n_mels <= audio.N_FFT // 2:
+            raise ConfigError(f"dataset.n_mels must be in [1, {audio.N_FFT // 2}], "
+                              f"got {self.n_mels}")
+        if self.n_frames < 1:
+            raise ConfigError(f"dataset.n_frames must be >= 1, got {self.n_frames}")
 
 
 @dataclass
 class ModelSection:
     hidden: list[int] = field(default_factory=lambda: [64])  # ReLU layer widths
+
+    def __post_init__(self):
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError(f"model.hidden widths must be >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -142,18 +161,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return _merge("", ExperimentConfig(), raw)
 
 
-def _splits_both_sides(n: int) -> bool:
-    """True if a class of n samples keeps some on each side of the split."""
-    return 0 < train_count(n) < n
-
-
 def check_ranges(cfg: ExperimentConfig) -> None:
-    """Reject values of the wrong type, class ids, sizes and section values
-    the run cannot use, before any work.
-
-    The `Workspace` constructor and `cmd_synth` call it, so it sees the
-    config after command-line overrides, which can change the forget set
-    or the output directory once the file is parsed.
+    """Reject a config the run cannot use, before any work: re-parse it,
+    each section by its own rules, then apply the rules that tie sections
+    together or read a value a command-line flag replaces. The `Workspace`
+    constructor and `cmd_synth` call it, so it sees the config after the
+    overrides, which can change the forget set, seed or output directory.
     """
     # every field and section against its own rules, by the walk that parses a file
     _merge("", ExperimentConfig(), config_to_dict(cfg))
@@ -166,14 +179,6 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError(f"seed must be in [0, 2**64), got {cfg.seed}")
     k = cfg.dataset.num_classes
-    if k < 2:
-        raise ConfigError(f"dataset.num_classes must be >= 2, got {k}")
-    n = cfg.dataset.per_class
-    if cfg.dataset.kind == "synthetic" and not _splits_both_sides(n):
-        raise ConfigError(f"dataset.per_class must leave samples on both sides "
-                          f"of the {TRAIN_FRACTION:g} split, got {n}")
-    if any(h < 1 for h in cfg.model.hidden):
-        raise ConfigError(f"model.hidden widths must be >= 1, got {cfg.model.hidden}")
     requests = {"unlearn.forget_set": cfg.unlearn.forget_set}
     requests.update((f"sequential_requests[{i}]", req)
                     for i, req in enumerate(cfg.sequential_requests))
@@ -185,12 +190,6 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     if len(set().union(*cfg.sequential_requests)) >= k:
         raise ConfigError("sequential_requests together must leave at least one "
                           "class retained")
-    max_mels = audio.N_FFT // 2
-    if not 1 <= cfg.dataset.n_mels <= max_mels:
-        raise ConfigError(f"dataset.n_mels must be in [1, {max_mels}], "
-                          f"got {cfg.dataset.n_mels}")
-    if cfg.dataset.n_frames < 1:
-        raise ConfigError(f"dataset.n_frames must be >= 1, got {cfg.dataset.n_frames}")
     # every layer the model will have, by the bound a stored model keeps to
     features = cfg.dataset.n_mels * cfg.dataset.n_frames
     widths = [features, *cfg.model.hidden, k]
@@ -200,6 +199,7 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     except CheckpointError as exc:
         raise ConfigError(f"model {exc}: the widths are n_mels * n_frames, then "
                           f"model.hidden, then num_classes") from exc
+    n = cfg.dataset.per_class
     if cfg.dataset.kind == "synthetic" and 8 * k * n * features > 2 ** 63:
         raise ConfigError(f"dataset of {k} x {n} clips of {features} float64 features "
                           f"would take more than 2**63 bytes")
@@ -263,7 +263,7 @@ def dataset_classes(cfg: ExperimentConfig) -> np.ndarray:
     manifest's labels.csv.
 
     A manifest class with too few clips for both sides of the split is a
-    ConfigError: check_ranges' per_class rule, for counts that only
+    ConfigError: `DatasetSpec`'s per_class rule, for counts that only
     labels.csv holds.
     """
     spec = cfg.dataset
@@ -498,7 +498,8 @@ def forget(model: Classifier, data: LabeledDataset, method_id: str,
     with stage() as span:
         run_baseline(model, data, forget_set, name,
                      replace(cfg.baselines, seed=derive_seed(cfg.seed, seed_key)))
-    return model, [phase_entry(name, span, model, data, frozenset(forget_set))]
+    return model, [phase_entry(name, span, model, data, frozenset(forget_set),
+                               penultimate(model, data))]
 
 
 def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:

@@ -174,17 +174,15 @@ def backprop(model: Classifier, acts: list[np.ndarray],
 
 
 def backward_batch(model: Classifier, acts: list[np.ndarray], dlogits: np.ndarray,
-                   out: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """Gradients for every parameter block given d(loss)/d(logits).
+                   out: list[np.ndarray]) -> list[np.ndarray]:
+    """Gradients for every parameter block given d(loss)/d(logits), aligned
+    with model.parameters(); dlogits must already carry any batch averaging.
 
-    dlogits must already carry any batch averaging. The returned list is
-    aligned with model.parameters(). `out`, when given, holds one array
-    per layer, shaped like its weights and input side first; each weight
-    gradient is written into its array, which the list then returns.
+    Each weight gradient is written into its layer's array of `out`, shaped
+    like its weights and input side first, which the list then returns.
     """
-    outs = out if out is not None else [None] * len(model.layers)
     grads_rev: list[np.ndarray] = []
-    for (a, dz), w_out in zip(backprop(model, acts, dlogits), reversed(outs)):
+    for (a, dz), w_out in zip(backprop(model, acts, dlogits), reversed(out)):
         grads_rev += [dz.sum(axis=0), np.matmul(a.T, dz, out=w_out)]
     return grads_rev[::-1]
 
@@ -243,7 +241,7 @@ def train(model: Classifier, data: "LabeledDataset", cfg: TrainConfig,
             values, dlogits = loss(_softmax_in_place(logits), targets[batch], classes[batch])
             total += float(values.sum())
             dlogits /= len(xs)
-            grads = backward_batch(model, acts, dlogits, out=w_grads)
+            grads = backward_batch(model, acts, dlogits, w_grads)
             if cfg.learning_rate != 0.0:
                 for p, g in zip(model.parameters(), grads):
                     g *= cfg.learning_rate  # each gradient is spent here; scale in place

@@ -126,7 +126,7 @@ def sample_gradient(model, x, target, loss, original_class: int) -> list[np.ndar
     block: `forward_batch`, `loss` and `backward_batch` on a batch of one."""
     acts, logits = forward_batch(model, x[None, :])
     _, dlogits = loss(softmax(logits), target[None, :], np.array([original_class]))
-    return backward_batch(model, acts, dlogits)
+    return backward_batch(model, acts, dlogits, [np.empty_like(w) for w, _ in model.layers])
 
 
 def gradient_check(model, x, target, loss, original_class: int | None = None,

@@ -333,7 +333,8 @@ class TestBatchedFrontEnd:
                                       (5, 10), (9, 3000)])
     def test_each_batch_row_equals_its_single_clip(self, m, n):
         x = Rng(m * n).normal(m * n, sigma=0.2).reshape(m, n)
-        batch = log_mel_batch(x, SR, n_mels=16, target_frames=8)
+        lo, hi = crop_span(n, 8)
+        batch = log_mel_batch(x[:, lo:hi], SR, n, n_mels=16, target_frames=8)
         assert batch.shape == (m, 16, 8)
         for row, samples in zip(batch, x):
             single = log_mel_spectrogram(WavClip(SR, samples), n_mels=16, target_frames=8)
@@ -341,12 +342,13 @@ class TestBatchedFrontEnd:
 
     def test_batch_validation(self):
         x = np.zeros((2, 6400))
+        lo, hi = crop_span(6400, 32)
         with pytest.raises(ValueError):
-            log_mel_batch(x, SR, n_mels=200)
+            log_mel_batch(x[:, lo:hi], SR, 6400, n_mels=200)
         with pytest.raises(ValueError):
-            log_mel_batch(x, SR, target_frames=0)
+            log_mel_batch(x, SR, 6400, target_frames=0)
         with pytest.raises(ValueError, match="crop span"):
-            log_mel_batch(x[:, :5000], SR, n_samples=6400)
+            log_mel_batch(x[:, :5000], SR, 6400)
 
     @pytest.mark.parametrize("n, target_frames, want", [
         (6400, 32, (1024, 5248)),    # 49 frames, the middle 32: frames 8 to 39
@@ -371,14 +373,14 @@ class TestBatchedFrontEnd:
         x = Rng(n + target_frames).normal(3 * n, sigma=0.3).reshape(3, n)
         lo, hi = crop_span(n, target_frames)
         want = reference_log_mel_batch(x, SR, target_frames=target_frames)
+        got = log_mel_batch(x[:, lo:hi], SR, n, target_frames=target_frames)
+        assert got.tobytes() == want.tobytes()
         outside = x.copy()
         outside[:, :lo] = 0.5
         outside[:, hi:] = -0.5
-        for got in (log_mel_batch(x, SR, target_frames=target_frames),
-                    log_mel_batch(outside, SR, target_frames=target_frames),
-                    log_mel_batch(x[:, lo:hi], SR, target_frames=target_frames,
-                                  n_samples=n)):
-            assert got.tobytes() == want.tobytes()
+        for samples, row in zip(outside, want):
+            got = log_mel_spectrogram(WavClip(SR, samples), target_frames=target_frames)
+            assert got.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("profile", [
         PROFILES["default"], OVERLAP_PROFILE, SynthProfile(noise_sigma=0.0),
@@ -407,7 +409,8 @@ class TestSynthWaves:
         class_ids = MIXED_CLASSES[:m]
         oracle = Rng(m)
         want = [reference_synth_clip(c, oracle, profile).samples for c in class_ids]
-        waves = synth_waves(class_ids, Rng(m).fill_u64(m * synth_draws(profile)), profile)
+        raw = Rng(m).fill_u64(m * synth_draws(profile))
+        waves = synth_waves(class_ids, raw, profile, (0, profile.n_samples))
         assert waves.shape == (m, profile.n_samples)
         assert np.array_equal(waves, np.stack(want))
 
@@ -419,7 +422,7 @@ class TestSynthWaves:
     def test_a_span_is_those_columns_of_the_whole_clips(self, profile, n_frames):
         m = 5
         raw = Rng(n_frames).fill_u64(m * synth_draws(profile))
-        whole = synth_waves(MIXED_CLASSES[:m], raw, profile)
+        whole = synth_waves(MIXED_CLASSES[:m], raw, profile, (0, profile.n_samples))
         for lo, hi in [crop_span(profile.n_samples, n_frames), (0, 1),
                        (profile.n_samples - 1, profile.n_samples)]:
             got = synth_waves(MIXED_CLASSES[:m], raw, profile, (lo, hi))
@@ -648,9 +651,11 @@ class TestLeanFrontEnd:
     def test_log_mel_batch_equals_the_oracle(self, rate, n):
         # needed = 256 + 31 * 128 = 4224 samples fill 32 frames without padding
         x = Rng(n + rate).normal(3 * n, sigma=0.3).reshape(3, n)
-        for kwargs in ({}, {"n_mels": 40, "target_frames": 7}):
-            got = log_mel_batch(x, rate, **kwargs)
-            assert got.tobytes() == reference_log_mel_batch(x, rate, **kwargs).tobytes()
+        for n_mels, target_frames in ((32, 32), (40, 7)):
+            lo, hi = crop_span(n, target_frames)
+            got = log_mel_batch(x[:, lo:hi], rate, n, n_mels=n_mels, target_frames=target_frames)
+            want = reference_log_mel_batch(x, rate, n_mels=n_mels, target_frames=target_frames)
+            assert got.tobytes() == want.tobytes()
 
     def test_hann_is_the_read_only_periodic_window_of_n_fft(self):
         assert not HANN.flags.writeable

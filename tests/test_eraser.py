@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qpae.data import LabeledDataset
 from qpae.eraser import (UnlearnConfig, accuracy_snapshot, apply_mixing,
                          build_mixing_matrix, forget_table, interference_transform,
-                         quantum_loss, run_qp_audio_eraser, superpose_labels)
+                         penultimate, quantum_loss, run_qp_audio_eraser, superpose_labels)
 from qpae.harness import ABLATION_VARIANTS
 from qpae.metrics import evaluate
 from qpae.model import Classifier, TrainConfig, forward_batch, softmax
@@ -372,7 +372,6 @@ class TestPipeline:
 
     def test_sequential_two_requests(self):
         from qpae.audio import synth_dataset
-        from qpae.eraser import accuracy_snapshot
         from qpae.model import cross_entropy_loss, train
         data = synth_dataset(6, 20, seed=13, n_mels=8, n_frames=8)
         model = Classifier.random_init(data.feature_dim, [24], 6, Rng(2))
@@ -383,7 +382,8 @@ class TestPipeline:
         data2 = superpose_labels(data, {0})
         cfg2 = UnlearnConfig(forget_set={1}, epochs=5, learning_rate=0.1, seed=4)
         model, _ = run_qp_audio_eraser(model, data2, cfg2)
-        fa_union, ra = accuracy_snapshot(model, data, frozenset({0, 1}))
+        fa_union, ra = accuracy_snapshot(model, data, frozenset({0, 1}),
+                                         penultimate(model, data))
         assert fa_union == 0.0
         assert ra >= 50.0
 
@@ -413,7 +413,8 @@ class TestPipeline:
     def test_snapshot_of_a_side_with_no_rows_is_none(self, tiny_model, tiny_data):
         # as in a report: an empty forget side is absent, not 0% accurate
         retained = tiny_data.subset(~tiny_data.forgotten({0}))
-        fa, ra = accuracy_snapshot(tiny_model, retained, frozenset({0}))
+        fa, ra = accuracy_snapshot(tiny_model, retained, frozenset({0}),
+                                   penultimate(tiny_model, retained))
         assert fa is None
         assert ra == evaluate(tiny_model, retained, {0}).ra
 
@@ -447,7 +448,7 @@ class TestPipeline:
         fresh_snapshot = eraser.accuracy_snapshot
         copies = []
 
-        def keep_copy(model, data, forget_set, hidden=None):
+        def keep_copy(model, data, forget_set, hidden):
             copies.append(model.copy())
             return fresh_snapshot(model, data, forget_set, hidden)
 
@@ -458,4 +459,5 @@ class TestPipeline:
         assert len(copies) == len(log) == 4
         for copy, entry in zip(copies, log):
             assert (entry["forget_accuracy"], entry["retain_accuracy"]) == \
-                fresh_snapshot(copy, desk["train"], ucfg.forget_set)
+                fresh_snapshot(copy, desk["train"], ucfg.forget_set,
+                               penultimate(copy, desk["train"]))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import weakref
+from contextlib import nullcontext
 from dataclasses import fields as dataclass_fields, is_dataclass, replace
 from pathlib import Path
 
@@ -151,6 +152,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"dataset": {"kind": "manifest"}})
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: config_from_dict({"dataset": {"n_mels": 0}}),
+         "dataset.n_mels must be in [1, 128], got 0"),
+        (lambda: config_from_dict({"dataset": {"n_frames": 0}}),
+         "dataset.n_frames must be >= 1, got 0"),
+        (lambda: harness.DatasetSpec(num_classes=1), "dataset.num_classes must be >= 2, got 1"),
+        (lambda: harness.DatasetSpec(per_class=2),
+         "dataset.per_class must leave samples on both sides of the 0.8 split, got 2"),
+        (lambda: harness.ModelSection(hidden=[0]), "model.hidden widths must be >= 1, got [0]")],
+        ids=["n_mels", "n_frames", "num_classes", "per_class", "hidden"])
+    def test_dataset_and_model_sections_check_their_own_values(self, build, message):
+        """From a file or from Python, a section refuses a bad value when it
+        is built, with the message `check_ranges` used to give."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_not_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{nope")
@@ -166,13 +183,10 @@ class TestConfig:
         classes = np.repeat(np.arange(3), per_class)
         sides = train_eval_split(classes, 3, seed=1)
         both_sides = all(np.any(classes[rows] == c) for rows in sides for c in range(3))
-        cfg = default_config(dataset=harness.DatasetSpec(num_classes=3,
-                                                         per_class=per_class))
-        if both_sides:
-            harness.check_ranges(cfg)
-        else:
-            with pytest.raises(ConfigError, match="per_class"):
-                harness.check_ranges(cfg)
+        # the spec itself refuses a per_class the split leaves one side of
+        with nullcontext() if both_sides else pytest.raises(ConfigError, match="per_class"):
+            harness.check_ranges(default_config(
+                dataset=harness.DatasetSpec(num_classes=3, per_class=per_class)))
 
 
 class TestWorkspace:

@@ -144,9 +144,18 @@ def test_box_muller_span_equals_those_normals_of_the_whole_row(count):
     raw = Rng(count).fill_u64(3 * 2 * pairs).reshape(3, 2 * pairs)
     whole = reference_box_muller(raw, count)
     assert box_muller(raw, count).tobytes() == whole.tobytes()
+    # row 0 is the first 2p draws of Rng(count): an odd count drops the last sine
+    assert Rng(count).normal(count).tobytes() == whole[0].tobytes()
     spans = {(0, count), (0, 1), (count - 1, count), (0, pairs), (pairs, count),
              (max(pairs - 1, 0), min(pairs + 2, count)), (pairs // 2, (pairs + count) // 2),
              (max(pairs - 3, 0), pairs), (pairs, min(pairs + 3, count)), (pairs, pairs)}
+    # spans across p read the cosine pairs [start, p) and the sine pairs [0, stop - p)
+    quarter, half = pairs // 4, pairs // 2
+    crossing = {(quarter, pairs + half),          # the two pair ranges overlap in part
+                (0, pairs + half), (1, count),   # one lies in the other
+                (half, pairs + half),            # they touch
+                (half + 1, pairs + half - 1)}    # they do not meet
+    spans |= {(start, stop) for start, stop in crossing if start <= stop <= count}
     for start, stop in sorted(spans):
         got = box_muller(raw, stop, start)
         assert got.shape == (3, stop - start)
