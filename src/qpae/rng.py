@@ -100,22 +100,18 @@ def box_muller(raw: np.ndarray, stop: int, start: int = 0) -> np.ndarray:
 
     A row of 2p draws is p Box-Muller pairs: the first p draws give the
     radii and the last p the angles. Normal j < p is the cosine of pair j,
-    and normal j >= p the sine of pair j - p. Only the pairs the range
-    reads are computed, each once, and each element is the same whatever
-    the shape or range around it.
+    and normal j >= p the sine of pair j - p. Each pair's radius and angle
+    is formed once, the cosines and sines only for the range, and each
+    element is the same whatever the shape or range around it.
     """
     pairs = raw.shape[-1] // 2
+    # (0,1] for the log argument, [0,1) for the angle
+    radius = np.add(raw[..., :pairs] >> np.uint64(11), 1.0)
+    radius *= 2.0**-53
+    np.sqrt(np.multiply(np.log(radius, out=radius), -2.0, out=radius), out=radius)
+    angle = np.multiply(unit_interval(raw[..., pairs:2 * pairs]), 2.0 * np.pi)
     cos = slice(min(start, pairs), min(stop, pairs))
     sin = slice(max(start, pairs) - pairs, max(stop, pairs) - pairs)
-    radius = np.empty(raw.shape[:-1] + (pairs,))
-    angle = np.empty_like(radius)
-    # one run over every pair if the two halves share some, else each half's own
-    for q in [cos, sin] if sin.stop <= cos.start else [slice(0, pairs)]:
-        # (0,1] for the log argument, [0,1) for the angle
-        u1 = np.add(raw[..., q] >> np.uint64(11), 1.0, out=radius[..., q])
-        u1 *= 2.0**-53
-        np.sqrt(np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1)
-        np.multiply(unit_interval(raw[..., pairs:][..., q]), 2.0 * np.pi, out=angle[..., q])
     out = np.empty(raw.shape[:-1] + (stop - start,))
     k = cos.stop - cos.start  # the cosines come first
     np.multiply(radius[..., cos], np.cos(angle[..., cos]), out=out[..., :k])

@@ -168,6 +168,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build()
 
+    def test_a_section_rule_is_reported_before_a_cross_section_one(self):
+        """A forget set out of range needs `check_ranges`; a bad n_mels is
+        refused while the file is parsed, so with both the n_mels one wins."""
+        raw = {"unlearn": {"forget_set": [99]}}
+        with pytest.raises(ConfigError, match="forget_set"):
+            harness.check_ranges(config_from_dict(raw))
+        with pytest.raises(ConfigError, match=r"^dataset\.n_mels must be in"):
+            harness.check_ranges(config_from_dict({**raw, "dataset": {"n_mels": 0}}))
+
     def test_not_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{nope")
