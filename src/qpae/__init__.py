@@ -1,6 +1,7 @@
 """Desk-scale class-unlearning lab for small audio classifiers.
 
 Modules:
+    rng        counter-mode splitmix64 PRNG, derived seeds, Box-Muller normals
     model      dense softmax classifier and SGD training
     checkpoint bit-stable binary serialization with CRC
     audio      WAV parsing, log-mel features, synthetic tone datasets

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import os
 import struct
 from collections.abc import Callable
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import LabeledDataset
+from .files import write_atomic
 from .rng import Rng, box_muller, draws_at, unit_interval
 
 POWER_FLOOR = 1e-6  # added inside log() so silence maps to log(1e-6) exactly
@@ -109,7 +111,7 @@ def read_wav(path: str | Path) -> WavClip:
 
 
 def write_wav(clip: WavClip, path: str | Path) -> None:
-    """Write mono 16-bit PCM."""
+    """Write mono 16-bit PCM, whole or not at all."""
     x = np.clip(clip.samples, -1.0, 1.0)
     pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
     data = pcm.tobytes()
@@ -118,7 +120,7 @@ def write_wav(clip: WavClip, path: str | Path) -> None:
         b"RIFF", 36 + len(data), b"WAVE",
         b"fmt ", 16, 1, 1, clip.sample_rate, clip.sample_rate * 2, 2, 16,
         b"data", len(data))
-    Path(path).write_bytes(header + data)
+    write_atomic(path, header + data)
 
 
 def hz_to_mel(f):
@@ -402,10 +404,10 @@ def _clip_path(i: int) -> str:
 
 
 def _write_labels(root: Path, classes) -> None:
-    with open(root / "labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "class_id"])
-        writer.writerows((_clip_path(i), int(c)) for i, c in enumerate(classes))
+    text = io.StringIO()
+    csv.writer(text).writerows([("path", "class_id"),
+                                *((_clip_path(i), int(c)) for i, c in enumerate(classes))])
+    write_atomic(root / "labels.csv", text.getvalue())
 
 
 def synth_manifest(dataset_dir: str | Path, num_classes: int, per_class: int, seed: int,

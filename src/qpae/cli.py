@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Verbs: run, train, unlearn, evaluate, sequential, ablation, synth, report.
-`sequential` and `ablation` are `run` of that scenario with `--config`:
-each runs `harness.run_scenario` and prints the scenario's table.
+Verbs: run, train, unlearn, evaluate, sequential, synth, report. `run` runs a
+scenario and prints its table. `sequential` is `run` of that scenario, kept for
+`ManifestCli.session` in perfbench/workloads.py until ROADMAP items 7 and 10.
 Exit codes: 0 success, 2 config error (a config that asks for more memory
 than the host holds included), 3 IO or parse error, 4 numeric failure.
 """
@@ -87,10 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--original-report", default=None,
                    help="original-model report JSON, enables PER")
 
-    p = sub.add_parser("sequential", help="run the sequential-requests scenario")
-    _add_common(p)
-
-    p = sub.add_parser("ablation", help="run the ablation grid")
+    p = sub.add_parser("sequential", help="run of the sequential scenario, kept for "
+                       "perfbench's ManifestCli.session until ROADMAP items 7 and 10")
     _add_common(p)
 
     p = sub.add_parser("synth", help="write the synthetic dataset as a WAV manifest")
@@ -115,7 +113,7 @@ def _run(args) -> int:
         print(f"wrote manifest dataset to {path}")
         return EXIT_OK
 
-    if args.verb in ("run", "sequential", "ablation"):
+    if args.verb in ("run", "sequential"):
         if args.verb != "run":
             cfg.scenario = args.verb
         ws = harness.run_scenario(cfg)

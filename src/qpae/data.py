@@ -30,9 +30,6 @@ class LabeledDataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.original_classes = np.asarray(self.original_classes, dtype=np.int64)
-        self.validate()
-
-    def validate(self) -> None:
         if self.features.ndim != 2:
             raise ValueError("features must be 2-D")
         n = self.features.shape[0]
@@ -62,9 +59,9 @@ class LabeledDataset:
         return replace(self, features=self.features[rows],
                        original_classes=self.original_classes[rows])
 
-    def forgotten(self, forget_set: set[int]) -> np.ndarray:
+    def forgotten(self, forget_set: Collection[int]) -> np.ndarray:
         """Boolean row mask: True where the original class is in forget_set."""
-        return np.isin(self.original_classes, sorted(forget_set))
+        return forget_table(forget_set, self.num_classes)[self.original_classes]
 
 
 def check_forget_set(forget_set: Collection[int], num_classes: int,
@@ -77,6 +74,11 @@ def check_forget_set(forget_set: Collection[int], num_classes: int,
         raise ValueError(f"{what} holds {bad}, not class ids in [0, {num_classes})")
     if len(set(forget_set)) >= num_classes:
         raise ValueError(f"{what} must leave at least one class retained")
+
+
+def forget_table(forget_set: Collection[int], num_classes: int) -> np.ndarray:
+    """(num_classes,) boolean class table: True at each class in forget_set."""
+    return np.isin(np.arange(num_classes), sorted(forget_set))
 
 
 def train_count(n: int) -> int:

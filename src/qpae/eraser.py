@@ -15,13 +15,12 @@ vocabulary is naming, not hardware.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .data import LabeledDataset, check_forget_set
+from .data import LabeledDataset, check_forget_set, forget_table
 from .metrics import confusion_matrix, confusion_scores
 from .model import Classifier, TrainConfig, cross_entropy_loss, forward_batch, train
 from .timing import stage
@@ -88,11 +87,6 @@ def superpose_labels(data: LabeledDataset, forget_set: set[int]) -> LabeledDatas
     """
     check_forget_set(forget_set, data.num_classes)
     return replace(data, superposed=data.superposed | frozenset(forget_set))
-
-
-def forget_table(forget_set: Collection[int], num_classes: int) -> np.ndarray:
-    """(num_classes,) boolean class table: True at each class in forget_set."""
-    return np.isin(np.arange(num_classes), sorted(forget_set))
 
 
 def quantum_loss(probs, targets, classes, forgotten: np.ndarray, entropy_lambda: float):
@@ -216,6 +210,6 @@ def run_qp_audio_eraser(model: Classifier, data: LabeledDataset,
 
 __all__ = [
     "UnlearnConfig", "interference_transform", "phase_entry",
-    "superpose_labels", "forget_table", "quantum_loss", "build_mixing_matrix",
+    "superpose_labels", "quantum_loss", "build_mixing_matrix",
     "apply_mixing", "run_qp_audio_eraser", "penultimate", "accuracy_snapshot",
 ]

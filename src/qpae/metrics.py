@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .data import LabeledDataset, check_forget_set
+from .data import LabeledDataset, check_forget_set, forget_table
 from .files import FIELD_KINDS
 from .model import Classifier, NumericError, forward_batch, softmax
 
@@ -76,7 +76,7 @@ def confusion_scores(confusion: np.ndarray, forget_set: list[int]) -> dict:
     """
     counts = np.asarray(confusion).astype(object)  # Python ints: no sum wraps
     hits, rows = np.diag(counts), counts.sum(axis=1)
-    forget_cls = np.isin(np.arange(len(counts)), forget_set)  # by class, not by row
+    forget_cls = forget_table(forget_set, len(counts))  # by class, not by row
     fa = _share(hits[forget_cls].sum(), rows[forget_cls].sum())
     ra = _share(hits[~forget_cls].sum(), rows[~forget_cls].sum())
     far = _share(counts[np.ix_(~forget_cls, forget_cls)].sum(), rows[~forget_cls].sum())

@@ -17,7 +17,8 @@ import pytest
 
 from qpae import harness
 from qpae.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from qpae.eraser import build_mixing_matrix, forget_table, interference_transform, quantum_loss
+from qpae.data import forget_table
+from qpae.eraser import build_mixing_matrix, interference_transform, quantum_loss
 from qpae.harness import Workspace
 from qpae.metrics import erb_score, evaluate, report_from_json
 from qpae.model import Classifier, forward_batch, softmax

@@ -1,4 +1,6 @@
 import csv
+import itertools
+import os
 import re
 import struct
 import sys
@@ -14,7 +16,8 @@ from qpae.audio import (HANN, HOP, N_FFT, OVERLAP_PROFILE, PROFILES, SYNTH_CHUNK
                         ManifestError, SynthProfile, WavClip, WavParseError,
                         _framed_power, crop_span, hz_to_mel, load_manifest, log_mel_batch,
                         log_mel_spectrogram, mel_filterbank, mel_to_hz, read_wav,
-                        synth_clip, synth_dataset, synth_draws, synth_waves, write_wav)
+                        synth_clip, synth_dataset, synth_draws, synth_manifest, synth_waves,
+                        write_wav)
 from qpae.data import train_eval_split
 from qpae.model import Classifier, TrainConfig, cross_entropy_loss, train
 from qpae.rng import Rng, derive_seed
@@ -542,6 +545,25 @@ class TestSynthManifest:
         got, expected = tree_bytes(tmp_path / "got"), tree_bytes(tmp_path / "want")
         assert len(got) == 1 + 44
         assert got == expected
+
+    @pytest.mark.parametrize("k", [1, 30, 45], ids=["first_wav", "a_later_wav", "labels"])
+    def test_a_failed_write_leaves_no_manifest_and_no_temporary_file(
+            self, monkeypatch, tmp_path, k):
+        """A synth whose k-th of 45 file writes fails (the 45th is labels.csv)
+        raises, and leaves no labels.csv to train on and no temporary file."""
+        writes = itertools.count(1)
+        rename = os.replace
+
+        def failing_rename(src, dst):
+            if next(writes) == k:
+                raise OSError("no space left")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_rename)
+        with pytest.raises(OSError, match="no space left"):
+            synth_manifest(tmp_path, 4, 11, seed=3)
+        assert not (tmp_path / "labels.csv").exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestManifest:

@@ -87,6 +87,14 @@ def test_usage_error_exits_2(cfg_path):
     assert exc.value.code == 2
 
 
+def test_ablation_is_a_scenario_not_a_verb(cfg_path, capsys):
+    """The grid runs through `run`; an `ablation` verb is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["ablation", "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'ablation'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content", [
     json.dumps({"sed": 1}).encode(), b"\xff{}", "{}".encode("utf-16"), b"[" * 200000,
     # a path that names no file is no config, and no request for the defaults
@@ -161,7 +169,6 @@ def test_retired_config_shape_exits_2(cfg_path, tmp_path, capsys, edit):
     ("evaluate", ["--model", "original.qpae", "--out", ""], {}),
     ("run", ["--out", ""], {}),
     ("sequential", ["--out", ""], {"sequential_requests": [[0]]}),
-    ("ablation", ["--out", ""], {}),
     ("synth", ["--out", ""], {}),
 ])
 def test_out_of_range_config_exits_2(cfg_path, tmp_path, monkeypatch, capsys, verb,
@@ -384,11 +391,11 @@ def test_synth_writes_manifest(cfg_path, tmp_path):
     assert len(lines) == 1 + 4 * 15
 
 
-@pytest.mark.parametrize("verb", ["sequential", "ablation"])
-def test_sequential_and_ablation_verbs(tmp_path, capsys, verb):
-    """`qpae <verb> --config c` is `qpae run` on c with its scenario set to
-    the verb: the same files with the same bytes, bar output_dir, and the
-    scenario's table on stdout."""
+def test_sequential_verb_is_run_of_the_sequential_scenario(tmp_path, capsys):
+    """`qpae sequential --config c` is `qpae run` on c with its scenario set
+    to sequential: the same files with the same bytes, bar output_dir, and
+    the scenario's table on stdout."""
+    verb = "sequential"
     cfg = default_config(
         "single", seed=5,
         dataset=DatasetSpec(kind="synthetic", num_classes=4, per_class=15,
@@ -412,9 +419,7 @@ def test_sequential_and_ablation_verbs(tmp_path, capsys, verb):
         assert recorded["scenario"] == verb
         outputs[name] = files, recorded
     assert outputs["verb"] == outputs["run"]
-    files = outputs["verb"][0]
-    assert ("sequential_series.json" if verb == "sequential"
-            else "unlearned_ablation_full.qpae") in files
+    assert "sequential_series.json" in outputs["verb"][0]
 
 
 def _edit(cfg_path, tmp_path, name, **sections):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpae.data import LabeledDataset
+from qpae.data import LabeledDataset, forget_table
 from qpae.eraser import (UnlearnConfig, accuracy_snapshot, apply_mixing,
-                         build_mixing_matrix, forget_table, interference_transform,
+                         build_mixing_matrix, interference_transform,
                          penultimate, quantum_loss, run_qp_audio_eraser, superpose_labels)
 from qpae.harness import ABLATION_VARIANTS
 from qpae.metrics import evaluate

@@ -365,7 +365,8 @@ class TestForget:
     def test_baseline_seed_is_its_method_table_key(self, small_cfg, monkeypatch,
                                                    scenario):
         """`forget` hands each baseline the scenario's baselines section,
-        seeded with derive_seed(seed, k) for its written-out key k."""
+        seeded with derive_seed(seed, k) for its written-out key k. It reaches
+        both runners through harness's globals, where the benchmark wraps them."""
         cfg = replace(small_cfg, seed=99, baselines=default_config(scenario).baselines)
         ws = Workspace(cfg)
         model = Classifier.random_init(ws.train_data.feature_dim, [16],
@@ -374,8 +375,11 @@ class TestForget:
         monkeypatch.setattr(harness, "run_baseline",
                             lambda m, data, forget_set, name, bcfg:
                             handed.append((name, bcfg)) or m)
-        for mid in ("ga", "ng", "fisher", "ssd"):
+        monkeypatch.setattr(harness, "run_qp_audio_eraser",
+                            lambda m, data, ucfg: handed.append(("qp", ucfg)) or (m, []))
+        for mid in ("ga", "ng", "fisher", "ssd", "qp"):
             harness.forget(model, ws.train_data, mid, cfg)
+        assert handed.pop()[0] == "qp"
         assert [name for name, _ in handed] == [
             "gradient_ascent", "negative_gradient", "fisher_forgetting",
             "synaptic_dampening"]

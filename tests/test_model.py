@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpae.baselines import negated_cross_entropy_loss
-from qpae.data import LabeledDataset
-from qpae.eraser import forget_table, quantum_loss, superpose_labels
+from qpae.data import LabeledDataset, forget_table
+from qpae.eraser import quantum_loss, superpose_labels
 from qpae.model import (Classifier, TrainConfig, backward_batch, cross_entropy_loss,
                         forward_batch, softmax, train)
 from qpae.rng import Rng
