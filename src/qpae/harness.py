@@ -182,14 +182,13 @@ def check_ranges(cfg: ExperimentConfig) -> None:
     requests = {"unlearn.forget_set": cfg.unlearn.forget_set}
     requests.update((f"sequential_requests[{i}]", req)
                     for i, req in enumerate(cfg.sequential_requests))
+    if cfg.sequential_requests:
+        requests["sequential_requests together"] = set().union(*cfg.sequential_requests)
     try:
         for what, classes in requests.items():
             check_forget_set(classes, k, what)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if len(set().union(*cfg.sequential_requests)) >= k:
-        raise ConfigError("sequential_requests together must leave at least one "
-                          "class retained")
     # every layer the model will have, by the bound a stored model keeps to
     features = cfg.dataset.n_mels * cfg.dataset.n_frames
     widths = [features, *cfg.model.hidden, k]

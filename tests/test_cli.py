@@ -39,20 +39,27 @@ def _error_line(capsys, kind):
     return err[0]
 
 
-def test_train_then_unlearn_then_evaluate(cfg_path, tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["synthetic", "manifest"])
+def test_train_then_unlearn_then_evaluate(request, cfg_path, tmp_path, capsys, kind):
+    """Every method runs on a synthetic split, which is cached read-only, so
+    a write into it raises, and on a manifest's, which is writeable."""
+    if kind == "manifest":
+        cfg_path = request.getfixturevalue("manifest")["config"]
+    config = str(cfg_path)
     out = tmp_path / "out"
-    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", config]) == 0
     assert (out / "original.qpae").exists()
-    for method in ("qp", "ng"):
-        assert main(["unlearn", "--config", str(cfg_path), "--method", method]) == 0
+    for method in harness.METHOD_IDS:
+        assert main(["unlearn", "--config", config, "--method", method]) == 0
         assert (out / f"unlearned_{method}.qpae").exists()
-        assert main(["evaluate", "--config", str(cfg_path),
+        assert main(["evaluate", "--config", config,
                      "--model", str(out / f"unlearned_{method}.qpae"),
                      "--original-report", str(out / "report_original.json")]) == 0
+        assert (out / f"report_unlearned_{method}_deltas.json").exists()
     assert main(["report", "--out", str(out)]) == 0
     rows = (out / "table.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == [
-        "Original", "QPAudioEraser", "Negative Gradient"]
+        "Original", *(m.label for m in harness.METHOD_IDS.values())]
     assert "FA=" in capsys.readouterr().out
 
 
@@ -128,48 +135,67 @@ def test_retired_config_shape_exits_2(cfg_path, tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("verb, flags, edit", [
-    ("unlearn", ["--method", "qp", "--forget", "10"], {}),
-    ("unlearn", ["--method", "qp", "--forget", "4"], {}),
-    ("train", ["--forget", "-1"], {}),
-    ("train", ["--forget", "0,1,2,3"], {}),
-    ("train", [], {"unlearn": {"forget_set": [0, 1, 2, 3]}}),
-    ("sequential", [], {"scenario": "sequential", "sequential_requests": [[0], [7]]}),
-    ("train", [], {"model": {"hidden": [0]}}),
-    ("train", [], {"model": {"hidden": [16, -3]}}),
-    ("train", ["--forget", "0"], {"dataset": {"num_classes": 1}}),
-    ("synth", ["--forget", "0"], {"dataset": {"num_classes": 1}}),
-    ("train", [], {"unlearn": {"forget_set": ["a"]}}),
-    ("train", [], {"unlearn": {"forget_set": [1.5]}}),
+    pytest.param("unlearn", ["--method", "qp", "--forget", "10"], {},
+                 id="unlearn-forget_past_k"),
+    pytest.param("unlearn", ["--method", "qp", "--forget", "4"], {}, id="unlearn-forget_k"),
+    pytest.param("train", ["--forget", "-1"], {}, id="train-forget_negative"),
+    pytest.param("train", ["--forget", "0,1,2,3"], {}, id="train-forget_every_class"),
+    pytest.param("train", [], {"unlearn": {"forget_set": [0, 1, 2, 3]}},
+                 id="train-forget_set_every_class"),
+    pytest.param("sequential", [],
+                 {"scenario": "sequential", "sequential_requests": [[0], [7]]},
+                 id="sequential-request_past_k"),
+    pytest.param("train", [], {"model": {"hidden": [0]}}, id="train-hidden_zero"),
+    pytest.param("train", [], {"model": {"hidden": [16, -3]}}, id="train-hidden_negative"),
+    pytest.param("train", ["--forget", "0"], {"dataset": {"num_classes": 1}},
+                 id="train-one_class"),
+    pytest.param("synth", ["--forget", "0"], {"dataset": {"num_classes": 1}},
+                 id="synth-one_class"),
+    pytest.param("train", [], {"unlearn": {"forget_set": ["a"]}},
+                 id="train-forget_set_string"),
+    pytest.param("train", [], {"unlearn": {"forget_set": [1.5]}},
+                 id="train-forget_set_float"),
     # the 80/20 split leaves no held-out sample of a class
-    ("train", [], {"dataset": {"per_class": 1}}),
-    ("train", [], {"dataset": {"per_class": 2}}),
-    ("synth", [], {"dataset": {"per_class": 2}}),
-    ("train", [], {"dataset": {"per_class": 0}}),
-    ("train", [], {"dataset": {"per_class": 7.5}}),
+    pytest.param("train", [], {"dataset": {"per_class": 1}}, id="train-per_class_1"),
+    pytest.param("train", [], {"dataset": {"per_class": 2}}, id="train-per_class_2"),
+    pytest.param("synth", [], {"dataset": {"per_class": 2}}, id="synth-per_class_2"),
+    pytest.param("train", [], {"dataset": {"per_class": 0}}, id="train-per_class_0"),
+    pytest.param("train", [], {"dataset": {"per_class": 7.5}}, id="train-per_class_float"),
     # non-integers are refused, not truncated
-    ("train", [], {"seed": 7.9}),
-    ("train", [], {"seed": True}),
-    ("train", [], {"model": {"hidden": [1.5]}}),
-    ("train", [], {"model": {"hidden": ["16"]}}),
-    ("sequential", [], {"scenario": "sequential", "sequential_requests": [[1.5]]}),
+    pytest.param("train", [], {"seed": 7.9}, id="train-seed_float"),
+    pytest.param("train", [], {"seed": True}, id="train-seed_bool"),
+    pytest.param("train", [], {"model": {"hidden": [1.5]}}, id="train-hidden_float"),
+    pytest.param("train", [], {"model": {"hidden": ["16"]}}, id="train-hidden_string"),
+    pytest.param("sequential", [],
+                 {"scenario": "sequential", "sequential_requests": [[1.5]]},
+                 id="sequential-request_float"),
     # an empty request would train first and fail only at that step
-    ("sequential", [], {"scenario": "sequential", "sequential_requests": [[0], []]}),
+    pytest.param("sequential", [],
+                 {"scenario": "sequential", "sequential_requests": [[0], []]},
+                 id="sequential-request_empty"),
     # together the requests would forget every class
-    ("sequential", [], {"scenario": "sequential", "sequential_requests": [[0, 1], [2, 3]]}),
+    pytest.param("sequential", [],
+                 {"scenario": "sequential", "sequential_requests": [[0, 1], [2, 3]]},
+                 id="sequential-requests_forget_every_class"),
     # the master seed is a u64: Rng would alias any other value to one
-    ("train", ["--seed", "-1"], {}),
-    ("train", ["--seed", "18446744073709551616"], {}),
-    ("train", [], {"seed": -1}),
+    pytest.param("train", ["--seed", "-1"], {}, id="train-seed_flag_negative"),
+    pytest.param("train", ["--seed", "18446744073709551616"], {},
+                 id="train-seed_flag_2_64"),
+    pytest.param("train", [], {"seed": -1}, id="train-seed_negative"),
     # an empty --forget names no class; it is not "no override"
-    ("unlearn", ["--method", "qp", "--forget", ""], {}),
-    ("evaluate", ["--model", "original.qpae", "--forget", ""], {}),
+    pytest.param("unlearn", ["--method", "qp", "--forget", ""], {},
+                 id="unlearn-forget_empty"),
+    pytest.param("evaluate", ["--model", "original.qpae", "--forget", ""], {},
+                 id="evaluate-forget_empty"),
     # an empty --out is no directory; it is not the working directory
-    ("train", ["--out", ""], {}),
-    ("unlearn", ["--method", "qp", "--out", ""], {}),
-    ("evaluate", ["--model", "original.qpae", "--out", ""], {}),
-    ("run", ["--out", ""], {}),
-    ("sequential", ["--out", ""], {"sequential_requests": [[0]]}),
-    ("synth", ["--out", ""], {}),
+    pytest.param("train", ["--out", ""], {}, id="train-out_empty"),
+    pytest.param("unlearn", ["--method", "qp", "--out", ""], {}, id="unlearn-out_empty"),
+    pytest.param("evaluate", ["--model", "original.qpae", "--out", ""], {},
+                 id="evaluate-out_empty"),
+    pytest.param("run", ["--out", ""], {}, id="run-out_empty"),
+    pytest.param("sequential", ["--out", ""], {"sequential_requests": [[0]]},
+                 id="sequential-out_empty"),
+    pytest.param("synth", ["--out", ""], {}, id="synth-out_empty"),
 ])
 def test_out_of_range_config_exits_2(cfg_path, tmp_path, monkeypatch, capsys, verb,
                                      flags, edit):
@@ -211,7 +237,7 @@ def test_inputs_are_read_before_the_dataset(cfg_path, tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("argv", [
     ["train"], ["unlearn", "--method", "qp"], ["evaluate", "--model", "original.qpae"],
     ["run"], ["synth"],
-])
+], ids=["train", "unlearn", "evaluate", "run", "synth"])
 def test_empty_output_dir_in_the_config_exits_2(cfg_path, tmp_path, monkeypatch, capsys,
                                                 argv):
     """An output_dir of "" in the config file is refused as an empty --out
@@ -261,17 +287,24 @@ def test_report_refuses_reports_of_another_request(cfg_path, tmp_path, capsys):
     assert not (out / "table.md").exists() and not (out / "table.csv").exists()
 
 
-@pytest.mark.parametrize("verb", ["run", "sequential"])
-def test_scenario_shape_is_checked_before_the_dataset(cfg_path, tmp_path, monkeypatch,
-                                                      capsys, verb):
-    """A sequential scenario with no requests, or a single one with two
-    forget classes, exits 2 before any dataset is built, and leaves no
-    --out behind."""
+@pytest.mark.parametrize("verb, flags, kind", [
+    ("run", ["--forget", "0,1"], "synthetic"),
+    ("sequential", [], "synthetic"),
+    ("run", [], "manifest"),
+], ids=["run", "sequential", "run-manifest_sequential"])
+def test_scenario_shape_is_checked_before_the_dataset(request, cfg_path, tmp_path,
+                                                      monkeypatch, capsys, verb, flags,
+                                                      kind):
+    """A single scenario with two forget classes, or a sequential one with
+    no requests, exits 2 before any dataset is built, and leaves no --out
+    behind. A manifest's classes are read from labels.csv alone."""
+    if kind == "manifest":
+        manifest = request.getfixturevalue("manifest")["config"]
+        cfg_path = _edit(manifest, tmp_path, "sequential.json", scenario="sequential")
     builds = []
     monkeypatch.setattr(harness, "_last_splits", {})
     monkeypatch.setattr(harness, "build_dataset", builds.append)
     out = tmp_path / "fresh"
-    flags = ["--forget", "0,1"] if verb == "run" else []
     assert main([verb, "--config", str(cfg_path), "--out", str(out), *flags]) == 2
     _error_line(capsys, "config")
     assert not out.exists()
@@ -284,6 +317,15 @@ def test_run_prints_the_scenario_table(cfg_path, tmp_path, capsys):
     table = (out / "table.md").read_text()
     assert table in capsys.readouterr().out
     assert "| QPAudioEraser |" in table
+
+
+def test_run_of_the_ablation_scenario_stores_each_variant(cfg_path, tmp_path, capsys):
+    path = _edit(cfg_path, tmp_path, "ablation.json", scenario="ablation")
+    out = tmp_path / "ablation_out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "ablation_table.md").read_text() in capsys.readouterr().out
+    for name, _ in harness.ABLATION_VARIANTS:
+        assert (out / f"unlearned_ablation_{name}.qpae").exists()
 
 
 def test_run_takes_a_config_or_a_scenario(cfg_path, tmp_path, capsys):
@@ -445,7 +487,7 @@ def _verb_args(verb, out):
     ([], {"dataset": {"n_mels": 16}}),
     ([], {"train": {"epochs": 11}}),
     ([], {"model": {"hidden": [8]}}),
-])
+], ids=["seed", "n_mels", "epochs", "hidden"])
 def test_stale_original_is_refused(cfg_path, tmp_path, capsys, verb, flags, edit):
     """An --out trained with another provenance is refused by every verb
     that reads or rewrites its original, and nothing in it changes."""
@@ -499,7 +541,8 @@ def test_evaluate_never_writes_over_a_report_it_reads(cfg_path, tmp_path, capsys
     ({"n_frames": 10 ** 18}, [16]),
     ({}, [10 ** 9]),
     ({"num_classes": 2 ** 20 + 1}, [16]),
-])
+], ids=["hidden_past_2_20", "n_frames_1e9", "n_frames_1e18", "hidden_1e9",
+        "classes_past_2_20"])
 @pytest.mark.parametrize("verb", ["train", "run"])
 def test_model_no_checkpoint_can_hold_exits_2(cfg_path, tmp_path, capsys, verb, dataset,
                                               hidden):
@@ -568,7 +611,8 @@ def test_original_without_its_config_is_refused(cfg_path, tmp_path, capsys, verb
 
 @pytest.mark.parametrize("verb", ["unlearn", "evaluate"])
 @pytest.mark.parametrize("edit", [{"dataset": {"n_mels": 16}},
-                                  {"dataset": {"num_classes": 5}}])
+                                  {"dataset": {"num_classes": 5}}],
+                         ids=["n_mels", "num_classes"])
 def test_model_that_does_not_fit_the_dataset_is_refused(cfg_path, tmp_path, capsys,
                                                         monkeypatch, verb, edit):
     """The fit is checked against the config's sizes, before either side of
@@ -643,37 +687,50 @@ def test_manifest_with_a_bad_clip_exits_3(cfg_path, tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("verb, edit", [
-    ("train", {"train": {"batch_size": 0}}),
-    ("train", {"train": {"learning_rate": "x"}}),
-    ("train", {"train": {"epochs": 1.5}}),
-    ("train", {"baselines": {"ssd_threshold": 0}}),
-    ("train", {"dataset": {"n_mels": 0}}),
-    ("train", {"dataset": {"n_mels": 100000}}),
-    ("train", {"dataset": {"n_frames": 0}}),
-    ("train", {"baselines": []}),
-    ("train", {"unlearn": {"forget_set": 3}}),
-    ("train", {"train": {"learning_rate": float("nan")}}),
-    ("unlearn", {"unlearn": {"alpha": 2.0}}),
-    ("unlearn", {"unlearn": {"entropy_lambda": 0}}),
-    ("unlearn", {"unlearn": {"epochs": -1}}),
-    ("unlearn", {"unlearn": {"epochs": 1.5}}),
-    ("unlearn", {"unlearn": {"batch_size": 0}}),
-    ("unlearn", {"unlearn": {"learning_rate": -1}}),
-    ("unlearn", {"unlearn": {"learning_rate": "x"}}),
-    ("unlearn", {"unlearn": {"phi": "pi"}}),
-    ("unlearn", {"unlearn": {"phi": float("inf")}}),
-    ("unlearn", {"unlearn": {"skip_mixing": 0}}),
-    ("unlearn", {"baselines": {"learning_rate": "x"}}),
-    ("unlearn", {"baselines": {"learning_rate": -1}}),
-    ("unlearn", {"baselines": {"batch_size": 0}}),
-    ("unlearn", {"baselines": {"ascent_epochs": 1.5}}),
-    ("unlearn", {"baselines": {"ssd_dampening_floor": -5}}),
+    pytest.param("train", {"train": {"batch_size": 0}}, id="train.batch_size-zero"),
+    pytest.param("train", {"train": {"learning_rate": "x"}},
+                 id="train.learning_rate-string"),
+    pytest.param("train", {"train": {"epochs": 1.5}}, id="train.epochs-float"),
+    pytest.param("train", {"baselines": {"ssd_threshold": 0}},
+                 id="baselines.ssd_threshold-zero"),
+    pytest.param("train", {"dataset": {"n_mels": 0}}, id="dataset.n_mels-zero"),
+    pytest.param("train", {"dataset": {"n_mels": 100000}}, id="dataset.n_mels-too_many"),
+    pytest.param("train", {"dataset": {"n_frames": 0}}, id="dataset.n_frames-zero"),
+    pytest.param("train", {"baselines": []}, id="baselines-list"),
+    pytest.param("train", {"unlearn": {"forget_set": 3}}, id="unlearn.forget_set-int"),
+    pytest.param("train", {"train": {"learning_rate": float("nan")}},
+                 id="train.learning_rate-nan"),
+    pytest.param("unlearn", {"unlearn": {"alpha": 2.0}}, id="unlearn.alpha-2"),
+    pytest.param("unlearn", {"unlearn": {"entropy_lambda": 0}},
+                 id="unlearn.entropy_lambda-zero"),
+    pytest.param("unlearn", {"unlearn": {"epochs": -1}}, id="unlearn.epochs-negative"),
+    pytest.param("unlearn", {"unlearn": {"epochs": 1.5}}, id="unlearn.epochs-float"),
+    pytest.param("unlearn", {"unlearn": {"batch_size": 0}}, id="unlearn.batch_size-zero"),
+    pytest.param("unlearn", {"unlearn": {"learning_rate": -1}},
+                 id="unlearn.learning_rate-negative"),
+    pytest.param("unlearn", {"unlearn": {"learning_rate": "x"}},
+                 id="unlearn.learning_rate-string"),
+    pytest.param("unlearn", {"unlearn": {"phi": "pi"}}, id="unlearn.phi-string"),
+    pytest.param("unlearn", {"unlearn": {"phi": float("inf")}}, id="unlearn.phi-inf"),
+    pytest.param("unlearn", {"unlearn": {"skip_mixing": 0}}, id="unlearn.skip_mixing-int"),
+    pytest.param("unlearn", {"baselines": {"learning_rate": "x"}},
+                 id="baselines.learning_rate-string"),
+    pytest.param("unlearn", {"baselines": {"learning_rate": -1}},
+                 id="baselines.learning_rate-negative"),
+    pytest.param("unlearn", {"baselines": {"batch_size": 0}},
+                 id="baselines.batch_size-zero"),
+    pytest.param("unlearn", {"baselines": {"ascent_epochs": 1.5}},
+                 id="baselines.ascent_epochs-float"),
+    pytest.param("unlearn", {"baselines": {"ssd_dampening_floor": -5}},
+                 id="baselines.ssd_dampening_floor-negative"),
     # strings are not coerced: a number or null is no path
-    ("train", {"dataset": {"kind": "manifest", "path": 5}}),
-    ("train", {"output_dir": None}),
-    ("train", {"output_dir": 5}),
+    pytest.param("train", {"dataset": {"kind": "manifest", "path": 5}},
+                 id="dataset.path-int"),
+    pytest.param("train", {"output_dir": None}, id="output_dir-null"),
+    pytest.param("train", {"output_dir": 5}, id="output_dir-int"),
     # an integer no float holds is no finite number
-    ("train", {"train": {"learning_rate": 10 ** 400}}),
+    pytest.param("train", {"train": {"learning_rate": 10 ** 400}},
+                 id="train.learning_rate-past_float"),
 ])
 def test_bad_section_value_exits_2(cfg_path, tmp_path, capsys, verb, edit):
     """Refused before any file is written: `train` creates no --out, and
@@ -717,6 +774,26 @@ def test_original_report_of_another_run_exits_2(cfg_path, tmp_path, monkeypatch,
     assert "original report" in _error_line(capsys, "config")
     assert builds == []
     assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 13: a checkpoint from another --out is checked "
+                          "only against this --out's config.json")
+def test_evaluate_refuses_a_model_from_another_original(cfg_path, tmp_path, capsys):
+    """A model unlearned from the seed-5 original is not scored against the
+    seed-8 original's report: exit 2, and nothing is written."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    config = str(cfg_path)
+    assert main(["train", "--config", config, "--out", str(a)]) == 0
+    assert main(["unlearn", "--config", config, "--out", str(a), "--method", "qp"]) == 0
+    assert main(["train", "--config", config, "--out", str(b), "--seed", "8"]) == 0
+    before = sorted(p.name for p in b.iterdir())
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config, "--out", str(b), "--seed", "8",
+                 "--model", str(a / "unlearned_qp.qpae"),
+                 "--original-report", str(b / "report_original.json")]) == 2
+    _error_line(capsys, "config")
+    assert sorted(p.name for p in b.iterdir()) == before
 
 
 def _with(key, value):
