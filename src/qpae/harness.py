@@ -9,6 +9,7 @@ write over the report it reads or the one `train` wrote.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import (asdict, astuple, dataclass, field,
@@ -407,6 +408,10 @@ class Workspace:
     def original_path(self) -> Path:
         return self.out / "original.qpae"
 
+    def original_digest(self) -> str:
+        """The hex SHA-256 of `original.qpae`, as a `.parent` record holds it."""
+        return hashlib.sha256(self.original_path().read_bytes()).hexdigest()
+
     def check_provenance(self) -> None:
         """`cmd_train` writes config.json beside `original.qpae`. Its seed,
         dataset, model and train sections must equal this run's; the forget
@@ -427,12 +432,20 @@ class Workspace:
 
     def load(self, path: str | Path) -> Classifier:
         """The checkpoint at `path`, if this run may use it: its file, then
-        `check_provenance`, then the fit. The model must take the dataset's
+        `check_provenance`, then its parent, then the fit. A `.parent` record
+        beside the checkpoint (`cmd_unlearn` writes one) must name this
+        directory's `original.qpae`. The model must take the dataset's
         n_mels * n_frames features into num_classes, the sizes of every side
         built from it. Checked from files alone: no clip is read.
         """
         model = load_checkpoint(path)
         self.check_provenance()
+        record = Path(path).with_suffix(".parent")
+        # a checkpoint named *.parent is not its own record
+        if (record != Path(path) and record.is_file()
+                and record.read_bytes().strip() != self.original_digest().encode()):
+            raise ConfigError(f"{path} was unlearned from another original than "
+                              f"{self.original_path()} (see {record})")
         spec = self.cfg.dataset
         fit = (spec.n_mels * spec.n_frames, spec.num_classes)
         if (model.feature_dim, model.num_classes) != fit:
@@ -446,12 +459,12 @@ class Workspace:
 
 
 def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
-    """Train from a seeded init; write config.json, then the checkpoint
-    and the original report.
+    """Train from a seeded init; write config.json, then the checkpoint,
+    then the original report of the checkpoint read back.
 
     If the training side is the one `prepare_split` keeps, the model is
     kept beside it, and a later run with the same model and train sections
-    copies it instead of training again: every input of the training is
+    stores it instead of training again: every input of the training is
     the same. A manifest, or a side passed in, trains every time.
     """
     cfg = ws.cfg
@@ -467,11 +480,10 @@ def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
                                        Rng(derive_seed(cfg.seed, _SEED_INIT)))
         train(model, data, _train_config(cfg), cross_entropy_loss)
         kept.originals[key] = model
-    model = kept.originals[key].copy()
     # config.json first: a checkpoint is never left without its provenance
     save_config(cfg, ws.out / "config.json")
-    save_checkpoint(model, ws.original_path())
-    report = evaluate(model, ws.eval_data, ws.forget_set)
+    save_checkpoint(kept.originals[key], ws.original_path())
+    report = evaluate(ws.load(ws.original_path()), ws.eval_data, ws.forget_set)
     ws.write_report("original", report)
     return ws.original_path(), report
 
@@ -501,13 +513,20 @@ def forget(model: Classifier, data: LabeledDataset, method_id: str,
                                penultimate(model, data))]
 
 
-def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
-    """`forget` on the original checkpoint; write the result and its phase log."""
+def cmd_unlearn(ws: Workspace, method_id: str,
+                name: str | None = None) -> tuple[Path, list[dict]]:
+    """`forget` on the original checkpoint; write the `.parent` record of
+    that original's digest, then the result and its phase log, named after
+    `name`, or else the method id."""
     model = ws.load(ws.original_path())
+    parent = ws.original_digest()
     model, phase_log = forget(model, ws.train_data, method_id, ws.cfg)
-    path = ws.out / f"unlearned_{method_id}.qpae"
+    stem = name if name is not None else method_id
+    path = ws.out / f"unlearned_{stem}.qpae"
+    # the record first, as config.json in cmd_train: no checkpoint is left without one
+    write_atomic(path.with_suffix(".parent"), parent + "\n")
     save_checkpoint(model, path)
-    write_atomic(ws.out / f"phase_log_{method_id}.json",
+    write_atomic(ws.out / f"phase_log_{stem}.json",
                  json.dumps(phase_log, indent=2) + "\n")
     return path, phase_log
 
@@ -579,12 +598,18 @@ def table_stem(scenario: str) -> str:
     return f"{scenario}_table" if scenario in ("sequential", "ablation") else "table"
 
 
-def _standard_step(ws: Workspace, original_report: EvaluationReport) -> list[Row]:
-    """unlearn with every method, then evaluate: one table row per method."""
+def _unlearn_step(ws: Workspace, original_report: EvaluationReport,
+                  runs: list[tuple[str, str, str, dict]]) -> list[Row]:
+    """Per run (label, name, method id, unlearn tweaks): `cmd_unlearn`,
+    then `cmd_evaluate` of the stored checkpoint, in a workspace over the
+    tweaked config that shares this one's sides and output directory. One
+    table row per run."""
     rows = []
-    for mid, method in METHOD_IDS.items():
-        path, _ = cmd_unlearn(ws, mid)
-        rows.append((method.label, cmd_evaluate(ws, path, original_report, name=mid)))
+    for label, name, method_id, tweaks in runs:
+        cfg = replace(ws.cfg, unlearn=replace(ws.cfg.unlearn, **tweaks))
+        run_ws = Workspace(cfg, ws.out, ws.train_data, ws.eval_data)
+        path, _ = cmd_unlearn(run_ws, method_id, name=name)
+        rows.append((label, cmd_evaluate(run_ws, path, original_report, name=name)))
     return rows
 
 
@@ -640,22 +665,6 @@ ABLATION_VARIANTS: list[tuple[str, dict]] = [
 ]
 
 
-def _ablation_step(ws: Workspace, original_report: EvaluationReport) -> list[Row]:
-    """Run the five ablated variants plus the full method from one seed."""
-    rows = []
-    original = ws.load(ws.original_path())
-    for name, tweaks in ABLATION_VARIANTS:
-        model = original.copy()
-        forget(model, ws.train_data, "qp",
-               replace(ws.cfg, unlearn=replace(ws.cfg.unlearn, **tweaks)))
-        save_checkpoint(model, ws.out / f"unlearned_ablation_{name}.qpae")
-        report = evaluate(model, ws.eval_data, ws.forget_set,
-                          original_fa=original_report.fa)
-        ws.write_report(f"ablation_{name}", report)
-        rows.append((name, report))
-    return rows
-
-
 def run_scenario(cfg: ExperimentConfig) -> Workspace:
     """Check cfg.scenario's shape before anything is built, train once, run
     the scenario's step, then write the one table of the rows it returns."""
@@ -669,8 +678,10 @@ def run_scenario(cfg: ExperimentConfig) -> Workspace:
     if cfg.scenario == "sequential":
         rows = _sequential_step(ws)
     else:
-        step = _ablation_step if cfg.scenario == "ablation" else _standard_step
-        rows = [("Original", original_report), *step(ws, original_report)]
+        runs = ([(v, f"ablation_{v}", "qp", tweaks) for v, tweaks in ABLATION_VARIANTS]
+                if cfg.scenario == "ablation" else
+                [(m.label, mid, mid, {}) for mid, m in METHOD_IDS.items()])
+        rows = [("Original", original_report), *_unlearn_step(ws, original_report, runs)]
     write_table(ws.out, rows, stem=table_stem(cfg.scenario))
     return ws
 

@@ -776,9 +776,6 @@ def test_original_report_of_another_run_exits_2(cfg_path, tmp_path, monkeypatch,
     assert sorted(p.name for p in out.iterdir()) == before
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 13: a checkpoint from another --out is checked "
-                          "only against this --out's config.json")
 def test_evaluate_refuses_a_model_from_another_original(cfg_path, tmp_path, capsys):
     """A model unlearned from the seed-5 original is not scored against the
     seed-8 original's report: exit 2, and nothing is written."""

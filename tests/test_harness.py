@@ -217,15 +217,25 @@ class TestWorkspace:
     @pytest.mark.parametrize("scenario", ["sequential", "ablation"])
     def test_scenarios_load_the_original_through_load(self, small_cfg, monkeypatch,
                                                       scenario):
-        """`Workspace.load` is the one way a scenario reads a stored model."""
+        """`Workspace.load` is the one way a scenario reads a stored model,
+        and each model it reads is a checkpoint in its output directory:
+        train reads back the original, and each ablation variant is read by
+        unlearn (the original) and evaluate (the variant)."""
         loads, real = [], Workspace.load
         monkeypatch.setattr(Workspace, "load",
-                            lambda ws, path: loads.append(Path(path).name) or real(ws, path))
+                            lambda ws, path: loads.append(Path(path)) or real(ws, path))
         small_cfg.scenario = scenario
         small_cfg.unlearn.epochs = 1
         small_cfg.sequential_requests = [[0], [1]]
-        harness.run_scenario(small_cfg)
-        assert loads == ["original.qpae"]
+        ws = harness.run_scenario(small_cfg)
+        assert all(p.parent == ws.out and p.suffix == ".qpae" and p.is_file()
+                   for p in loads)
+        expected = ["original.qpae", "original.qpae"]
+        if scenario == "ablation":
+            expected = ["original.qpae"] + [
+                name for variant, _ in harness.ABLATION_VARIANTS
+                for name in ("original.qpae", f"unlearned_ablation_{variant}.qpae")]
+        assert [p.name for p in loads] == expected
 
 
 class TestCommands:
@@ -252,6 +262,20 @@ class TestCommands:
         harness.cmd_unlearn(ws, "qp")
         harness.cmd_unlearn(ws, "ng")
         assert hashlib.sha256(ws.original_path().read_bytes()).hexdigest() == digest
+
+    def test_unlearn_records_the_digest_of_its_original(self, small_cfg):
+        ws = Workspace.create(small_cfg)
+        harness.cmd_train(ws)
+        path, _ = harness.cmd_unlearn(ws, "ng", name="other")
+        digest = hashlib.sha256(ws.original_path().read_bytes()).hexdigest()
+        assert path == ws.out / "unlearned_other.qpae"
+        assert (ws.out / "unlearned_other.parent").read_text() == digest + "\n"
+        named = ws.out / "copy.parent"  # a checkpoint is not its own record
+        named.write_bytes(path.read_bytes())
+        ws.load(named)
+        (ws.out / "unlearned_other.parent").write_text("0" * 64 + "\n")
+        with pytest.raises(ConfigError, match="another original"):
+            ws.load(path)
 
     def test_unlearn_unknown_method(self, small_cfg):
         ws = Workspace.create(small_cfg)
@@ -456,13 +480,25 @@ class TestAblationScenario:
         small_cfg.scenario = "ablation"
         ws = harness.run_scenario(small_cfg)
         reports = {p.stem[len("report_"):]: report_from_json(p.read_text())
-                   for p in ws.out.glob("report_*.json")}
+                   for p in ws.out.glob("report_*.json") if not p.stem.endswith("_deltas")}
         assert set(reports) == {"original", "ablation_no_weight_transform",
                                 "ablation_no_uncertainty_maximization",
                                 "ablation_no_matrix_m", "ablation_lambda_0.5",
                                 "ablation_lambda_2.0", "ablation_full"}
         table = (ws.out / "ablation_table.csv").read_text()
         assert table.count("\n") == 8  # header + original + six variants
+
+    def test_full_variant_is_stored_and_scored_as_qp(self, small_cfg, tmp_path):
+        """The full variant is the `single` scenario's `qp` request: the same
+        checkpoint, scored from that file into the same report bytes."""
+        small_cfg.unlearn.epochs = 1
+        single = harness.run_scenario(replace(small_cfg, output_dir=str(tmp_path / "s")))
+        ablation = harness.run_scenario(replace(small_cfg, scenario="ablation",
+                                                output_dir=str(tmp_path / "a")))
+        for qp, full in (("unlearned_qp.qpae", "unlearned_ablation_full.qpae"),
+                         ("report_qp.json", "report_ablation_full.json"),
+                         ("report_qp_deltas.json", "report_ablation_full_deltas.json")):
+            assert (single.out / qp).read_bytes() == (ablation.out / full).read_bytes(), full
 
 
 class TestTables:
@@ -773,10 +809,19 @@ def test_accent_style_run_on_overlap_profile(tmp_path):
 @pytest.mark.parametrize("scenario", harness.SCENARIOS)
 def test_every_report_a_scenario_writes_reads_back_unchanged(tmp_path, scenario):
     """Each report agrees with its own confusion matrix, so reading it back
-    refuses nothing and writing it again gives the same bytes."""
+    refuses nothing and writing it again gives the same bytes. A report
+    with its checkpoint beside it is that checkpoint's report, byte for byte."""
     ws = harness.run_scenario(harness.default_config(scenario, output_dir=str(tmp_path)))
     paths = [p for p in ws.out.glob("report_*.json") if not p.stem.endswith("_deltas")]
     assert paths
+    original_fa = report_from_json((ws.out / "report_original.json").read_text()).fa
     for path in paths:
         text = path.read_text()
         assert report_to_json(report_from_json(text)) + "\n" == text, path.name
+        stem = path.stem[len("report_"):]
+        checkpoint = ws.out / ("original.qpae" if stem == "original"
+                               else f"unlearned_{stem}.qpae")
+        if checkpoint.exists():
+            scored = evaluate(ws.load(checkpoint), ws.eval_data, ws.forget_set,
+                              original_fa=None if stem == "original" else original_fa)
+            assert report_to_json(scored) + "\n" == text, path.name
