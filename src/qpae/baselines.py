@@ -125,9 +125,12 @@ def fisher_forgetting(model: Classifier, data: LabeledDataset,
         else estimate_diag_fisher(model, data, ~forgotten)
     rng = Rng(derive_seed(cfg.seed, 0xF15E))
     for param, ff, fr in zip(model.parameters(), f_forget, f_retain):
-        sigma = cfg.fisher_noise_scale * np.sqrt(ff / (fr + FISHER_EPS))
+        # sigma = scale * sqrt(ff / (fr + eps)), formed in fr, which is this loop's own
+        sigma = np.sqrt(np.divide(ff, np.add(fr, FISHER_EPS, out=fr), out=fr), out=fr)
+        sigma *= cfg.fisher_noise_scale
         noise = rng.normal(param.size).reshape(param.shape)
-        param += sigma * noise
+        noise *= sigma
+        param += noise
     model.ensure_finite()
     return model
 

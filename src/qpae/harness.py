@@ -9,7 +9,6 @@ write over the report it reads or the one `train` wrote.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import (asdict, astuple, dataclass, field,
@@ -33,6 +32,16 @@ from .metrics import (TABLE_COLUMNS, EvaluationReport, compare_reports,
 from .model import Classifier, TrainConfig, cross_entropy_loss, train
 from .rng import Rng, derive_seed
 from .timing import stage
+
+# CPython's builtin SHA-256, which hashlib itself falls back to: importing
+# hashlib would load OpenSSL into every qpae process, most of which never hash
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 log = logging.getLogger("qpae")
 
@@ -373,6 +382,7 @@ class Workspace:
         self.cfg = cfg
         self.out = Path(out if out is not None else cfg.output_dir)
         self._sides = [train_data, eval_data]
+        self._digest: str | None = None
 
     @classmethod
     def create(cls, cfg: ExperimentConfig, out: str | Path | None = None) -> "Workspace":
@@ -409,8 +419,14 @@ class Workspace:
         return self.out / "original.qpae"
 
     def original_digest(self) -> str:
-        """The hex SHA-256 of `original.qpae`, as a `.parent` record holds it."""
-        return hashlib.sha256(self.original_path().read_bytes()).hexdigest()
+        """The hex SHA-256 of `original.qpae`, as a `.parent` record holds it.
+
+        Read and hashed on the first call and kept for this workspace only;
+        `cmd_train`, the one writer of `original.qpae`, drops it.
+        """
+        if self._digest is None:
+            self._digest = _sha256(self.original_path().read_bytes()).hexdigest()
+        return self._digest
 
     def check_provenance(self) -> None:
         """`cmd_train` writes config.json beside `original.qpae`. Its seed,
@@ -483,9 +499,15 @@ def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
     # config.json first: a checkpoint is never left without its provenance
     save_config(cfg, ws.out / "config.json")
     save_checkpoint(kept.originals[key], ws.original_path())
+    ws._digest = None
+    return ws.original_path(), _score_original(ws)
+
+
+def _score_original(ws: Workspace) -> EvaluationReport:
+    """Write report_original.json, the report of `original.qpae` read back."""
     report = evaluate(ws.load(ws.original_path()), ws.eval_data, ws.forget_set)
     ws.write_report("original", report)
-    return ws.original_path(), report
+    return report
 
 
 def forget(model: Classifier, data: LabeledDataset, method_id: str,
@@ -667,14 +689,25 @@ ABLATION_VARIANTS: list[tuple[str, dict]] = [
 
 def run_scenario(cfg: ExperimentConfig) -> Workspace:
     """Check cfg.scenario's shape before anything is built, train once, run
-    the scenario's step, then write the one table of the rows it returns."""
+    the scenario's step, then write the one table of the rows it returns.
+
+    An `original.qpae` that `Workspace.create` found beside a matching
+    config.json is the one `cmd_train` would write, so it is scored as it
+    stands: report_original.json and config.json are written, the
+    checkpoint is neither trained nor rewritten.
+    """
     classes = len(set(cfg.unlearn.forget_set))
     if cfg.scenario in ("single", "accent") and classes != 1:
         raise ConfigError(f"{cfg.scenario} scenario requires exactly one forget class")
     if cfg.scenario == "multi" and classes < 2:
         raise ConfigError("multi scenario requires at least two forget classes")
     ws = Workspace.create(cfg)
-    _, original_report = cmd_train(ws)
+    if (ws.out / "config.json").is_file() and ws.original_path().is_file():
+        # scored first: an original that is no checkpoint changes no file
+        original_report = _score_original(ws)
+        save_config(cfg, ws.out / "config.json")
+    else:
+        _, original_report = cmd_train(ws)
     if cfg.scenario == "sequential":
         rows = _sequential_step(ws)
     else:

@@ -55,7 +55,9 @@ class Rng:
 
     def normal(self, n: int, sigma: float = 1.0) -> np.ndarray:
         """n Gaussian draws via Box-Muller on the next 2 * ceil(n / 2) draws."""
-        return sigma * box_muller(self.fill_u64(2 * ((n + 1) // 2)), n)
+        x = box_muller(self.fill_u64(2 * ((n + 1) // 2)), n)
+        x *= sigma
+        return x
 
     def shuffle(self, values: np.ndarray) -> None:
         """In-place Fisher-Yates shuffle.

@@ -1,10 +1,13 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import qpae
 from qpae import harness
 from qpae.baselines import BaselineConfig
 from qpae.cli import build_parser, main
@@ -326,6 +329,19 @@ def test_run_of_the_ablation_scenario_stores_each_variant(cfg_path, tmp_path, ca
     assert (out / "ablation_table.md").read_text() in capsys.readouterr().out
     for name, _ in harness.ABLATION_VARIANTS:
         assert (out / f"unlearned_ablation_{name}.qpae").exists()
+
+
+def test_run_on_an_original_that_is_no_checkpoint_exits_3(cfg_path, tmp_path, capsys):
+    """run scores the original that train left in --out instead of training
+    again, so a spoiled one is an io error, with no file changed."""
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    (out / "original.qpae").write_bytes(b"junk")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--forget", "2"]) == 3
+    assert "bad magic" in _error_line(capsys, "io")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_run_takes_a_config_or_a_scenario(cfg_path, tmp_path, capsys):
@@ -939,3 +955,13 @@ def test_failed_write_leaves_no_partial_or_temporary_file(cfg_path, tmp_path, mo
     assert main([verb, "--config", config, "--forget", "2", *args]) == 3
     assert "No space left" in _error_line(capsys, "io")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_no_verb_loads_openssl():
+    """The `.parent` digest is CPython's builtin SHA-256: importing the CLI,
+    in a fresh interpreter, leaves hashlib's OpenSSL module unloaded."""
+    root = os.path.dirname(os.path.dirname(qpae.__file__))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, qpae.cli; print('_hashlib' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": root}, capture_output=True, text=True, check=True)
+    assert loaded.stdout == "False\n"

@@ -277,6 +277,22 @@ class TestCommands:
         with pytest.raises(ConfigError, match="another original"):
             ws.load(path)
 
+    def test_one_workspace_hashes_its_original_once(self, small_cfg, monkeypatch):
+        """unlearn hashes original.qpae for its record and evaluate checks
+        that record on the same workspace without reading it again; a
+        train, which writes the original, drops the kept digest."""
+        ws = Workspace.create(small_cfg)
+        harness.cmd_train(ws)
+        hashed, real = [], harness._sha256
+        monkeypatch.setattr(harness, "_sha256", lambda data: hashed.append(data) or real(data))
+        path, _ = harness.cmd_unlearn(ws, "ng")
+        harness.cmd_evaluate(ws, path)
+        original = ws.original_path().read_bytes()
+        assert hashed == [original]
+        harness.cmd_train(ws)
+        assert ws.original_digest() == hashlib.sha256(original).hexdigest()
+        assert hashed == [original, original]
+
     def test_unlearn_unknown_method(self, small_cfg):
         ws = Workspace.create(small_cfg)
         harness.cmd_train(ws)
@@ -666,6 +682,25 @@ class TestTrainOnce:
             replace(small_cfg, output_dir=str(tmp_path / run)))) for run in ("a", "b")]
         assert len(trainings) == 1
         assert files[0] == files[1]
+
+    def test_a_matching_original_in_out_is_scored_not_trained(
+            self, small_cfg, trainings, monkeypatch):
+        """A second run on one --out, in a fresh process, trains nothing and
+        leaves original.qpae as it was; every file it writes keeps its bytes."""
+        small_cfg.unlearn.epochs = 1
+        ws = harness.run_scenario(small_cfg)
+
+        def written():
+            # phase logs hold wall times
+            return {p.name: p.read_bytes() for p in ws.out.iterdir()
+                    if not p.name.startswith("phase_log_")}
+        before, stat = written(), ws.original_path().stat()
+        monkeypatch.setattr(harness, "_last_splits", {})
+        harness.run_scenario(small_cfg)
+        assert len(trainings) == 1
+        after = ws.original_path().stat()
+        assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+        assert written() == before
 
     @pytest.mark.parametrize("change", [
         {"train": TrainConfig(learning_rate=0.05, epochs=9)},
