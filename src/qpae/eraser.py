@@ -8,8 +8,9 @@ predictive entropy on forgotten samples, and phase 4 post-multiplies the
 final weights by a mixing matrix that entangles the forgotten column
 with the retained ones.
 
-All of it acts on the final linear layer plus ordinary SGD; the quantum
-vocabulary is naming, not hardware.
+Phases 1 and 4 change only the final linear layer; phase 3 is ordinary
+SGD, which updates every layer. The quantum vocabulary is naming, not
+hardware.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ from .eraser import (UnlearnConfig, penultimate, phase_entry,
                      run_qp_audio_eraser, superpose_labels)
 from .files import FIELD_KINDS, write_atomic
 from .metrics import (TABLE_COLUMNS, EvaluationReport, compare_reports,
-                      evaluate, report_csv_row, report_from_json,
-                      report_to_json)
+                      confusion_scores, evaluate, report_csv_row,
+                      report_from_json, report_to_json)
 from .model import Classifier, TrainConfig, cross_entropy_loss, train
 from .rng import Rng, derive_seed
 from .timing import stage
@@ -475,15 +475,23 @@ class Workspace:
 
 
 def cmd_train(ws: Workspace) -> tuple[Path, EvaluationReport]:
-    """Train from a seeded init; write config.json, then the checkpoint,
-    then the original report of the checkpoint read back.
+    """Write config.json, then the original checkpoint, then the original
+    report of the checkpoint read back: the one source of a run's original.
 
-    If the training side is the one `prepare_split` keeps, the model is
-    kept beside it, and a later run with the same model and train sections
-    stores it instead of training again: every input of the training is
-    the same. A manifest, or a side passed in, trains every time.
+    An `original.qpae` beside a config.json is scored as it stands, once
+    `Workspace.load` has checked that config.json records this run's
+    provenance; scored first, one that is no checkpoint changes no file.
+    Otherwise the model is trained from a seeded init. If the training
+    side is the one `prepare_split` keeps, the model is kept beside it, and
+    a later run with the same model and train sections stores it instead
+    of training again: every input of the training is the same. A
+    manifest, or a side passed in, trains every time.
     """
     cfg = ws.cfg
+    if (ws.out / "config.json").is_file() and ws.original_path().is_file():
+        report = _score_original(ws)
+        save_config(cfg, ws.out / "config.json")
+        return ws.original_path(), report
     data = ws.train_data
     kept = _last_splits.get(_split_key(cfg))
     if kept is None or kept.sides.get(0) is not data:
@@ -635,19 +643,19 @@ def _unlearn_step(ws: Workspace, original_report: EvaluationReport,
     return rows
 
 
-def _sequential_step(ws: Workspace) -> list[Row]:
+def _sequential_step(ws: Workspace, original_report: EvaluationReport) -> list[Row]:
     """Apply the pipeline per forget request to the evolving model.
 
     The training data's superposed classes are the one record of what
     has been forgotten. After each step the model is scored with the
-    forget set equal to that union. At later steps the rows of
+    forget set equal to that union; PER reads the original's FA on it
+    from `original_report`'s confusion matrix. At later steps the rows of
     earlier-forgotten classes keep their uniform labels and are retained
     rows, trained by cross-entropy toward them. No table measures
     whether that keeps those classes from being re-learned.
     """
     cfg = ws.cfg
-    original = ws.load(ws.original_path())
-    model = original.copy()
+    model = ws.load(ws.original_path())
     current = ws.train_data
     series: list[dict] = []
     rows: list[Row] = []
@@ -663,9 +671,8 @@ def _sequential_step(ws: Workspace) -> list[Row]:
             forget(model, current, "qp", step_cfg)
             current = superpose_labels(current, new)
         forgotten = current.superposed
-        original_union = evaluate(original, ws.eval_data, forgotten)
-        report = evaluate(model, ws.eval_data, forgotten,
-                          original_fa=original_union.fa)
+        original_fa = confusion_scores(original_report.confusion, sorted(forgotten))["fa"]
+        report = evaluate(model, ws.eval_data, forgotten, original_fa=original_fa)
         name = f"step_{step}"
         ws.write_report(name, report)
         rows.append((name, report))
@@ -688,28 +695,18 @@ ABLATION_VARIANTS: list[tuple[str, dict]] = [
 
 
 def run_scenario(cfg: ExperimentConfig) -> Workspace:
-    """Check cfg.scenario's shape before anything is built, train once, run
-    the scenario's step, then write the one table of the rows it returns.
-
-    An `original.qpae` that `Workspace.create` found beside a matching
-    config.json is the one `cmd_train` would write, so it is scored as it
-    stands: report_original.json and config.json are written, the
-    checkpoint is neither trained nor rewritten.
-    """
+    """Check cfg.scenario's shape before anything is built, `cmd_train`,
+    run the scenario's step, then write the one table of the rows it
+    returns."""
     classes = len(set(cfg.unlearn.forget_set))
     if cfg.scenario in ("single", "accent") and classes != 1:
         raise ConfigError(f"{cfg.scenario} scenario requires exactly one forget class")
     if cfg.scenario == "multi" and classes < 2:
         raise ConfigError("multi scenario requires at least two forget classes")
     ws = Workspace.create(cfg)
-    if (ws.out / "config.json").is_file() and ws.original_path().is_file():
-        # scored first: an original that is no checkpoint changes no file
-        original_report = _score_original(ws)
-        save_config(cfg, ws.out / "config.json")
-    else:
-        _, original_report = cmd_train(ws)
+    _, original_report = cmd_train(ws)
     if cfg.scenario == "sequential":
-        rows = _sequential_step(ws)
+        rows = _sequential_step(ws, original_report)
     else:
         runs = ([(v, f"ablation_{v}", "qp", tweaks) for v, tweaks in ABLATION_VARIANTS]
                 if cfg.scenario == "ablation" else

@@ -1,9 +1,9 @@
 """Dense feed-forward softmax classifier with exact analytic backprop.
 
 Weights are plain numpy float64 arrays, row-major. A classifier is a stack
-of ReLU hidden layers followed by a final linear layer (d x K); every
-unlearning method in this package manipulates that final layer directly,
-so the representation is kept deliberately transparent.
+of ReLU hidden layers followed by a final linear layer (d x K). The
+eraser's phases 1 and 4 edit that final layer directly; its phase 3 and
+every baseline change the hidden layers too.
 """
 
 from __future__ import annotations

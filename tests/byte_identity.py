@@ -4,8 +4,8 @@ Runs, in this process and through `qpae.cli.main`:
 - `qpae run --scenario S --seed N` for the five scenarios on master
   seeds 7 and 99;
 - a manifest sequence: `synth` (4 classes x 30 clips), `train`, `unlearn`
-  and `evaluate --original-report` for all five methods, `sequential`,
-  then `report`;
+  and `evaluate --original-report` for all five methods, `train` again
+  into the same `--out`, `sequential`, then `report`;
 - `train` on a synthetic dataset of 4 classes x 30 clips at each of
   `n_frames` 1, 33, 49 and 64: one frame, an odd frame count, every
   frame (no crop), and zero padding.
@@ -62,7 +62,9 @@ def _commands() -> list[list[str]]:
         commands += [["unlearn", *manifest, "--method", method],
                      ["evaluate", *manifest, "--model", f"sess/unlearned_{method}.qpae",
                       "--original-report", "sess/report_original.json"]]
-    commands += [["sequential", *manifest], ["report", "--out", "sess"]]
+    # a second train into a matching --out must write what the first wrote
+    commands += [["train", *manifest], ["sequential", *manifest],
+                 ["report", "--out", "sess"]]
     return commands + [["train", "--config", f"frames_{n}.json", "--out", f"frames_{n}"]
                        for n in FRAMES]
 

@@ -331,15 +331,17 @@ def test_run_of_the_ablation_scenario_stores_each_variant(cfg_path, tmp_path, ca
         assert (out / f"unlearned_ablation_{name}.qpae").exists()
 
 
-def test_run_on_an_original_that_is_no_checkpoint_exits_3(cfg_path, tmp_path, capsys):
-    """run scores the original that train left in --out instead of training
-    again, so a spoiled one is an io error, with no file changed."""
+@pytest.mark.parametrize("verb", ["train", "run"])
+def test_run_on_an_original_that_is_no_checkpoint_exits_3(cfg_path, tmp_path, capsys,
+                                                          verb):
+    """train and run score the original that train left in --out instead of
+    training again, so a spoiled one is an io error, with no file changed."""
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
     (out / "original.qpae").write_bytes(b"junk")
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
-    assert main(["run", "--config", str(cfg_path), "--forget", "2"]) == 3
+    assert main([verb, "--config", str(cfg_path), "--forget", "2"]) == 3
     assert "bad magic" in _error_line(capsys, "io")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -519,11 +521,15 @@ def test_stale_original_is_refused(cfg_path, tmp_path, capsys, verb, flags, edit
     assert (out / "original.qpae").read_bytes() == original
 
 
-def test_retrain_with_the_same_provenance_is_byte_identical(cfg_path, tmp_path):
+def test_a_second_train_with_the_same_provenance_keeps_the_original(cfg_path, tmp_path):
+    """A train into an --out that holds a matching original scores that
+    file: it is neither trained again nor rewritten."""
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path)]) == 0
-    original = (out / "original.qpae").read_bytes()
+    original, stat = (out / "original.qpae").read_bytes(), (out / "original.qpae").stat()
     assert main(["train", "--config", str(cfg_path)]) == 0
+    after = (out / "original.qpae").stat()
+    assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
     assert (out / "original.qpae").read_bytes() == original
 
 

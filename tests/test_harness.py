@@ -20,7 +20,7 @@ from qpae.files import FIELD_KINDS
 from qpae.harness import (ConfigError, Workspace, cmd_report, cmd_synth,
                           config_from_dict, config_to_dict, default_config,
                           emit_table, load_config)
-from qpae.metrics import evaluate, report_from_json, report_to_json
+from qpae.metrics import evaluate, per_score, report_from_json, report_to_json
 from qpae.model import Classifier, TrainConfig
 from qpae.rng import Rng, derive_seed
 
@@ -289,6 +289,9 @@ class TestCommands:
         harness.cmd_evaluate(ws, path)
         original = ws.original_path().read_bytes()
         assert hashed == [original]
+        # a matching original is scored as it stands; a train writes one
+        # only where there is none
+        ws.original_path().unlink()
         harness.cmd_train(ws)
         assert ws.original_digest() == hashlib.sha256(original).hexdigest()
         assert hashed == [original, original]
@@ -478,6 +481,24 @@ class TestSequentialScenario:
         assert series[-1]["forgotten_union"] == [0, 1]
         assert any("union semantics" in r.message for r in caplog.records)
 
+    def test_per_reads_the_original_fa_on_each_union(self, small_cfg):
+        """Each step's PER is against what `evaluate` gives the stored
+        original on that step's union, bit for bit."""
+        small_cfg.scenario = "sequential"
+        small_cfg.sequential_requests = [[0], [0, 1], [2]]
+        # an original that misses half of class 0, so each union's FA differs
+        small_cfg.train = TrainConfig(learning_rate=0.05, epochs=8)
+        ws = harness.run_scenario(small_cfg)
+        original = ws.load(ws.original_path())
+        original_fas = []
+        for step, union in enumerate(([0], [0, 1], [0, 1, 2]), start=1):
+            report = report_from_json((ws.out / f"report_step_{step}.json").read_text())
+            original_fas.append(evaluate(original, ws.eval_data, set(union)).fa)
+            want = per_score(original_fas[-1], report.fa)
+            assert report.forget_set == union
+            assert want is not None and report.per.hex() == want.hex()
+        assert len(set(original_fas)) == 3
+
     def test_empty_requests_rejected(self, small_cfg, monkeypatch):
         small_cfg.scenario = "sequential"
         small_cfg.sequential_requests = []
@@ -653,9 +674,17 @@ class TestSplitReuse:
         assert "unlearned_qp.qpae" in files[0] and "table.csv" in files[0]
 
 
+def _train_into_out(cfg) -> Workspace:
+    """`qpae train`: `cmd_train` into the config's output directory."""
+    ws = Workspace.create(cfg)
+    harness.cmd_train(ws)
+    return ws
+
+
 class TestTrainOnce:
     """`cmd_train` keeps each original beside the training side it was
-    trained on, and copies it for a later run with the same provenance."""
+    trained on, and copies it for a later run with the same provenance;
+    an original already in --out it scores as it stands."""
 
     @pytest.fixture()
     def trainings(self, monkeypatch):
@@ -683,12 +712,15 @@ class TestTrainOnce:
         assert len(trainings) == 1
         assert files[0] == files[1]
 
+    @pytest.mark.parametrize("command", [harness.run_scenario, _train_into_out],
+                             ids=["run_scenario", "cmd_train"])
     def test_a_matching_original_in_out_is_scored_not_trained(
-            self, small_cfg, trainings, monkeypatch):
-        """A second run on one --out, in a fresh process, trains nothing and
-        leaves original.qpae as it was; every file it writes keeps its bytes."""
+            self, small_cfg, trainings, monkeypatch, command):
+        """A second run or train on one --out, in a fresh process, trains
+        nothing and leaves original.qpae as it was; every file it writes
+        keeps its bytes."""
         small_cfg.unlearn.epochs = 1
-        ws = harness.run_scenario(small_cfg)
+        ws = command(small_cfg)
 
         def written():
             # phase logs hold wall times
@@ -696,7 +728,7 @@ class TestTrainOnce:
                     if not p.name.startswith("phase_log_")}
         before, stat = written(), ws.original_path().stat()
         monkeypatch.setattr(harness, "_last_splits", {})
-        harness.run_scenario(small_cfg)
+        command(small_cfg)
         assert len(trainings) == 1
         after = ws.original_path().stat()
         assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
