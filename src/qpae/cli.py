@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unlearn", help="apply one unlearning method")
     _add_common(p)
     p.add_argument("--method", required=True, choices=sorted(harness.METHOD_IDS),
-                   help="qp = four-phase pipeline; others are baselines")
+                   help="qp: the pipeline; ablation_*: its variants; others: baselines")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on the held-out split")
     _add_common(p)

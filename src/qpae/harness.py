@@ -47,16 +47,30 @@ log = logging.getLogger("qpae")
 
 SCENARIOS = ("single", "multi", "sequential", "ablation", "accent")
 
-# CLI method ids in table order ("qp" is the pipeline): each method's phase-log
-# name (a baseline's in run_baseline), table label and seed's stage key
-Method = NamedTuple("Method", [("name", str), ("label", str), ("seed_key", int)])
+# Every id the CLI takes and a scenario row runs: its runner ("qp" or a baseline's
+# run_baseline name), table label, seed's stage key and `unlearn` section changes
+Method = NamedTuple("Method", [("name", str), ("label", str), ("seed_key", int),
+                               ("unlearn", dict)])
 METHOD_IDS = {
-    "qp": Method("qp", "QPAudioEraser", 5),
-    "ga": Method("gradient_ascent", "Gradient Ascent", 16),
-    "ng": Method("negative_gradient", "Negative Gradient", 17),
-    "fisher": Method("fisher_forgetting", "Fisher Forgetting", 18),
-    "ssd": Method("synaptic_dampening", "Synaptic Dampening", 19),
+    "qp": Method("qp", "QPAudioEraser", 5, {}),
+    "ga": Method("gradient_ascent", "Gradient Ascent", 16, {}),
+    "ng": Method("negative_gradient", "Negative Gradient", 17, {}),
+    "fisher": Method("fisher_forgetting", "Fisher Forgetting", 18, {}),
+    "ssd": Method("synaptic_dampening", "Synaptic Dampening", 19, {}),
+    "ablation_no_weight_transform":
+        Method("qp", "no_weight_transform", 5, {"skip_weight_transform": True}),
+    "ablation_no_uncertainty_maximization":
+        Method("qp", "no_uncertainty_maximization", 5, {"skip_uncertainty_max": True}),
+    "ablation_no_matrix_m": Method("qp", "no_matrix_m", 5, {"skip_mixing": True}),
+    "ablation_lambda_0.5": Method("qp", "lambda_0.5", 5, {"entropy_lambda": 0.5}),
+    "ablation_lambda_2.0": Method("qp", "lambda_2.0", 5, {"entropy_lambda": 2.0}),
+    "ablation_full": Method("qp", "full", 5, {}),
 }
+# the rows after the original's: single, multi, accent, `qpae report`; ablation
+METHOD_ROWS = ("qp", "ga", "ng", "fisher", "ssd")
+ABLATION_ROWS = ("ablation_no_weight_transform", "ablation_no_uncertainty_maximization",
+                 "ablation_no_matrix_m", "ablation_lambda_0.5", "ablation_lambda_2.0",
+                 "ablation_full")
 
 Row = tuple[str, EvaluationReport]  # one table row: label, report
 
@@ -358,8 +372,9 @@ def _train_config(cfg: ExperimentConfig) -> TrainConfig:
     return replace(cfg.train, seed=derive_seed(cfg.seed, _SEED_TRAIN))
 
 
-def _unlearn_config(cfg: ExperimentConfig) -> UnlearnConfig:
-    return replace(cfg.unlearn, seed=derive_seed(cfg.seed, METHOD_IDS["qp"].seed_key))
+def _unlearn_config(cfg: ExperimentConfig, method_id: str = "qp") -> UnlearnConfig:
+    _, _, seed_key, changes = METHOD_IDS[method_id]
+    return replace(cfg.unlearn, seed=derive_seed(cfg.seed, seed_key), **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +537,20 @@ def forget(model: Classifier, data: LabeledDataset, method_id: str,
            cfg: ExperimentConfig) -> tuple[Classifier, list[dict]]:
     """Apply one method to `model` for `cfg`'s forget set: the unit of work.
 
-    `method_id` is a METHOD_IDS key: "qp" runs the four-phase eraser, the
-    others a baseline, each seeded from the master seed. The model is
+    `method_id` is a METHOD_IDS key: a "qp" runner is the four-phase eraser
+    on the `unlearn` section with the entry's changes, any other a baseline,
+    each seeded from the master seed and the entry's key. The model is
     changed in place and nothing is written. The phase log holds one entry
     per eraser phase, or one for the baseline, scored on `data`.
     """
     if method_id not in METHOD_IDS:
         raise ConfigError(f"unknown method {method_id!r}; expected one of "
                           f"{sorted(METHOD_IDS)}")
+    name, _, seed_key, _ = METHOD_IDS[method_id]
     # both runners are read from this module at call time, where the
     # benchmark times them
-    if method_id == "qp":
-        return run_qp_audio_eraser(model, data, _unlearn_config(cfg))
-    name, _, seed_key = METHOD_IDS[method_id]
+    if name == "qp":
+        return run_qp_audio_eraser(model, data, _unlearn_config(cfg, method_id))
     forget_set = set(cfg.unlearn.forget_set)
     with stage() as span:
         run_baseline(model, data, forget_set, name,
@@ -543,20 +559,18 @@ def forget(model: Classifier, data: LabeledDataset, method_id: str,
                                penultimate(model, data))]
 
 
-def cmd_unlearn(ws: Workspace, method_id: str,
-                name: str | None = None) -> tuple[Path, list[dict]]:
+def cmd_unlearn(ws: Workspace, method_id: str) -> tuple[Path, list[dict]]:
     """`forget` on the original checkpoint; write the `.parent` record of
     that original's digest, then the result and its phase log, named after
-    `name`, or else the method id."""
+    the method id."""
     model = ws.load(ws.original_path())
     parent = ws.original_digest()
     model, phase_log = forget(model, ws.train_data, method_id, ws.cfg)
-    stem = name if name is not None else method_id
-    path = ws.out / f"unlearned_{stem}.qpae"
+    path = ws.out / f"unlearned_{method_id}.qpae"
     # the record first, as config.json in cmd_train: no checkpoint is left without one
     write_atomic(path.with_suffix(".parent"), parent + "\n")
     save_checkpoint(model, path)
-    write_atomic(ws.out / f"phase_log_{stem}.json",
+    write_atomic(ws.out / f"phase_log_{method_id}.json",
                  json.dumps(phase_log, indent=2) + "\n")
     return path, phase_log
 
@@ -629,17 +643,14 @@ def table_stem(scenario: str) -> str:
 
 
 def _unlearn_step(ws: Workspace, original_report: EvaluationReport,
-                  runs: list[tuple[str, str, str, dict]]) -> list[Row]:
-    """Per run (label, name, method id, unlearn tweaks): `cmd_unlearn`,
-    then `cmd_evaluate` of the stored checkpoint, in a workspace over the
-    tweaked config that shares this one's sides and output directory. One
-    table row per run."""
+                  method_ids: tuple[str, ...]) -> list[Row]:
+    """Per METHOD_IDS id: `cmd_unlearn` on `ws`, then `cmd_evaluate` of the
+    stored checkpoint. One table row per id, under its label."""
     rows = []
-    for label, name, method_id, tweaks in runs:
-        cfg = replace(ws.cfg, unlearn=replace(ws.cfg.unlearn, **tweaks))
-        run_ws = Workspace(cfg, ws.out, ws.train_data, ws.eval_data)
-        path, _ = cmd_unlearn(run_ws, method_id, name=name)
-        rows.append((label, cmd_evaluate(run_ws, path, original_report, name=name)))
+    for method_id in method_ids:
+        path, _ = cmd_unlearn(ws, method_id)
+        rows.append((METHOD_IDS[method_id].label,
+                     cmd_evaluate(ws, path, original_report, name=method_id)))
     return rows
 
 
@@ -684,16 +695,6 @@ def _sequential_step(ws: Workspace, original_report: EvaluationReport) -> list[R
     return rows
 
 
-ABLATION_VARIANTS: list[tuple[str, dict]] = [
-    ("no_weight_transform", {"skip_weight_transform": True}),
-    ("no_uncertainty_maximization", {"skip_uncertainty_max": True}),
-    ("no_matrix_m", {"skip_mixing": True}),
-    ("lambda_0.5", {"entropy_lambda": 0.5}),
-    ("lambda_2.0", {"entropy_lambda": 2.0}),
-    ("full", {}),
-]
-
-
 def run_scenario(cfg: ExperimentConfig) -> Workspace:
     """Check cfg.scenario's shape before anything is built, `cmd_train`,
     run the scenario's step, then write the one table of the rows it
@@ -708,10 +709,8 @@ def run_scenario(cfg: ExperimentConfig) -> Workspace:
     if cfg.scenario == "sequential":
         rows = _sequential_step(ws, original_report)
     else:
-        runs = ([(v, f"ablation_{v}", "qp", tweaks) for v, tweaks in ABLATION_VARIANTS]
-                if cfg.scenario == "ablation" else
-                [(m.label, mid, mid, {}) for mid, m in METHOD_IDS.items()])
-        rows = [("Original", original_report), *_unlearn_step(ws, original_report, runs)]
+        ids = ABLATION_ROWS if cfg.scenario == "ablation" else METHOD_ROWS
+        rows = [("Original", original_report), *_unlearn_step(ws, original_report, ids)]
     write_table(ws.out, rows, stem=table_stem(cfg.scenario))
     return ws
 
@@ -735,7 +734,7 @@ def cmd_report(out: str | Path) -> tuple[Path, Path]:
         raise ConfigError("--out must name a directory, got ''")
     out_dir = Path(out)
     rows, first = [], None
-    labels = [("original", "Original"), *((mid, m.label) for mid, m in METHOD_IDS.items())]
+    labels = [("original", "Original"), *((mid, METHOD_IDS[mid].label) for mid in METHOD_ROWS)]
     for stem, label in labels:
         # `evaluate` names a report after its checkpoint, unlearned_<id>
         for path in (out_dir / f"report_{stem}.json",

@@ -293,12 +293,11 @@ def test_criterion_09_sequential_run(tmp_path):
 def test_criterion_10_ablation_grid(tmp_path):
     cfg = harness.default_config("ablation", output_dir=str(tmp_path / "abl"))
     ws = harness.run_scenario(cfg)
-    reports = {name: report_from_json(
-                   (ws.out / f"report_ablation_{name}.json").read_text())
-               for name, _ in harness.ABLATION_VARIANTS}
+    reports = {harness.METHOD_IDS[mid].label: report_from_json(
+                   (ws.out / f"report_{mid}.json").read_text())
+               for mid in harness.ABLATION_ROWS}
     full = reports["full"]
-    ablated = {name: reports[name] for name, _ in harness.ABLATION_VARIANTS
-               if name != "full"}
+    ablated = {name: rep for name, rep in reports.items() if name != "full"}
     best_ablated_ra = max(rep.ra for rep in ablated.values())
     ok = (full.fa == 0.0
           and full.ra >= best_ablated_ra - 1.0

@@ -52,7 +52,7 @@ def test_train_then_unlearn_then_evaluate(request, cfg_path, tmp_path, capsys, k
     out = tmp_path / "out"
     assert main(["train", "--config", config]) == 0
     assert (out / "original.qpae").exists()
-    for method in harness.METHOD_IDS:
+    for method in harness.METHOD_ROWS:
         assert main(["unlearn", "--config", config, "--method", method]) == 0
         assert (out / f"unlearned_{method}.qpae").exists()
         assert main(["evaluate", "--config", config,
@@ -62,7 +62,7 @@ def test_train_then_unlearn_then_evaluate(request, cfg_path, tmp_path, capsys, k
     assert main(["report", "--out", str(out)]) == 0
     rows = (out / "table.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == [
-        "Original", *(m.label for m in harness.METHOD_IDS.values())]
+        "Original", *(harness.METHOD_IDS[m].label for m in harness.METHOD_ROWS)]
     assert "FA=" in capsys.readouterr().out
 
 
@@ -327,8 +327,29 @@ def test_run_of_the_ablation_scenario_stores_each_variant(cfg_path, tmp_path, ca
     out = tmp_path / "ablation_out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "ablation_table.md").read_text() in capsys.readouterr().out
-    for name, _ in harness.ABLATION_VARIANTS:
-        assert (out / f"unlearned_ablation_{name}.qpae").exists()
+    for method in harness.ABLATION_ROWS:
+        assert (out / f"unlearned_{method}.qpae").exists()
+
+
+def test_unlearn_of_an_ablation_variant_writes_its_row(cfg_path, tmp_path):
+    """Each ablation row is a method id: `qpae unlearn --method ablation_<v>`
+    into a trained --out writes the checkpoint, `.parent` record and phase
+    log that `qpae run` of the ablation scenario writes for that row."""
+    path = _edit(cfg_path, tmp_path, "ablation.json", scenario="ablation")
+    run, out = tmp_path / "run_out", tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(run)]) == 0
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+
+    def phases(directory, method):
+        log = json.loads((directory / f"phase_log_{method}.json").read_text())
+        return [{k: v for k, v in entry.items() if k != "wall_ms"} for entry in log]
+
+    for method in harness.ABLATION_ROWS:
+        assert main(["unlearn", "--config", str(path), "--out", str(out),
+                     "--method", method]) == 0
+        for name in (f"unlearned_{method}.qpae", f"unlearned_{method}.parent"):
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
+        assert phases(out, method) == phases(run, method)
 
 
 @pytest.mark.parametrize("verb", ["train", "run"])

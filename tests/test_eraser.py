@@ -11,7 +11,7 @@ from qpae.data import LabeledDataset, forget_table
 from qpae.eraser import (UnlearnConfig, accuracy_snapshot, apply_mixing,
                          build_mixing_matrix, interference_transform,
                          penultimate, quantum_loss, run_qp_audio_eraser, superpose_labels)
-from qpae.harness import ABLATION_VARIANTS
+from qpae.harness import ABLATION_ROWS, METHOD_IDS
 from qpae.metrics import evaluate
 from qpae.model import Classifier, TrainConfig, forward_batch, softmax
 from qpae.rng import Rng
@@ -440,7 +440,8 @@ class TestPipeline:
                 f"{phase} took {entries[phase]['wall_ms']:.3f} ms vs "
                 f"{epoch_ms:.3f} ms per optimization epoch")
 
-    @pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
+    @pytest.mark.parametrize("variant", ABLATION_ROWS,
+                             ids=lambda variant: METHOD_IDS[variant].label)
     def test_phase_log_equals_snapshot_of_a_copy(self, desk, monkeypatch, variant):
         # the log scores phases 1, 2 and 4 on hidden activations computed
         # earlier; a copy taken at each snapshot, scored afresh, must agree
@@ -453,8 +454,7 @@ class TestPipeline:
             return fresh_snapshot(model, data, forget_set, hidden)
 
         monkeypatch.setattr(eraser, "accuracy_snapshot", keep_copy)
-        ucfg = replace(harness._unlearn_config(desk["cfg"]),
-                       **dict(ABLATION_VARIANTS)[variant])
+        ucfg = harness._unlearn_config(desk["cfg"], variant)
         _, log = run_qp_audio_eraser(desk["model"].copy(), desk["train"], ucfg)
         assert len(copies) == len(log) == 4
         for copy, entry in zip(copies, log):

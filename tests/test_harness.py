@@ -233,8 +233,8 @@ class TestWorkspace:
         expected = ["original.qpae", "original.qpae"]
         if scenario == "ablation":
             expected = ["original.qpae"] + [
-                name for variant, _ in harness.ABLATION_VARIANTS
-                for name in ("original.qpae", f"unlearned_ablation_{variant}.qpae")]
+                name for method in harness.ABLATION_ROWS
+                for name in ("original.qpae", f"unlearned_{method}.qpae")]
         assert [p.name for p in loads] == expected
 
 
@@ -266,14 +266,14 @@ class TestCommands:
     def test_unlearn_records_the_digest_of_its_original(self, small_cfg):
         ws = Workspace.create(small_cfg)
         harness.cmd_train(ws)
-        path, _ = harness.cmd_unlearn(ws, "ng", name="other")
+        path, _ = harness.cmd_unlearn(ws, "ng")
         digest = hashlib.sha256(ws.original_path().read_bytes()).hexdigest()
-        assert path == ws.out / "unlearned_other.qpae"
-        assert (ws.out / "unlearned_other.parent").read_text() == digest + "\n"
+        assert path == ws.out / "unlearned_ng.qpae"
+        assert (ws.out / "unlearned_ng.parent").read_text() == digest + "\n"
         named = ws.out / "copy.parent"  # a checkpoint is not its own record
         named.write_bytes(path.read_bytes())
         ws.load(named)
-        (ws.out / "unlearned_other.parent").write_text("0" * 64 + "\n")
+        (ws.out / "unlearned_ng.parent").write_text("0" * 64 + "\n")
         with pytest.raises(ConfigError, match="another original"):
             ws.load(path)
 
@@ -295,6 +295,16 @@ class TestCommands:
         harness.cmd_train(ws)
         assert ws.original_digest() == hashlib.sha256(original).hexdigest()
         assert hashed == [original, original]
+
+    @pytest.mark.parametrize("scenario", ["single", "ablation"])
+    def test_a_scenario_hashes_its_original_once(self, small_cfg, monkeypatch, scenario):
+        """Every row of a scenario runs on the one workspace `run_scenario`
+        made, so all the rows' `.parent` records come from one hash."""
+        hashed, real = [], harness._sha256
+        monkeypatch.setattr(harness, "_sha256", lambda data: hashed.append(data) or real(data))
+        small_cfg.unlearn.epochs = 1
+        ws = harness.run_scenario(replace(small_cfg, scenario=scenario))
+        assert hashed == [ws.original_path().read_bytes()]
 
     def test_unlearn_unknown_method(self, small_cfg):
         ws = Workspace.create(small_cfg)
@@ -352,7 +362,7 @@ def without_wall_ms(phase_log):
 
 
 class TestForget:
-    @pytest.mark.parametrize("method_id", sorted(harness.METHOD_IDS))
+    @pytest.mark.parametrize("method_id", sorted(harness.METHOD_ROWS))
     def test_matches_what_cmd_unlearn_writes(self, small_cfg, tmp_path, monkeypatch,
                                              method_id):
         ws = Workspace.create(small_cfg)
@@ -372,7 +382,7 @@ class TestForget:
         assert without_wall_ms(phase_log) == without_wall_ms(on_disk) == \
             without_wall_ms(written_log)
 
-    @pytest.mark.parametrize("method_id", sorted(harness.METHOD_IDS))
+    @pytest.mark.parametrize("method_id", sorted(harness.METHOD_ROWS))
     def test_phase_log_ends_on_what_evaluate_counts(self, small_cfg, method_id):
         # the phase log and a report count FA and RA by one rule
         ws = Workspace.create(small_cfg)
@@ -392,7 +402,7 @@ class TestForget:
             harness.forget(model, ws.train_data, "distillation", ws.cfg)
         assert equals_bits(model, before)
 
-    @pytest.mark.parametrize("method_id", sorted(harness.METHOD_IDS))
+    @pytest.mark.parametrize("method_id", sorted(harness.METHOD_ROWS))
     def test_bad_forget_set_leaves_the_model_untouched(self, small_cfg, method_id):
         """Every method refuses a class past the split's 4 before it trains."""
         ws = Workspace.create(small_cfg)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpae.audio import synth_draws
-from qpae.harness import METHOD_IDS
+from qpae.harness import ABLATION_ROWS, METHOD_IDS
 from qpae.rng import Rng, box_muller, derive_seed, draws_at
 
 from helpers import next_u64, randbelow, reference_draws, uniform
@@ -52,8 +52,12 @@ def test_seed_7_clip_draws_are_pinned():
 
 
 def test_seed_7_derived_seeds_are_pinned():
-    """The harness stage keys 1-4 and the METHOD_IDS keys."""
-    assert sorted(m.seed_key for m in METHOD_IDS.values()) == [5, 16, 17, 18, 19]
+    """The harness stage keys 1-4 and the METHOD_IDS keys: every entry the
+    eraser runs, an ablation variant included, takes qp's key 5."""
+    qp_runs = {mid for mid, m in METHOD_IDS.items() if m.name == "qp"}
+    assert qp_runs == {"qp", *ABLATION_ROWS}
+    assert {METHOD_IDS[mid].seed_key for mid in qp_runs} == {5}
+    assert {m.seed_key for m in METHOD_IDS.values()} == {5, 16, 17, 18, 19}
     assert {k: derive_seed(7, k) for k in (1, 2, 3, 4, 5, 16, 17, 18, 19)} == {
         1: 0xDF2BBB9538AAE818, 2: 0xF2DB471907F7E261, 3: 0x785568519C9BF9C4,
         4: 0x91A07E38DAEF5CB8, 5: 0xEA4145BFD26D337A, 16: 0x83837DADA38974E1,
